@@ -23,7 +23,13 @@ from .bounds import (
     sparse_paving_census,
 )
 from .linear import CoverInputError, ExactCover, RationalSubspace, cell_dim, exact_cover_check
-from .matroid import Matroid, MatroidInputError, NotAMatroidError, mask_to_set, set_to_mask
+from .matroid import (
+    InvariantViolation,
+    Matroid,
+    MatroidInputError,
+    NotAMatroidError,
+    mask_to_set,
+)
 from .rationals import format_rational, parse_rational
 from .subdivision import spread_report, subdivision_cells
 from .trees import MetricTree, TreeInputError, decode_tree, enumerate_rank2_cells, tree_to_valuation
@@ -36,6 +42,7 @@ from .valuation import (
     combinatorial_type,
     contract_valuation,
     equivalent,
+    parse_valuation_document,
     residue_matroid,
     shift,
     smooth_decompose,
@@ -56,10 +63,6 @@ INPUT_ERRORS = (
 )
 
 
-class InvariantViolation(RuntimeError):
-    """A property the library guarantees failed to hold."""
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -71,18 +74,6 @@ def _load_matroid(path) -> Matroid:
 
 def _load_valuation(path) -> Valuation:
     return Valuation.from_json_obj(_load_json(path), matroid_loader=_load_matroid)
-
-
-def _load_valuation_raw(path):
-    """Matroid plus value table without the validity check (for `check`)."""
-    obj = _load_json(path)
-    mat = obj["matroid"]
-    M = _load_matroid(mat) if isinstance(mat, str) else Matroid.from_json_obj(mat)
-    vals = {}
-    for key, text in obj["values"].items():
-        elems = tuple(int(tok) for tok in key.split(","))
-        vals[set_to_mask(elems)] = parse_rational(str(text))
-    return M, vals
 
 
 def _parse_element_set(text):
@@ -127,7 +118,7 @@ def _emit(args, obj, csv_rows=None, text=None):
 
 
 def cmd_check(args):
-    M, vals = _load_valuation_raw(args.valuation)
+    M, vals = parse_valuation_document(_load_json(args.valuation), _load_matroid)
     fast = check_valuation(M, vals)
     slow = check_valuation_bruteforce(M, vals)
     if fast != slow:
@@ -212,7 +203,7 @@ def cmd_rank2_census(args):
 
 def cmd_subdivision(args):
     nu = _load_valuation(args.valuation)
-    census = subdivision_cells(nu, seed=args.seed)
+    census = subdivision_cells(nu)
     obj = {
         "spread": census.spread,
         "exploration_status": census.exploration_status,
@@ -226,7 +217,7 @@ def cmd_subdivision(args):
 
 def cmd_spread(args):
     nu = _load_valuation(args.valuation)
-    _emit(args, spread_report(nu, seed=args.seed))
+    _emit(args, spread_report(nu))
 
 
 def cmd_bounds(args):

@@ -20,6 +20,10 @@ class NotAMatroidError(ValueError):
     """A candidate basis family violates the exchange axiom."""
 
 
+class InvariantViolation(RuntimeError):
+    """A property the library guarantees failed to hold."""
+
+
 def set_to_mask(elems) -> int:
     m = 0
     for e in elems:

@@ -132,12 +132,46 @@ def _normalize_values(M: Matroid, values) -> dict[int, Fraction]:
     for key, val in values.items():
         m = key if isinstance(key, int) else set_to_mask(key)
         if m not in M.bases:
-            raise ValuationInputError(f"value supplied for non-basis {key!r}")
+            subset = ",".join(str(e) for e in mask_to_set(m))
+            raise ValuationInputError(f"value supplied for non-basis {subset}")
         out[m] = Fraction(val)
     missing = M.bases - out.keys()
     if missing:
         raise ValuationInputError(f"missing values for {len(missing)} bases")
     return out
+
+
+def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
+    """The matroid and value table of a valuation document, unchecked.
+
+    The document is {"matroid": matroid document or file reference,
+    "values": {"i,j,...": "p/q"}}; anything else raises ValuationInputError.
+    """
+    if not isinstance(obj, dict) or "matroid" not in obj or "values" not in obj:
+        raise ValuationInputError('a valuation document needs "matroid" and "values"')
+    mat, values = obj["matroid"], obj["values"]
+    if not isinstance(values, dict):
+        raise ValuationInputError('"values" must map subsets "i,j,..." to rationals')
+    if isinstance(mat, str):
+        if matroid_loader is None:
+            raise ValuationInputError("matroid file reference without a loader")
+        M = matroid_loader(mat)
+    else:
+        M = Matroid.from_json_obj(mat)
+    vals = {}
+    for key, text in values.items():
+        try:
+            elems = [int(tok) for tok in key.split(",")]
+            value = parse_rational(str(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValuationInputError(f"bad value entry {key!r}: {text!r}") from None
+        if not all(0 <= e < M.n for e in elems):
+            raise ValuationInputError(f"subset {key} is out of range for n={M.n}")
+        mask = set_to_mask(elems)
+        if mask in vals:
+            raise ValuationInputError(f"two values for subset {key}")
+        vals[mask] = value
+    return M, vals
 
 
 def check_valuation(M: Matroid, values) -> bool:
@@ -235,21 +269,7 @@ class Valuation:
 
     @classmethod
     def from_json_obj(cls, obj: dict, matroid_loader=None) -> "Valuation":
-        try:
-            mat, values = obj["matroid"], obj["values"]
-        except (KeyError, TypeError) as exc:
-            raise ValuationInputError(f"bad valuation document: {exc}")
-        if isinstance(mat, str):
-            if matroid_loader is None:
-                raise ValuationInputError("matroid file reference without a loader")
-            M = matroid_loader(mat)
-        else:
-            M = Matroid.from_json_obj(mat)
-        vals = {}
-        for key, text in values.items():
-            elems = tuple(int(tok) for tok in key.split(","))
-            vals[set_to_mask(elems)] = parse_rational(str(text))
-        return cls(M, vals)
+        return cls(*parse_valuation_document(obj, matroid_loader))
 
     @classmethod
     def from_json(cls, text: str, matroid_loader=None) -> "Valuation":

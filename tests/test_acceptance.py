@@ -211,9 +211,9 @@ def test_acceptance_09_subdivision(capsys):
         nu = (random_tree_metric_valuation(n, rnd) if rnd.random() < 0.5
               else valuation_from_matroid(random_sparse_paving(2, n, rnd)))
         mu = shift(nu, random_shift_vector(n, rnd))
-        ca, cb = subdivision_cells(nu), subdivision_cells(mu, seed=1)
-        if "exhaustive" not in (ca.exploration_status, cb.exploration_status):
-            continue
+        ca, cb = subdivision_cells(nu), subdivision_cells(mu)
+        if not ca.exploration_status == cb.exploration_status == "exhaustive":
+            ok = False
         if ca.cell_basis_families() != cb.cell_basis_families():
             ok = False
         done += 1

@@ -172,6 +172,41 @@ def test_exit_codes(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "type", "subdivision"])
+def test_malformed_valuation_documents_exit_2(files, capsys, command):
+    matroid = Matroid.uniform(2, 4).to_json_obj()
+    docs = {
+        "no-values": {"matroid": matroid},
+        "list-values": {"matroid": matroid, "values": [["0,1", "0"]]},
+        "non-basis": {"matroid": N3.to_json_obj(), "values": {"0,1": "0"}},
+    }
+    for name, doc in docs.items():
+        path = files["dir"] / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, "--valuation", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert "non-basis 0,1" in err  # the subset, not its bitmask
+
+
+def test_subdivision_scale_guard(files, capsys):
+    M = Matroid.uniform(1, 12)
+    path = files["dir"] / "u1_12.json"
+    path.write_text(Valuation(M, {b: Fraction(0) for b in M.bases}).to_json())
+    for command in ("subdivision", "spread"):
+        assert run([command, "--valuation", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_broken_subdivision_walk_exits_1(files, capsys, monkeypatch):
+    # a walk that sees no facets stops at its first cell, which cannot
+    # cover every basis of N3: the certificate must fail loudly
+    monkeypatch.setattr("dressian.subdivision._facets", lambda n, cell, full_dim: {})
+    assert run(["subdivision", "--valuation", files["nu"]]) == 1
+    assert capsys.readouterr().err.startswith("invariant violation:")
+
+
 def test_determinism_across_runs_and_threads(files, capsys):
     outs = set()
     for threads in ("1", "4"):

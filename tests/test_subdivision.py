@@ -5,7 +5,10 @@ from dressian import (
     Matroid,
     Valuation,
     decode_tree,
+    integer_matrix_rank,
     locate_cell,
+    mask_to_set,
+    modular_stable_matroid,
     polytope_dim,
     set_to_mask,
     shift,
@@ -14,11 +17,14 @@ from dressian import (
     valuation_from_matroid,
 )
 from helpers import (
+    CORPUS,
     N3,
     random_shift_vector,
     random_sparse_paving,
     random_tree_metric_valuation,
+    random_valuation,
 )
+from reference_subdivision import subdivision_cells as reference_subdivision_cells
 
 
 def octahedron_valuation():
@@ -29,10 +35,28 @@ def octahedron_valuation():
     return Valuation(M, vals)
 
 
+def face_valuation(nu, u):
+    """nu on the face of P_M where sum(u[e] for e in B) is largest; the
+    face matroid is often non-uniform or disconnected."""
+    score = {b: sum(u[e] for e in mask_to_set(b)) for b in nu.matroid.bases}
+    top = max(score.values())
+    face = Matroid(nu.matroid.n, nu.matroid.r,
+                   frozenset(b for b, s in score.items() if s == top))
+    return Valuation(face, {b: nu.values[b] for b in face.bases})
+
+
 def test_polytope_dims():
     assert polytope_dim(Matroid.uniform(2, 4)) == 3
     assert polytope_dim(Matroid.uniform(3, 6)) == 5
     assert polytope_dim(Matroid.uniform(2, 5)) == 4
+    rnd = random.Random(43)
+    faces = [face_valuation(random_valuation(M, rnd),
+                            [rnd.randint(-1, 1) for _ in range(M.n)]).matroid
+             for M in CORPUS for _ in range(3)]  # many are disconnected
+    for M in CORPUS + faces:
+        verts = [[(b >> e) & 1 for e in range(M.n)] for b in M.sorted_bases()]
+        rows = [[v[i] - verts[0][i] for i in range(M.n)] for v in verts[1:]]
+        assert polytope_dim(M) == (integer_matrix_rank(rows) if rows else 0)
 
 
 def test_trivial_subdivision():
@@ -108,9 +132,8 @@ def test_subdivision_invariant_under_shift():
               else valuation_from_matroid(random_sparse_paving(2, n, rnd)))
         mu = shift(nu, random_shift_vector(n, rnd))
         ca = subdivision_cells(nu)
-        cb = subdivision_cells(mu, seed=1)
-        if "exhaustive" not in (ca.exploration_status, cb.exploration_status):
-            continue
+        cb = subdivision_cells(mu)
+        assert ca.exploration_status == cb.exploration_status == "exhaustive"
         assert ca.cell_basis_families() == cb.cell_basis_families()
         done += 1
 
@@ -119,9 +142,35 @@ def test_locate_cell_rejects_outside_points():
     nu = octahedron_valuation()
     assert locate_cell(nu, [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]) is not None
     assert locate_cell(nu, [Fraction(2), Fraction(0), Fraction(0), Fraction(0)]) is None
+    assert locate_cell(nu, [Fraction(1, 2)] * 3 + [Fraction(1, 3)]) is None  # x(E) != r
+    # the centre lies on the shared square; a point off it is in one pyramid
+    square = locate_cell(nu, [Fraction(1, 2)] * 4)
+    assert square.bases == frozenset(set_to_mask(p) for p in [(0, 2), (0, 3), (1, 2), (1, 3)])
+    q = [Fraction(3, 5), Fraction(3, 5), Fraction(2, 5), Fraction(2, 5)]
+    assert locate_cell(nu, q).bases == square.bases | {set_to_mask((0, 1))}
 
 
-def test_determinism_across_seeds_when_exhaustive():
-    nu = octahedron_valuation()
-    fams = {frozenset(subdivision_cells(nu, seed=s).cell_basis_families()) for s in range(4)}
-    assert len(fams) == 1
+def test_repeated_calls_return_identical_output():
+    for nu in (octahedron_valuation(), valuation_from_matroid(N3)):
+        runs = [subdivision_cells(nu) for _ in range(3)]
+        outs = {(c.spread, c.exploration_status,
+                 tuple(tuple(cell.sorted_bases()) for cell in c.maximal_cells))
+                for c in runs}
+        assert len(outs) == 1
+
+
+def test_walk_matches_reference_explorer():
+    rnd = random.Random(41)
+    corpus = [octahedron_valuation(), valuation_from_matroid(N3),
+              valuation_from_matroid(modular_stable_matroid(6, 3, 1))]
+    corpus += [random_tree_metric_valuation(n, rnd) for n in (4, 4, 5, 5)]
+    for nu in list(corpus):
+        # the faces avoiding one element and containing another: deletions
+        # and contractions plus a loop or a coloop, so disconnected
+        for sign in (-1, 1):
+            e = rnd.randrange(nu.matroid.n)
+            corpus.append(face_valuation(nu, [sign * (f == e) for f in range(nu.matroid.n)]))
+    for nu in corpus:
+        reference = reference_subdivision_cells(nu)
+        assert reference.exploration_status == "exhaustive"
+        assert subdivision_cells(nu).cell_basis_families() == reference.cell_basis_families()
