@@ -14,7 +14,13 @@ from math import comb
 import mpmath
 
 from .linear import cell_dim
-from .matroid import Matroid, johnson_neighbors, modular_stable_matroid, r_subset_masks
+from .matroid import (
+    InvariantViolation,
+    Matroid,
+    johnson_neighbors,
+    modular_stable_matroid,
+    r_subset_masks,
+)
 from .valuation import combinatorial_type, valuation_from_matroid
 
 LOG_DIGITS = 20
@@ -204,7 +210,10 @@ def lower_bound_certificate(n: int, r: int):
             best = (N, c)
     N, c = best
     dim = cell_dim(valuation_from_matroid(N))
-    assert dim >= c, "component count must lower-bound the cell dimension"
+    if dim < c:
+        raise InvariantViolation(
+            f"cell dimension {dim} is below the component count {c}"
+        )
     return N, c, dim
 
 
@@ -220,30 +229,18 @@ class CensusRecord:
     dims: list = field(default_factory=list)
 
 
-def census_from_matroids(r: int, n: int, source, with_dims: bool = False,
-                         threads: int = 1) -> CensusRecord:
-    """Distinct combinatorial types among {nu_N : N in source}.
-
-    Type computation per matroid can run on a thread pool; deduplication
-    happens single-threaded afterwards, so the record does not depend on
-    the thread count.
-    """
+def census_from_matroids(r: int, n: int, source, with_dims: bool = False) -> CensusRecord:
+    """Distinct combinatorial types among {nu_N : N in source}."""
     matroids = list(source)
     count = len(matroids)
-
-    def work(N):
+    types = set()
+    dims = []
+    for N in matroids:
         nu = valuation_from_matroid(N)
-        return combinatorial_type(nu), cell_dim(nu) if with_dims else None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, matroids))
-    else:
-        results = [work(N) for N in matroids]
-    types = {t for t, _ in results}
-    dims = [d for _, d in results if d is not None]
+        t = combinatorial_type(nu)
+        types.add(t)
+        if with_dims:
+            dims.append(cell_dim(nu, t))
     return CensusRecord(
         n=n,
         r=r,
@@ -256,17 +253,14 @@ def census_from_matroids(r: int, n: int, source, with_dims: bool = False,
     )
 
 
-def sparse_paving_census(r: int, n: int, with_dims: bool = False,
-                         threads: int = 1) -> CensusRecord:
-    rec = census_from_matroids(
-        r, n, all_sparse_paving_matroids(r, n), with_dims, threads=threads
-    )
+def sparse_paving_census(r: int, n: int, with_dims: bool = False) -> CensusRecord:
+    rec = census_from_matroids(r, n, all_sparse_paving_matroids(r, n), with_dims)
     rec.completeness = "complete over sparse paving matroids"
     return rec
 
 
 def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
-                     with_dims: bool = False, threads: int = 1) -> CensusRecord:
+                     with_dims: bool = False) -> CensusRecord:
     """Lower-bound census enriched by residue matroids of random shifts.
 
     For each sparse paving N, random integer shifts of nu_N select lower
@@ -288,7 +282,7 @@ def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
             M0 = residue_matroid(shift(nu, w))
             seen.setdefault(M0.bases, M0)
     ordered = [seen[k] for k in sorted(seen, key=sorted)]
-    rec = census_from_matroids(r, n, ordered, with_dims, threads=threads)
+    rec = census_from_matroids(r, n, ordered, with_dims)
     rec.completeness = (
         "lower-bound census (sparse paving matroids plus residue matroids "
         "of random shifts)"

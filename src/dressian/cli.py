@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -250,11 +249,9 @@ def cmd_lower_bound(args):
 def cmd_sp_census(args):
     if args.perturbed:
         rec = perturbed_census(args.r, args.n, samples=args.samples,
-                               seed=args.seed, with_dims=args.with_dims,
-                               threads=args.threads)
+                               seed=args.seed, with_dims=args.with_dims)
     else:
-        rec = sparse_paving_census(args.r, args.n, with_dims=args.with_dims,
-                                   threads=args.threads)
+        rec = sparse_paving_census(args.r, args.n, with_dims=args.with_dims)
     obj = {
         "n": rec.n,
         "r": rec.r,
@@ -319,11 +316,6 @@ def _build_parser():
         for flag, kw in arguments.items():
             sp.add_argument(flag, **kw)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("DRESSIAN_THREADS", os.cpu_count() or 1)),
-        )
         sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=fn)

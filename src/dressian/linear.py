@@ -1,18 +1,23 @@
 """Exact rational subspaces: symbol equation systems, dimensions, projections.
 
-Rank computation clears denominators row by row and eliminates with integer
-cross-multiplication plus gcd reduction, so no rational arithmetic happens
-inside the pivoting loop.
+`_eliminate` is the one elimination routine.  It is fraction-free, in the
+manner of Bareiss: a pivot step replaces a row by an integer combination
+with the pivot row and divides out the gcd of its entries, so no rational
+arithmetic happens inside the pivoting loop.  Rank (`integer_matrix_rank`)
+and linear solving (`solve_linear_system`, which clears denominators row by
+row first) both run on it.  `cell_dim` builds its integer rows directly from
+the per-(n, r) symbol table and the valuation's integer view (see
+`dressian.valuation`), where non-bases hold the INF sentinel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .matroid import Matroid
-from .valuation import Valuation, combinatorial_type
+from .matroid import InvariantViolation, Matroid
+from .valuation import CombinatorialType, Valuation, combinatorial_type, symbol_table
 
 
 class CoverInputError(ValueError):
@@ -24,48 +29,55 @@ def _integer_rows(coords, equations):
     index = {c: i for i, c in enumerate(coords)}
     out = []
     for eq in equations:
-        denom = 1
-        for v in eq.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in eq.values()))
         row = [0] * len(coords)
         for c, v in eq.items():
             if c in index:
-                row[index[c]] = int(v * denom)
+                row[index[c]] = v.numerator * (denom // v.denominator)
         out.append(row)
     return out
 
 
-def integer_matrix_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    rows = [r[:] for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
+def _eliminate(rows, reduced=False) -> list[int]:
+    """Fraction-free elimination of integer rows in place, column by column.
+
+    Row i is replaced by (p * row_i - q * pivot row) / gcd, where p is the
+    pivot and q the entry of row i in the pivot column; zero rows drop out.
+    Rows below each pivot are cleared; with `reduced`, rows above it too,
+    so that every pivot is alone in its column.  Returns the pivot columns;
+    rows[k] is the row of the k-th pivot.
+    """
+    rows[:] = [row for row in rows if any(row)]
+    pivots = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
+        prow = rows[rank]
+        p = prow[col]
+        zeros = False
+        for i in range(0 if reduced else rank + 1, len(rows)):
             q = rows[i][col]
-            if not q:
+            if not q or i == rank:
                 continue
-            row = [p * a - q * b for a, b in zip(rows[i], rows[rank])]
-            g = 0
-            for a in row:
-                g = gcd(g, a)
+            row = [p * a - q * b for a, b in zip(rows[i], prow)]
+            g = gcd(*row)
+            zeros |= g == 0
             rows[i] = [a // g for a in row] if g > 1 else row
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+        if zeros:
+            rows[rank + 1:] = [row for row in rows[rank + 1:] if any(row)]
+    return pivots
+
+
+def integer_matrix_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination."""
+    return len(_eliminate([list(row) for row in rows]))
 
 
 @dataclass
@@ -126,34 +138,19 @@ def solve_linear_system(equations, variables):
     variables = list(variables)
     index = {v: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    rows = []
+    eqs = []
     for coeffs, rhs in equations:
-        row = [Fraction(0)] * (nvars + 1)
+        eq = {nvars: Fraction(rhs)}  # the right-hand side is the last column
         for v, c in coeffs.items():
-            row[index[v]] += Fraction(c)
-        row[nvars] = Fraction(rhs)
-        rows.append(row)
-    pivots = []
-    rank = 0
-    for col in range(nvars):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][nvars] != 0:
-            return None
+            eq[index[v]] = eq.get(index[v], 0) + Fraction(c)
+        eqs.append(eq)
+    rows = _integer_rows(range(nvars + 1), eqs)
+    pivots = _eliminate(rows, reduced=True)
+    if pivots and pivots[-1] == nvars:  # a row 0 = rhs != 0
+        return None
     sol = {v: Fraction(0) for v in variables}
-    for i, col in enumerate(pivots):
-        sol[variables[col]] = rows[i][nvars]
+    for row, col in zip(rows, pivots):
+        sol[variables[col]] = Fraction(row[nvars], row[col])
     return sol
 
 
@@ -175,12 +172,27 @@ def subspace_from_symbols(M: Matroid, symbols) -> RationalSubspace:
     return RationalSubspace(coords, equations)
 
 
-def cell_dim(nu: Valuation) -> int:
-    """Dimension of the linear hull L([nu]) of the cell containing nu."""
-    ctype = combinatorial_type(nu)
-    L = subspace_from_symbols(nu.matroid, ctype.full_type)
-    assert L.contains(nu.values), "valuation must lie in its own cell hull"
-    return L.dim()
+def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:
+    """Dimension of the linear hull L([nu]) of the cell containing nu.
+
+    `ctype` is the combinatorial type of nu, when the caller has it already.
+    L([nu]) is cut out of the basis coordinates by x(Sac) + x(Sbd) =
+    x(Sad) + x(Sbc) over the symbols of [nu]; non-basis columns stay zero.
+    """
+    if ctype is None:
+        ctype = combinatorial_type(nu)
+    cross = symbol_table(nu.matroid.n, nu.matroid.r).cross
+    v = nu.scaled
+    rows = []
+    for i in ctype.full_ids:
+        sac, sbd, sad, sbc = cross[i]
+        if v[sac] + v[sbd] != v[sad] + v[sbc]:
+            raise InvariantViolation("valuation must lie in its own cell hull")
+        row = [0] * len(v)
+        row[sac] = row[sbd] = 1
+        row[sad] = row[sbc] = -1
+        rows.append(row)
+    return len(nu.matroid.bases) - integer_matrix_rank(rows)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -22,6 +23,10 @@ class NotAMatroidError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A property the library guarantees failed to hold."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def set_to_mask(elems) -> int:
@@ -229,10 +234,17 @@ class Matroid:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Matroid":
+        """Build from {"n": int, "r": int, "bases": [[int, ...], ...]}."""
         try:
             n, r, bases = obj["n"], obj["r"], obj["bases"]
         except (KeyError, TypeError) as exc:
             raise MatroidInputError(f"bad matroid document: {exc}")
+        if not (_is_int(n) and _is_int(r)):
+            raise MatroidInputError('"n" and "r" must be integers')
+        if not (isinstance(bases, list) and all(
+                isinstance(b, list) and all(_is_int(e) and e >= 0 for e in b)
+                for b in bases)):
+            raise MatroidInputError('"bases" must be a list of lists of elements 0, 1, ...')
         return cls(n, r, frozenset(set_to_mask(b) for b in bases))
 
     @classmethod
@@ -255,9 +267,11 @@ class Matroid:
             n = 1 + max(e for b in bases for e in b)
         return cls(n, r, frozenset(set_to_mask(b) for b in bases))
 
-    @classmethod
-    def uniform(cls, r: int, n: int) -> "Matroid":
-        return cls(n, r, frozenset(r_subset_masks(n, r)))
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def uniform(r: int, n: int) -> "Matroid":
+        """U(r, n), built (and its exchange axiom checked) once per (r, n)."""
+        return Matroid(n, r, frozenset(r_subset_masks(n, r)))
 
     def __repr__(self):
         return f"Matroid(n={self.n}, r={self.r}, |bases|={len(self.bases)})"

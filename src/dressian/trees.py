@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .matroid import Matroid, MatroidInputError, set_to_mask
+from .matroid import InvariantViolation, Matroid, MatroidInputError, set_to_mask
 from .linear import solve_linear_system
 from .rationals import format_rational, parse_rational
 from .valuation import Valuation, ValuationInputError
@@ -331,7 +331,8 @@ def _solve_lengths(nu: Valuation, skeleton: MetricTree, class_of) -> MetricTree:
             coeffs[edge] = coeffs.get(edge, Fraction(0)) + 1
         equations.append((coeffs, v))
     sol = solve_linear_system(equations, edges)
-    assert sol is not None, "valuation admits no consistent edge lengths"
+    if sol is None:
+        raise InvariantViolation("valuation admits no consistent edge lengths")
     return MetricTree(skeleton.n, skeleton.adj, sol)
 
 

@@ -2,14 +2,28 @@
 
 All values are exact rationals; the extension off the basis family to the
 full r-subset lattice is by the INF sentinel and is never materialized.
+
+Each valuation also carries an integer view, computed once at construction:
+one positive common denominator D and the tuple of integers nu*D indexed by
+colex rank among all r-subsets, with the INF sentinel on the non-bases.
+Positive scaling changes neither validity, nor types, nor cell dimension,
+so the three-term check, combinatorial types, equivalence and `cell_dim`
+read only this view, through per-(n, r) index tables (`symbol_table`), and
+do integer arithmetic only.  An INF entry is tested before any addition;
+inside Z(M) every crossing set is a basis and no test is needed.  Outputs
+that report values (JSON, spread, shifts, peels) read the Fraction map
+`values`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from typing import NamedTuple
 
 from .matroid import (
     Matroid,
@@ -76,33 +90,59 @@ class Symbol:
         return f"({s}|{self.a}{self.b}.{self.c}{self.d})"
 
 
-def locations(n: int, r: int):
-    """All (S, {a,b,c,d}) sites of the three-term condition."""
-    if r < 2 or n - r + 2 < 4:
-        return
-    for s in combinations(range(n), r - 2):
-        s_mask = set_to_mask(s)
-        rest = [e for e in range(n) if not (s_mask >> e) & 1]
-        for quad in combinations(rest, 4):
-            yield s_mask, quad
+class SymbolTable(NamedTuple):
+    """Index tables of the three-term condition on r-subsets of {0..n-1}.
+
+    A position is the colex rank of an r-subset; it indexes the integer
+    view `Valuation.scaled`.
+    """
+
+    subsets: tuple  # every r-subset mask, in colex order
+    position: dict  # mask -> colex rank
+    locations: tuple  # per location (S, abcd): (Sab, Scd, Sac, Sbd, Sad, Sbc)
+    symbols: tuple  # Z(r, E): three symbols per location, in location order
+    cross: tuple  # per symbol: (Sac, Sbd, Sad, Sbc)
 
 
-def symbols_at(s_mask: int, quad) -> list[Symbol]:
-    """The three symbols of one location."""
-    a, b, c, d = sorted(quad)
-    return [
-        Symbol.make(s_mask, (a, b), (c, d)),
-        Symbol.make(s_mask, (a, c), (b, d)),
-        Symbol.make(s_mask, (a, d), (b, c)),
-    ]
+@lru_cache(maxsize=8)
+def symbol_table(n: int, r: int) -> SymbolTable:
+    """The (n, r) tables, built once per (n, r)."""
+    subsets = tuple(r_subset_masks(n, r))
+    position = {m: i for i, m in enumerate(subsets)}
+    locs, symbols, cross = [], [], []
+    if r >= 2 and n - r + 2 >= 4:
+        for s in combinations(range(n), r - 2):
+            s_mask = set_to_mask(s)
+            at = lambda x, y: position[s_mask | 1 << x | 1 << y]
+            rest = [e for e in range(n) if not (s_mask >> e) & 1]
+            for a, b, c, d in combinations(rest, 4):
+                ab, cd, ac, bd, ad, bc = loc = (
+                    at(a, b), at(c, d), at(a, c), at(b, d), at(a, d), at(b, c))
+                locs.append(loc)
+                # (ab|cd) equates ac+bd with ad+bc, (ac|bd) ab+cd with
+                # ad+bc, and (ad|bc) ab+cd with ac+bd
+                symbols += (Symbol(s_mask, a, b, c, d), Symbol(s_mask, a, c, b, d),
+                            Symbol(s_mask, a, d, b, c))
+                cross += ((ac, bd, ad, bc), (ab, cd, ad, bc), (ab, cd, ac, bd))
+    return SymbolTable(subsets, position, tuple(locs), tuple(symbols), tuple(cross))
 
 
 def all_symbols(n: int, r: int) -> list[Symbol]:
     """Z(r, E): every symbol on ground set {0..n-1}."""
-    out = []
-    for s_mask, quad in locations(n, r):
-        out.extend(symbols_at(s_mask, quad))
-    return out
+    return list(symbol_table(n, r).symbols)
+
+
+@lru_cache(maxsize=8)
+def _z_rows(M: Matroid) -> tuple:
+    """(symbol position, Sac, Sbd, Sad, Sbc, is free) for each symbol of Z(M)."""
+    table = symbol_table(M.n, M.r)
+    basis = [m in M.bases for m in table.subsets]
+    rows = []
+    for i, (sym, quad) in enumerate(zip(table.symbols, table.cross)):
+        if all(basis[j] for j in quad):
+            sab, scd = sym.own_sets()
+            rows.append((i, *quad, sab in M.bases and scd in M.bases))
+    return tuple(rows)
 
 
 def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
@@ -111,16 +151,11 @@ def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
     Z(M) keeps the symbols whose four crossing sets are all bases; Z0(M) is
     the part with a missing diagonal basis, where equality is forced.
     """
-    z, z0 = [], []
-    for sym in all_symbols(M.n, M.r):
-        if all(x in M.bases for x in sym.cross_sets()):
-            z.append(sym)
-            sab, scd = sym.own_sets()
-            if sab not in M.bases or scd not in M.bases:
-                z0.append(sym)
-    zf = frozenset(z)
-    z0f = frozenset(z0)
-    return zf, z0f, zf - z0f
+    symbols = symbol_table(M.n, M.r).symbols
+    rows = _z_rows(M)
+    z = frozenset(symbols[row[0]] for row in rows)
+    z1 = frozenset(symbols[row[0]] for row in rows if row[5])
+    return z, z - z1, z1
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +209,33 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
     return M, vals
 
 
+def _integer_view(M: Matroid, vals: dict) -> tuple[int, tuple]:
+    """(D, nu*D in colex order with INF off the bases), D > 0 the least
+    common denominator of the values."""
+    den = lcm(*(v.denominator for v in vals.values()))
+    scaled = []
+    for m in symbol_table(M.n, M.r).subsets:
+        v = vals.get(m)
+        scaled.append(INF if v is None else v.numerator * (den // v.denominator))
+    return den, tuple(scaled)
+
+
+def _three_term_holds(locs, v) -> bool:
+    """At every location the minimum of the three pairing sums of the
+    integer view v is infinite or attained at least twice."""
+    for ab, cd, ac, bd, ad, bc in locs:
+        p, q, s = ext_sum(v[ab], v[cd]), ext_sum(v[ac], v[bd]), ext_sum(v[ad], v[bc])
+        lo = min(p, q, s)
+        if lo is not INF and (p == lo) + (q == lo) + (s == lo) < 2:
+            return False
+    return True
+
+
 def check_valuation(M: Matroid, values) -> bool:
     """Three-term test: at every location the minimum of the three pairing
     sums of the extension is infinite or attained at least twice."""
-    vals = _normalize_values(M, values)
-    bar = lambda m: vals.get(m, INF)
-    for s_mask, quad in locations(M.n, M.r):
-        a, b, c, d = quad
-        sums = [
-            ext_sum(bar(s_mask | 1 << a | 1 << b), bar(s_mask | 1 << c | 1 << d)),
-            ext_sum(bar(s_mask | 1 << a | 1 << c), bar(s_mask | 1 << b | 1 << d)),
-            ext_sum(bar(s_mask | 1 << a | 1 << d), bar(s_mask | 1 << b | 1 << c)),
-        ]
-        finite = [x for x in sums if is_finite(x)]
-        if not finite:
-            continue
-        lo = min(finite)
-        if sum(1 for x in finite if x == lo) < 2:
-            return False
-    return True
+    _den, scaled = _integer_view(M, _normalize_values(M, values))
+    return _three_term_holds(symbol_table(M.n, M.r).locations, scaled)
 
 
 def check_valuation_bruteforce(M: Matroid, values) -> bool:
@@ -227,11 +270,18 @@ class Valuation:
 
     matroid: Matroid
     values: dict
+    # the integer view: values * denominator by colex rank, INF off the bases
+    denominator: int = field(init=False, repr=False)
+    scaled: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        vals = _normalize_values(self.matroid, self.values)
+        M = self.matroid
+        vals = _normalize_values(M, self.values)
+        den, scaled = _integer_view(M, vals)
         object.__setattr__(self, "values", vals)
-        if not check_valuation(self.matroid, vals):
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "scaled", scaled)
+        if not _three_term_holds(symbol_table(M.n, M.r).locations, scaled):
             raise NotAValuationError("value map violates the three-term condition")
 
     def __eq__(self, other):
@@ -278,49 +328,73 @@ class Valuation:
 
 @dataclass(frozen=True, eq=False)
 class CombinatorialType:
-    """The equality pattern of a valuation over the free symbols Z1(M)."""
+    """The equality pattern of a valuation over the free symbols Z1(M).
+
+    Symbols are held by their positions in `symbol_table(n, r).symbols`,
+    in ascending order.
+    """
 
     matroid: Matroid
-    symbols_equal: frozenset  # [nu] ∩ Z1(M)
-    full_type: frozenset  # [nu] = [nu-bar] ∩ Z(M)
+    full_ids: tuple  # [nu] = [nu-bar] ∩ Z(M)
+    free_ids: tuple  # [nu] ∩ Z1(M)
+
+    def _symbols(self, ids) -> frozenset:
+        symbols = symbol_table(self.matroid.n, self.matroid.r).symbols
+        return frozenset(symbols[i] for i in ids)
+
+    @property
+    def full_type(self) -> frozenset:
+        return self._symbols(self.full_ids)
+
+    @property
+    def symbols_equal(self) -> frozenset:
+        return self._symbols(self.free_ids)
 
     @property
     def size(self) -> int:
-        return len(self.full_type)
+        return len(self.full_ids)
 
     @property
     def z1_size(self) -> int:
-        return len(self.symbols_equal)
+        return len(self.free_ids)
 
     def __eq__(self, other):
         return (
             isinstance(other, CombinatorialType)
             and self.matroid == other.matroid
-            and self.symbols_equal == other.symbols_equal
+            and self.free_ids == other.free_ids
         )
 
     def __hash__(self):
-        return hash((self.matroid, self.symbols_equal))
+        return hash((self.matroid, self.free_ids))
 
 
 def symbol_equality_holds(nu: Valuation, sym: Symbol) -> bool:
-    sac, sbd, sad, sbc = sym.cross_sets()
-    return ext_sum(nu.value(sac), nu.value(sbd)) == ext_sum(nu.value(sad), nu.value(sbc))
+    position, v = symbol_table(nu.matroid.n, nu.matroid.r).position, nu.scaled
+    sac, sbd, sad, sbc = (v[position[m]] for m in sym.cross_sets())
+    return ext_sum(sac, sbd) == ext_sum(sad, sbc)
 
 
 def combinatorial_type(nu: Valuation) -> CombinatorialType:
-    z, _z0, z1 = symbol_sets(nu.matroid)
-    equal = frozenset(sym for sym in z if symbol_equality_holds(nu, sym))
-    return CombinatorialType(nu.matroid, equal & z1, equal)
+    v = nu.scaled
+    full, free = [], []
+    for i, sac, sbd, sad, sbc, is_free in _z_rows(nu.matroid):
+        if v[sac] + v[sbd] == v[sad] + v[sbc]:
+            full.append(i)
+            if is_free:
+                free.append(i)
+    return CombinatorialType(nu.matroid, tuple(full), tuple(free))
 
 
 def equivalent(nu: Valuation, nu2: Valuation) -> bool:
     """Combinatorial equivalence: equal types over Z1(M)."""
     if nu.matroid != nu2.matroid:
         raise ValuationInputError("valuations have different ambient matroids")
-    _z, _z0, z1 = symbol_sets(nu.matroid)
-    for sym in z1:
-        if symbol_equality_holds(nu, sym) != symbol_equality_holds(nu2, sym):
+    v, w = nu.scaled, nu2.scaled
+    for _i, sac, sbd, sad, sbc, is_free in _z_rows(nu.matroid):
+        if is_free and (v[sac] + v[sbd] == v[sad] + v[sbc]) != (
+            w[sac] + w[sbd] == w[sad] + w[sbc]
+        ):
             return False
     return True
 

@@ -1,0 +1,104 @@
+"""The Fraction kernel that `check_valuation`, `combinatorial_type` and
+`cell_dim` used before the integer view, kept as a test oracle.
+
+Everything here works on the `Fraction` map `Valuation.values` and
+regenerates the three-term locations and symbols on each call; the rank is
+a plain Fraction Gaussian elimination, independent of `dressian.linear`.
+Types are returned as (Z1 part, Z part) frozensets of `Symbol`.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from dressian import INF, Symbol, ext_sum, is_finite, set_to_mask
+
+
+def locations(n, r):
+    if r < 2 or n - r + 2 < 4:
+        return
+    for s in combinations(range(n), r - 2):
+        s_mask = set_to_mask(s)
+        rest = [e for e in range(n) if not (s_mask >> e) & 1]
+        for quad in combinations(rest, 4):
+            yield s_mask, quad
+
+
+def all_symbols(n, r):
+    out = []
+    for s_mask, (a, b, c, d) in locations(n, r):
+        out.append(Symbol.make(s_mask, (a, b), (c, d)))
+        out.append(Symbol.make(s_mask, (a, c), (b, d)))
+        out.append(Symbol.make(s_mask, (a, d), (b, c)))
+    return out
+
+
+def symbol_sets(M):
+    z, z0 = [], []
+    for sym in all_symbols(M.n, M.r):
+        if all(x in M.bases for x in sym.cross_sets()):
+            z.append(sym)
+            sab, scd = sym.own_sets()
+            if sab not in M.bases or scd not in M.bases:
+                z0.append(sym)
+    return frozenset(z), frozenset(z0), frozenset(z) - frozenset(z0)
+
+
+def check_valuation(M, values):
+    vals = {m: Fraction(v) for m, v in values.items()}
+    bar = lambda m: vals.get(m, INF)
+    for s_mask, (a, b, c, d) in locations(M.n, M.r):
+        sums = [
+            ext_sum(bar(s_mask | 1 << a | 1 << b), bar(s_mask | 1 << c | 1 << d)),
+            ext_sum(bar(s_mask | 1 << a | 1 << c), bar(s_mask | 1 << b | 1 << d)),
+            ext_sum(bar(s_mask | 1 << a | 1 << d), bar(s_mask | 1 << b | 1 << c)),
+        ]
+        finite = [x for x in sums if is_finite(x)]
+        if finite and sum(1 for x in finite if x == min(finite)) < 2:
+            return False
+    return True
+
+
+def symbol_equality_holds(nu, sym):
+    sac, sbd, sad, sbc = sym.cross_sets()
+    return ext_sum(nu.value(sac), nu.value(sbd)) == ext_sum(nu.value(sad), nu.value(sbc))
+
+
+def combinatorial_type(nu):
+    """(symbols_equal, full_type) of nu."""
+    z, _z0, z1 = symbol_sets(nu.matroid)
+    equal = frozenset(sym for sym in z if symbol_equality_holds(nu, sym))
+    return equal & z1, equal
+
+
+def fraction_rank(rows):
+    rows = [list(row) for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                f = rows[i][col] / p
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def cell_dim(nu):
+    """dim L([nu]) over the basis coordinates; asserts nu lies in L([nu])."""
+    _free, full = combinatorial_type(nu)
+    coords = nu.matroid.sorted_bases()
+    index = {m: i for i, m in enumerate(coords)}
+    rows = []
+    for sym in full:
+        row = [Fraction(0)] * len(coords)
+        sac, sbd, sad, sbc = sym.cross_sets()
+        for m, coef in ((sac, 1), (sbd, 1), (sad, -1), (sbc, -1)):
+            row[index[m]] += coef
+        assert sum(c * nu.values[m] for m, c in zip(coords, row)) == 0
+        rows.append(row)
+    return len(coords) - fraction_rank(rows)

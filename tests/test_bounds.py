@@ -206,10 +206,13 @@ def test_perturbed_census_refines_sparse_census():
     assert "complete over sparse paving" in base.completeness
 
 
-def test_census_threads_do_not_change_record():
-    a = sparse_paving_census(3, 6, threads=1)
-    b = sparse_paving_census(3, 6, threads=4)
-    assert (a.source_size, a.distinct_types) == (b.source_size, b.distinct_types)
+def test_census_record_does_not_depend_on_source_order():
+    matroids = all_sparse_paving_matroids(3, 6)
+    a = census_from_matroids(3, 6, matroids, with_dims=True)
+    b = census_from_matroids(3, 6, matroids[::-1], with_dims=True)
+    assert (a.source_size, a.distinct_types, a.max_cell_dim) == (
+        b.source_size, b.distinct_types, b.max_cell_dim)
+    assert a.dims == b.dims[::-1]
 
 
 def test_census_from_arbitrary_source():

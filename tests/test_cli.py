@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from dressian import Matroid, Valuation, set_to_mask, valuation_from_matroid
+from dressian import (
+    InvariantViolation,
+    Matroid,
+    Valuation,
+    combinatorial_type,
+    decode_tree,
+    set_to_mask,
+    valuation_from_matroid,
+)
 from dressian.cli import run
 from helpers import N3
 
@@ -189,6 +197,18 @@ def test_malformed_valuation_documents_exit_2(files, capsys, command):
     assert "non-basis 0,1" in err  # the subset, not its bitmask
 
 
+@pytest.mark.parametrize("command", ["check", "type"])
+def test_mistyped_matroid_fields_exit_2(files, capsys, command):
+    matroid = Matroid.uniform(2, 4).to_json_obj()
+    values = {"0,1": "0", "0,2": "0", "0,3": "0", "1,2": "0", "1,3": "0", "2,3": "0"}
+    for bad in ({"n": "4"}, {"r": True}, {"bases": [1, 2]}, {"bases": [[0, "1"]]}):
+        path = files["dir"] / "mistyped.json"
+        path.write_text(json.dumps({"matroid": matroid | bad, "values": values}))
+        assert run([command, "--valuation", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_subdivision_scale_guard(files, capsys):
     M = Matroid.uniform(1, 12)
     path = files["dir"] / "u1_12.json"
@@ -207,25 +227,45 @@ def test_broken_subdivision_walk_exits_1(files, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("invariant violation:")
 
 
-def test_determinism_across_runs_and_threads(files, capsys):
+def test_point_outside_its_own_cell_hull_exits_1(files, capsys, monkeypatch):
+    # every symbol of the zero valuation's type is an equality, but not of nu_N3's
+    M = Matroid.uniform(2, 5)
+    zero_type = combinatorial_type(Valuation(M, {b: Fraction(0) for b in M.bases}))
+    monkeypatch.setattr("dressian.linear.combinatorial_type", lambda nu: zero_type)
+    assert run(["dim", "--valuation", files["nu"]]) == 1
+    assert capsys.readouterr().err.startswith("invariant violation:")
+
+
+def test_certificate_below_component_count_exits_1(files, capsys, monkeypatch):
+    monkeypatch.setattr("dressian.bounds.cell_dim", lambda nu: 0)
+    assert run(["lower-bound", "--n", "6", "--r", "3"]) == 1
+    assert capsys.readouterr().err.startswith("invariant violation:")
+
+
+def test_inconsistent_edge_lengths_exit_1(files, capsys, monkeypatch):
+    monkeypatch.setattr("dressian.trees.solve_linear_system", lambda eqs, edges: None)
+    assert run(["tree-decode", "--valuation", files["nu"]]) == 1
+    assert capsys.readouterr().err.startswith("invariant violation:")
+    with pytest.raises(InvariantViolation):
+        decode_tree(valuation_from_matroid(N3))
+
+
+def test_determinism_across_runs(files, capsys):
     outs = set()
-    for threads in ("1", "4"):
-        for _ in range(2):
-            code, out = capture(
-                capsys,
-                ["sp-census", "--n", "5", "--r", "2", "--seed", "0",
-                 "--threads", threads],
-            )
-            assert code == 0
-            outs.add(out)
+    for _ in range(3):
+        code, out = capture(capsys, ["sp-census", "--n", "5", "--r", "2", "--seed", "0"])
+        assert code == 0
+        outs.add(out)
     assert len(outs) == 1
     a = capture(capsys, ["subdivision", "--valuation", files["nu"], "--seed", "7"])
     b = capture(capsys, ["subdivision", "--valuation", files["nu"], "--seed", "7"])
     assert a == b
 
 
-def test_threads_env_fallback(files, capsys, monkeypatch):
-    monkeypatch.setenv("DRESSIAN_THREADS", "2")
+def test_threads_option_and_env_are_gone(files, capsys, monkeypatch):
+    # a non-integer value crashed every subcommand when the parser read it
+    monkeypatch.setenv("DRESSIAN_THREADS", "x")
     code, out = capture(capsys, ["sp-census", "--n", "5", "--r", "2"])
     assert code == 0
     assert json.loads(out)["distinct_types"] == 26
+    assert run(["sp-census", "--n", "5", "--r", "2", "--threads", "2"]) == 2

@@ -42,6 +42,11 @@ def test_uniform_counts():
     assert len(Matroid.uniform(3, 6).bases) == 20
 
 
+def test_uniform_is_built_once_per_rank_and_size():
+    assert Matroid.uniform(3, 6) is Matroid.uniform(3, 6)
+    assert Matroid.uniform(3, 6) == Matroid(6, 3, frozenset(r_subset_masks(6, 3)))
+
+
 def test_not_a_matroid_rejected():
     # two "parallel" pairs sharing an element cannot both be non-bases
     full = set(r_subset_masks(5, 2))
@@ -143,6 +148,15 @@ def test_json_roundtrip():
         assert Matroid.from_json(M.to_json()) == M
         obj = json.loads(M.to_json())
         assert set(obj) == {"n", "r", "bases"}
+
+
+def test_json_field_types_are_checked():
+    good = Matroid.uniform(2, 4).to_json_obj()
+    for bad in ({"n": "4"}, {"n": 4.0}, {"r": True}, {"bases": [1, 2]},
+                {"bases": [[0, "1"]]}, {"bases": "0,1"}, {"bases": [[0, 1.0]]},
+                {"bases": [[-1, 0]]}):
+        with pytest.raises(MatroidInputError):
+            Matroid.from_json_obj(good | bad)
 
 
 def test_text_roundtrip():
