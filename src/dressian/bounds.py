@@ -26,6 +26,7 @@ from .valuation import combinatorial_type, valuation_from_matroid
 LOG_DIGITS = 20
 DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
+DESK_SCALE_RANK2_CLASSES = 9  # most parallel classes for the rank-2 cell census
 
 
 class ScaleLimitError(ValueError):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressian import (
     InvariantViolation,
@@ -13,7 +19,7 @@ from dressian import (
     valuation_from_matroid,
 )
 from dressian.cli import run
-from helpers import N3
+from helpers import N3, random_tree_metric_valuation
 
 
 @pytest.fixture()
@@ -55,6 +61,22 @@ def test_rank2_census(files, capsys):
     code, out = capture(capsys, ["rank2-census", "--n", "5"])
     assert code == 0
     assert json.loads(out)["cells"] == 26
+    code, out = capture(capsys, ["rank2-census", "--n", "8"])
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 8, "cells": 39208,
+        "dims": {"8": 1, "9": 119, "10": 1918, "11": 9450, "12": 17325, "13": 10395},
+    }
+    code, out = capture(capsys, ["rank2-census", "--n", "8", "--format", "text"])
+    assert (code, out) == (0, "cells: 39208\n")
+
+
+def test_rank2_census_scale_guard(files, capsys):
+    assert run(["rank2-census", "--n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "parallel classes" in captured.err
 
 
 def test_check_and_equiv(files, capsys):
@@ -124,6 +146,75 @@ def test_tree_roundtrip_via_cli(files, capsys, tmp_path):
     assert code == 0
     nu2 = Valuation.from_json_obj(json.loads(out))
     assert nu2 == valuation_from_matroid(N3)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(0:1,1:1", "unclosed"),
+        ("", "empty tree string"),
+        ("(" * 3000 + "0:1,1:1", "3000 '(' left unclosed"),
+        ("(0:1,x:1);", "not an integer"),
+        ("(0:1,1:1,0:1);", "leaf 0 appears more than once"),
+    ],
+    ids=["unclosed", "empty", "deep-unclosed", "junk-label", "repeated-leaf"],
+)
+def test_malformed_newick_exits_2(files, capsys, text, message):
+    path = files["dir"] / "bad.nwk"
+    path.write_text(text)
+    assert run(["tree-encode", "--tree", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_deeply_nested_newick_encodes(files, capsys):
+    path = files["dir"] / "deep.nwk"
+    path.write_text("(" * 3000 + "(0:1,1:1,2:1)" + ":1)" * 3000 + ";")
+    code, out = capture(capsys, ["tree-encode", "--tree", str(path)])
+    assert code == 0
+    assert json.loads(out)["values"] == {"0,1": "2", "0,2": "2", "1,2": "2"}
+
+
+NEWICK_NOISE = "(),:;0123456789/-. x"
+
+
+@st.composite
+def newick_inputs(draw):
+    """A decoded tree's newick string, edited, truncated, nested deeper or
+    given a junk leaf label, with or without --n."""
+    rnd = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(3, 7))
+    text = decode_tree(random_tree_metric_valuation(n, rnd)).to_newick()
+    kind = draw(st.sampled_from(["edit", "truncate", "nest", "label"]))
+    if kind == "edit":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 3)))
+            text = text[:i] + draw(st.text(NEWICK_NOISE, max_size=3)) + text[j:]
+    elif kind == "truncate":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif kind == "nest":
+        depth = draw(st.integers(1, 3000))
+        text = "(" * depth + text.rstrip(";") + ":1)" * depth + ";"
+    else:
+        label = draw(st.sampled_from(list(re.finditer(r"(?<=[(,])\d+", text))))
+        junk = draw(st.text(NEWICK_NOISE, max_size=6))
+        text = text[: label.start()] + junk + text[label.end():]
+    return text, draw(st.sampled_from([[], ["--n", str(n)]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(newick_inputs())
+def test_tree_encode_fuzz_exits_0_or_2(tmp_path_factory, case):
+    text, n_args = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.nwk"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["tree-encode", "--tree", str(path), *n_args])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error:")
 
 
 def test_subdivision_and_spread(files, capsys):

@@ -6,6 +6,7 @@ import pytest
 from dressian import (
     Matroid,
     MetricTree,
+    ScaleLimitError,
     TreeInputError,
     cell_dim,
     decode_tree,
@@ -20,10 +21,12 @@ from dressian import (
 from helpers import (
     N2,
     N3,
+    N26,
     random_shift_vector,
     random_tree_metric_valuation,
     rank2_nonuniform,
 )
+from reference_trees import enumerate_rank2_cells as reference_rank2_cells
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +101,42 @@ def test_rank2_census_matches_oracle():
             frozenset(sp for sp in topo.splits) for topo, _dim in cells
         }
         assert ours == oracle
+
+
+def test_enumerator_matches_reference_dfs():
+    # same cells, same order, equal split frozensets as the frozenset DFS
+    matroids = [Matroid.uniform(2, n) for n in range(4, 8)] + [N2, N3, N26]
+    rnd = random.Random(113)
+    for _ in range(6):
+        n = rnd.randint(5, 8)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        # disjoint non-basis pairs keep parallelism an equivalence relation
+        nonbases, used = [], set()
+        for a, b in rnd.sample(pairs, rnd.randint(1, 3)):
+            if not {a, b} & used:
+                nonbases.append((a, b))
+                used |= {a, b}
+        matroids.append(rank2_nonuniform(n, nonbases))
+    for M in matroids:
+        assert enumerate_rank2_cells(M) == reference_rank2_cells(M)
+
+
+def test_rank2_census_counts_and_dims():
+    # A000311: phylogenetic trees on n labelled leaves
+    for n, expected in [(4, 4), (5, 26), (6, 236), (7, 2752), (8, 39208)]:
+        cells = enumerate_rank2_cells(Matroid.uniform(2, n))
+        assert len(cells) == expected
+    dims = {}
+    for _topo, d in cells:
+        dims[d] = dims.get(d, 0) + 1
+    assert dims == {8: 1, 9: 119, 10: 1918, 11: 9450, 12: 17325, 13: 10395}
+
+
+def test_rank2_census_scale_guard():
+    with pytest.raises(ScaleLimitError):
+        enumerate_rank2_cells(Matroid.uniform(2, 10))
+    # the limit counts parallel classes, not elements: 10 elements in 8 classes
+    assert len(enumerate_rank2_cells(rank2_nonuniform(10, [(0, 1), (2, 3)]))) == 39208
 
 
 def test_cell_dims_in_census():
@@ -223,3 +262,49 @@ def test_four_point_condition_on_decoded_metric():
             d_ = lambda i, j: -nu.values[set_to_mask((i, j))]
             sums = sorted([d_(a, b) + d_(c, d), d_(a, c) + d_(b, d), d_(a, d) + d_(b, c)])
             assert sums[1] == sums[2]
+
+
+def test_newick_parses_deep_nesting_without_recursion():
+    depth = 3000
+    text = "(" * depth + "(0:1,1:2,2:3)" + ":1)" * depth + ";"
+    T = MetricTree.from_newick(text)
+    assert T.n == 3 and len(T.internal_vertices()) == depth + 1
+    assert T.path_length(0, 1) == 3
+    back = MetricTree.from_newick(T.to_newick())
+    assert back.path_length(1, 2) == 5
+    with pytest.raises(TreeInputError):
+        MetricTree.from_newick(text[: len(text) // 2])
+
+
+def test_newick_accepts_whitespace_and_root_length():
+    T = MetricTree.from_newick(" ( 0 : 1 , ( 1:1/2, 2 :2) : 1 ) : 7 ;\n")
+    assert T.n == 3 and T.path_length(1, 2) == Fraction(5, 2)
+    assert T.path_length(0, 1) == Fraction(5, 2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty"),
+        (";", "empty"),
+        ("(0:1,1:1", "unclosed"),
+        ("(0:1,1:1))", "unexpected"),
+        ("(0:1,,1:1)", "expected a leaf"),
+        ("()", "expected a leaf"),
+        ("(0:1,1:1,0:1)", "leaf 0 appears more than once"),
+        ("(0:1,a:1)", "not an integer"),
+        ("(0:1,-1:1)", "negative"),
+        ("(0:1,2:1)", "not exactly 0..2"),
+        ("(0:1,1:x)", "not a rational"),
+        ("(0:1,1:1/0)", "not a rational"),
+        ("(0:1,1:)", "not followed by an edge length"),
+        ("(0:1,1:1:2)", "two lengths"),
+        ("(0:1,1)", "no length"),
+        ("((0:1,1:1),2:1)", "no length"),
+        ("((0:1,1:1)3:1,2:1)", "unexpected"),
+        ("(0:1,1:1)(2:1)", "unexpected"),
+    ],
+)
+def test_newick_rejects_malformed_strings(text, message):
+    with pytest.raises(TreeInputError, match=message):
+        MetricTree.from_newick(text)
