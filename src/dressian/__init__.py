@@ -34,7 +34,14 @@ from .matroid import (
     r_subset_masks,
     set_to_mask,
 )
-from .rationals import INF, ext_sum, format_rational, is_finite, parse_rational
+from .rationals import (
+    INF,
+    RationalInputError,
+    ext_sum,
+    format_rational,
+    is_finite,
+    parse_rational,
+)
 from .subdivision import (
     SubdivisionCensus,
     locate_cell,

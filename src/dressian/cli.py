@@ -8,12 +8,15 @@ goes through seeded generators.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 from .bounds import (
+    DESK_SCALE_COORDS,
     BoundsReport,
     ScaleLimitError,
     bounds_report,
@@ -29,7 +32,7 @@ from .matroid import (
     NotAMatroidError,
     mask_to_set,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import RationalInputError, format_rational, parse_rational
 from .subdivision import spread_report, subdivision_cells
 from .trees import MetricTree, TreeInputError, decode_tree, enumerate_rank2_cells, tree_to_valuation
 from .valuation import (
@@ -55,6 +58,7 @@ INPUT_ERRORS = (
     NotAValuationError,
     TreeInputError,
     CoverInputError,
+    RationalInputError,
     ScaleLimitError,
     json.JSONDecodeError,
     OSError,
@@ -118,6 +122,12 @@ def _emit(args, obj, csv_rows=None, text=None):
 
 def cmd_check(args):
     M, vals = parse_valuation_document(_load_json(args.valuation), _load_matroid)
+    # the direct checker visits all C(n, r)^2 ordered pairs of r-subsets
+    if comb(M.n, M.r) > DESK_SCALE_COORDS:
+        raise ScaleLimitError(
+            f"check needs C(n, r) <= {DESK_SCALE_COORDS}, "
+            f"got C({M.n},{M.r}) = {comb(M.n, M.r)}"
+        )
     fast = check_valuation(M, vals)
     slow = check_valuation_bruteforce(M, vals)
     if fast != slow:
@@ -304,7 +314,9 @@ def cmd_smooth(args):
 # argument plumbing
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="dressian",
         description="valuated matroids, cell machinery, and bound reports",

@@ -3,7 +3,10 @@
 `_eliminate` is the one elimination routine.  It is fraction-free, in the
 manner of Bareiss: a pivot step replaces a row by an integer combination
 with the pivot row and divides out the gcd of its entries, so no rational
-arithmetic happens inside the pivoting loop.  Rank (`integer_matrix_rank`)
+arithmetic happens inside the pivoting loop.  A pivot row is negated when
+its pivot is negative; a pivot of 1, the common case on the +-1 rows of
+`cell_dim`, subtracts a multiple of the pivot row over its nonzero columns
+only, in place and with no gcd.  Rank (`integer_matrix_rank`)
 and linear solving (`solve_linear_system`, which clears denominators row by
 row first) both run on it.  `cell_dim` builds its integer rows directly from
 the per-(n, r) symbol table and the valuation's integer view (see
@@ -41,11 +44,14 @@ def _integer_rows(coords, equations):
 def _eliminate(rows, reduced=False) -> list[int]:
     """Fraction-free elimination of integer rows in place, column by column.
 
-    Row i is replaced by (p * row_i - q * pivot row) / gcd, where p is the
-    pivot and q the entry of row i in the pivot column; zero rows drop out.
-    Rows below each pivot are cleared; with `reduced`, rows above it too,
-    so that every pivot is alone in its column.  Returns the pivot columns;
-    rows[k] is the row of the k-th pivot.
+    A pivot row with a negative pivot is negated first.  When the pivot is
+    1, row i becomes row_i - q * pivot row, where q is the entry of row i
+    in the pivot column; only the pivot row's nonzero columns are updated,
+    in place, with no gcd.  Otherwise row i is replaced by
+    (p * row_i - q * pivot row) / gcd, where p is the pivot.  Rows below
+    each pivot are cleared; with `reduced`, rows above it too, so that
+    every pivot is alone in its column.  Returns the pivot columns; rows[k]
+    is the row of the k-th pivot, and the zero rows after them are dropped.
     """
     rows[:] = [row for row in rows if any(row)]
     pivots = []
@@ -57,21 +63,28 @@ def _eliminate(rows, reduced=False) -> list[int]:
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        prow = rows[piv]
+        if prow[col] < 0:
+            prow = [-a for a in prow]
+        rows[piv], rows[rank] = rows[rank], prow
         p = prow[col]
-        zeros = False
+        # rows at or below rank, the pivot row among them, are zero left of col
+        support = [(c, prow[c]) for c in range(col, ncols) if prow[c]] if p == 1 else None
         for i in range(0 if reduced else rank + 1, len(rows)):
-            q = rows[i][col]
+            row = rows[i]
+            q = row[col]
             if not q or i == rank:
                 continue
-            row = [p * a - q * b for a, b in zip(rows[i], prow)]
-            g = gcd(*row)
-            zeros |= g == 0
-            rows[i] = [a // g for a in row] if g > 1 else row
+            if support is not None:
+                for c, a in support:
+                    row[c] -= q * a
+            else:
+                row = [p * a - q * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
-        if zeros:
-            rows[rank + 1:] = [row for row in rows[rank + 1:] if any(row)]
+    # every column is done, so the rows after the last pivot row are zero
+    del rows[len(pivots):]
     return pivots
 
 

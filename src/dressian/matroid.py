@@ -53,31 +53,26 @@ def r_subset_masks(n: int, r: int) -> list[int]:
 
 
 def _check_exchange(n: int, r: int, bases: frozenset[int]) -> bool:
-    """Exchange axiom (B), quantified directly over all pairs."""
-    blist = list(bases)
-    for b1 in blist:
-        for b2 in blist:
-            diff = b1 & ~b2
-            e = 0
-            d = diff
+    """Exchange axiom (B), quantified directly over all pairs.
+
+    The elements e of B1 - B2 and f of B2 - B1 are taken lowest bit first
+    (``x & -x``), so only the elements of the differences are visited.
+    """
+    for b1 in bases:
+        for b2 in bases:
+            only2 = b2 & ~b1
+            d = b1 & ~b2
             while d:
-                if d & 1:
-                    ebit = 1 << e
-                    ok = False
-                    f = 0
-                    fd = b2 & ~b1
-                    while fd:
-                        if fd & 1:
-                            fbit = 1 << f
-                            if (b1 ^ ebit | fbit) in bases and (b2 ^ fbit | ebit) in bases:
-                                ok = True
-                                break
-                        fd >>= 1
-                        f += 1
-                    if not ok:
-                        return False
-                d >>= 1
-                e += 1
+                ebit = d & -d
+                d ^= ebit
+                fd = only2
+                while fd:
+                    fbit = fd & -fd
+                    fd ^= fbit
+                    if (b1 ^ ebit | fbit) in bases and (b2 ^ fbit | ebit) in bases:
+                        break
+                else:
+                    return False
     return True
 
 

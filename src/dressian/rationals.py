@@ -3,11 +3,24 @@
 Finite values are fractions.Fraction; the symbol INF absorbs addition and
 dominates every finite value.  Comparisons and sums in valuation checks go
 through the helpers below so that infinity arithmetic stays in one place.
+
+`parse_rational` accepts what `Fraction` accepts, but rejects scientific
+notation whose exponent exceeds `MAX_EXPONENT` in absolute value:
+`Fraction` expands the power of ten eagerly, so `1e10000000` alone would
+take seconds.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+MAX_EXPONENT = 10_000  # largest |exponent| accepted in scientific notation
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
+
+
+class RationalInputError(ValueError):
+    """Text that is not an accepted rational."""
 
 
 class _Infinity:
@@ -62,8 +75,19 @@ def ext_sum(a, b):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or an integer string into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q", an integer, a decimal or scientific notation into an
+    exact Fraction; anything else raises RationalInputError."""
+    text = text.strip()
+    m = _EXPONENT.search(text)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise RationalInputError(
+                f"exponent in {text[:40]!r} exceeds {MAX_EXPONENT} in absolute value")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise RationalInputError(f"bad rational {text[:40]!r}: {exc}") from None
 
 
 def format_rational(q: Fraction) -> str:

@@ -236,7 +236,7 @@ def _newick_leaf(token: str) -> int:
 def _newick_length(token: str) -> Fraction:
     try:
         return parse_rational(token)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise TreeInputError(f"edge length {token!r} is not a rational number") from None
 
 

@@ -10,9 +10,12 @@ Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
 do integer arithmetic only.  An INF entry is tested before any addition;
-inside Z(M) every crossing set is a basis and no test is needed.  Outputs
-that report values (JSON, spread, shifts, peels) read the Fraction map
-`values`.
+inside Z(M) every crossing set is a basis and no test is needed.  The
+brute-force checker reads the same integer view, but walks the exchange
+inequality over all pairs of r-subsets, taking elements lowest bit first
+and looking values up by colex position, without the location tables, so
+that it stays an independent second check.  Outputs that report values
+(JSON, spread, shifts, peels) read the Fraction map `values`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .matroid import (
     r_subset_masks,
     set_to_mask,
 )
-from .rationals import INF, ext_sum, format_rational, is_finite, parse_rational
+from .rationals import INF, ext_sum, format_rational, parse_rational
 
 
 class ValuationInputError(ValueError):
@@ -198,7 +201,7 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
         try:
             elems = [int(tok) for tok in key.split(",")]
             value = parse_rational(str(text))
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ValuationInputError(f"bad value entry {key!r}: {text!r}") from None
         if not all(0 <= e < M.n for e in elems):
             raise ValuationInputError(f"subset {key} is out of range for n={M.n}")
@@ -240,26 +243,37 @@ def check_valuation(M: Matroid, values) -> bool:
 
 def check_valuation_bruteforce(M: Matroid, values) -> bool:
     """Direct quantifier evaluation of the exchange inequality (V) over all
-    pairs of r-subsets, with infinity arithmetic."""
-    vals = _normalize_values(M, values)
-    subsets = r_subset_masks(M.n, M.r)
-    bar = lambda m: vals.get(m, INF)
-    for b1 in subsets:
-        v1 = bar(b1)
-        for b2 in subsets:
-            lhs = ext_sum(v1, bar(b2))
-            if not is_finite(lhs):
-                continue
-            for e in mask_to_set(b1 & ~b2):
-                ebit = 1 << e
-                ok = False
-                for f in mask_to_set(b2 & ~b1):
-                    fbit = 1 << f
-                    rhs = ext_sum(bar(b1 ^ ebit | fbit), bar(b2 ^ fbit | ebit))
-                    if is_finite(rhs) and lhs >= rhs:
-                        ok = True
+    ordered pairs of r-subsets, with infinity arithmetic.
+
+    Reads the integer view (nu*D by colex position, INF off the bases) and
+    takes the elements e of B1 - B2 and f of B2 - B1 lowest bit first.  It
+    shares no location table with `check_valuation`, so the two checkers
+    stay independent.
+    """
+    _den, v = _integer_view(M, _normalize_values(M, values))
+    table = symbol_table(M.n, M.r)
+    position = table.position
+    # a pair with an infinite side has lhs = INF and holds vacuously
+    finite = [(b, x) for b, x in zip(table.subsets, v) if x is not INF]
+    for b1, v1 in finite:
+        for b2, v2 in finite:
+            lhs = v1 + v2
+            only2 = b2 & ~b1
+            d = b1 & ~b2
+            while d:
+                ebit = d & -d
+                d ^= ebit
+                fd = only2
+                while fd:
+                    fbit = fd & -fd
+                    fd ^= fbit
+                    x = v[position[b1 ^ ebit | fbit]]
+                    if x is INF:
+                        continue
+                    y = v[position[b2 ^ fbit | ebit]]
+                    if y is not INF and lhs >= x + y:
                         break
-                if not ok:
+                else:
                     return False
     return True
 

@@ -5,12 +5,17 @@ Everything here works on the `Fraction` map `Valuation.values` and
 regenerates the three-term locations and symbols on each call; the rank is
 a plain Fraction Gaussian elimination, independent of `dressian.linear`.
 Types are returned as (Z1 part, Z part) frozensets of `Symbol`.
+
+`check_valuation_bruteforce` is the Fraction form of the direct checker,
+and `check_exchange` the exchange-axiom loop that shifts through every bit
+position, both as they were before they moved to the integer view and to
+lowest-bit iteration.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from dressian import INF, Symbol, ext_sum, is_finite, set_to_mask
+from dressian import INF, Symbol, ext_sum, is_finite, mask_to_set, r_subset_masks, set_to_mask
 
 
 def locations(n, r):
@@ -102,3 +107,59 @@ def cell_dim(nu):
         assert sum(c * nu.values[m] for m, c in zip(coords, row)) == 0
         rows.append(row)
     return len(coords) - fraction_rank(rows)
+
+
+def check_valuation_bruteforce(M, values):
+    """Direct evaluation of the exchange inequality (V) over all pairs of
+    r-subsets, on Fractions."""
+    vals = {m if isinstance(m, int) else set_to_mask(m): Fraction(v)
+            for m, v in values.items()}
+    subsets = r_subset_masks(M.n, M.r)
+    bar = lambda m: vals.get(m, INF)
+    for b1 in subsets:
+        v1 = bar(b1)
+        for b2 in subsets:
+            lhs = ext_sum(v1, bar(b2))
+            if not is_finite(lhs):
+                continue
+            for e in mask_to_set(b1 & ~b2):
+                ebit = 1 << e
+                ok = False
+                for f in mask_to_set(b2 & ~b1):
+                    fbit = 1 << f
+                    rhs = ext_sum(bar(b1 ^ ebit | fbit), bar(b2 ^ fbit | ebit))
+                    if is_finite(rhs) and lhs >= rhs:
+                        ok = True
+                        break
+                if not ok:
+                    return False
+    return True
+
+
+def check_exchange(n, r, bases):
+    """Exchange axiom (B) over all pairs, shifting through every position."""
+    blist = list(bases)
+    for b1 in blist:
+        for b2 in blist:
+            diff = b1 & ~b2
+            e = 0
+            d = diff
+            while d:
+                if d & 1:
+                    ebit = 1 << e
+                    ok = False
+                    f = 0
+                    fd = b2 & ~b1
+                    while fd:
+                        if fd & 1:
+                            fbit = 1 << f
+                            if (b1 ^ ebit | fbit) in bases and (b2 ^ fbit | ebit) in bases:
+                                ok = True
+                                break
+                        fd >>= 1
+                        f += 1
+                    if not ok:
+                        return False
+                d >>= 1
+                e += 1
+    return True

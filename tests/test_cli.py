@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from dressian import (
     set_to_mask,
     valuation_from_matroid,
 )
-from dressian.cli import run
+from dressian.cli import _build_parser, run
 from helpers import N3, random_tree_metric_valuation
 
 
@@ -360,3 +361,97 @@ def test_threads_option_and_env_are_gone(files, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["distinct_types"] == 26
     assert run(["sp-census", "--n", "5", "--r", "2", "--threads", "2"]) == 2
+
+
+def test_repeated_runs_in_one_process_give_identical_output(files, capsys):
+    # the parser is built once per process and reused by every run
+    calls = [
+        ["check", "--valuation", files["nu"]],
+        ["type", "--valuation", files["nu"], "--format", "text"],
+        ["dim", "--valuation", files["zero"]],
+        ["check", "--valuation"],  # usage error
+        ["lower-bound", "--n", "6", "--r", "3", "--format", "csv"],
+        ["no-such-subcommand"],
+    ]
+    first = [capture(capsys, argv) for argv in calls]
+    assert [code for code, _out in first] == [0, 0, 0, 2, 0, 2]
+    assert all(out for code, out in first if code == 0)
+    for _ in range(2):
+        assert [capture(capsys, argv) for argv in calls] == first
+    assert _build_parser() is _build_parser()
+
+
+def test_check_scale_guard(files, capsys):
+    for r, n, code in [(3, 9, 2), (4, 8, 0)]:
+        M = Matroid.uniform(r, n)
+        path = files["dir"] / f"u{r}_{n}.json"
+        path.write_text(Valuation(M, {b: Fraction(0) for b in M.bases}).to_json())
+        assert run(["check", "--valuation", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:  # C(9, 3) = 84 coordinates
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "C(9,3) = 84" in captured.err
+        else:  # C(8, 4) = 70, the limit itself
+            assert json.loads(captured.out) == {"valid": True}
+
+
+def assert_rejected_quickly(capsys, argv):
+    started = time.perf_counter()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:")
+    # Fraction would expand 10**100000000 before any check
+    assert time.perf_counter() - started < 5
+
+
+HUGE_EXPONENTS = ["1e100000000", "-3.5E-100000000", "2e+0010001"]
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+def test_oversized_exponent_in_values_exits_2(files, capsys, text):
+    M = Matroid.uniform(2, 4)
+    values = {",".join(map(str, b)): "0" for b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))}
+    path = files["dir"] / "exp.json"
+    path.write_text(json.dumps({"matroid": M.to_json_obj(),
+                                "values": values | {"2,3": text}}))
+    for command in ("check", "type"):
+        assert_rejected_quickly(capsys, [command, "--valuation", str(path)])
+    path.write_text(json.dumps({"matroid": M.to_json_obj(),
+                                "values": values | {"2,3": "1e3"}}))
+    code, out = capture(capsys, ["check", "--valuation", str(path)])
+    assert (code, json.loads(out)) == (0, {"valid": True})
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+def test_oversized_exponent_in_newick_length_exits_2(files, capsys, text):
+    path = files["dir"] / "exp.nwk"
+    path.write_text(f"(0:1,1:{text},2:1);")
+    assert_rejected_quickly(capsys, ["tree-encode", "--tree", str(path)])
+    path.write_text("(0:1,1:2e1,2:1);")
+    code, out = capture(capsys, ["tree-encode", "--tree", str(path)])
+    assert code == 0 and json.loads(out)["values"]["0,1"] == "21"
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS + ["1/0"])
+def test_oversized_exponent_in_shift_exits_2(files, capsys, text):
+    shift_arg = ",".join(["0", text, "0", "0", "0"])
+    assert_rejected_quickly(
+        capsys, ["residue", "--valuation", files["nu"], "--shift", shift_arg])
+    code, out = capture(capsys, ["residue", "--valuation", files["nu"],
+                                 "--shift", "0,1e-2,0,0,0"])
+    assert code == 0 and Matroid.from_json_obj(json.loads(out)).n == 5
+
+
+@pytest.mark.parametrize("text", HUGE_EXPONENTS)
+def test_oversized_exponent_in_cover_equation_exits_2(files, capsys, tmp_path, text):
+    cov = {"ground": [0, 1], "k": 1, "blocks": [[0], [1]]}
+    pc = tmp_path / "cov.json"
+    pc.write_text(json.dumps(cov))
+    ps = tmp_path / "sub.json"
+    ps.write_text(json.dumps({"coords": [0, 1], "equations": [{"0": text, "1": "-1"}]}))
+    assert_rejected_quickly(capsys, ["cover-check", "--subspace", str(ps),
+                                     "--cover", str(pc)])
+    ps.write_text(json.dumps({"coords": [0, 1], "equations": [{"0": "1e4", "1": "-1"}]}))
+    code, out = capture(capsys, ["cover-check", "--subspace", str(ps), "--cover", str(pc)])
+    assert code == 0 and json.loads(out)["holds"] is True

@@ -1,8 +1,10 @@
 """The integer kernel against the Fraction kernel it replaced.
 
 `reference_kernel` keeps the Fraction implementations of the three-term
-check, the combinatorial type and the cell dimension; the brute-force
-checker, which stays on Fractions, is the independent judge of validity.
+check, the combinatorial type and the cell dimension, the Fraction form of
+the brute-force checker and the bit-shifting exchange check; the
+brute-force checker is the independent judge of validity.  The rank and the
+solver are compared with a Fraction rank and with substitution.
 """
 
 import random
@@ -23,10 +25,15 @@ from dressian import (
     check_valuation_bruteforce,
     combinatorial_type,
     equivalent,
+    integer_matrix_rank,
+    is_matroid,
+    r_subset_masks,
     set_to_mask,
     shift,
+    solve_linear_system,
     valuation_from_matroid,
 )
+from dressian.matroid import _check_exchange
 from dressian.valuation import symbol_table
 from helpers import (
     CORPUS,
@@ -163,3 +170,136 @@ def test_invalid_value_maps_agree_with_both_checkers():
             assert fast == check_valuation_bruteforce(nu.matroid, vals)
             rejected += not fast
     assert rejected >= 10
+
+
+# ---------------------------------------------------------------------------
+# The direct checker and the exchange check against their old loops
+
+
+def assert_checkers_agree(M, vals):
+    """Both direct checkers and the three-term check give one verdict."""
+    slow = ref.check_valuation_bruteforce(M, vals)
+    assert check_valuation_bruteforce(M, vals) is slow
+    assert check_valuation(M, vals) is slow
+    return slow
+
+
+def broken_copies(nu, rnd, count):
+    return [perturbed_values(nu, rnd) for _ in range(count)]
+
+
+def test_bruteforce_matches_reference_on_corpus():
+    rnd = random.Random(31)
+    verdicts = []
+    for nu in list(corpus_valuations())[::2]:
+        assert assert_checkers_agree(nu.matroid, nu.values)
+        verdicts += [assert_checkers_agree(nu.matroid, vals)
+                     for vals in broken_copies(nu, rnd, 2)]
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 1
+    for M in CORPUS:
+        assert _check_exchange(M.n, M.r, M.bases) is ref.check_exchange(M.n, M.r, M.bases)
+
+
+def test_bruteforce_matches_reference_on_sparse_paving_of_rank_3_on_6():
+    rnd = random.Random(37)
+    matroids = all_sparse_paving_matroids(3, 6)
+    for N in matroids[::3]:
+        nu = valuation_from_matroid(N)
+        assert assert_checkers_agree(nu.matroid, nu.values)
+        vals = dict(nu.values)
+        vals[rnd.choice(sorted(vals))] += Fraction(1, 3)
+        assert_checkers_agree(nu.matroid, vals)
+    for N in matroids:
+        assert _check_exchange(N.n, N.r, N.bases) is ref.check_exchange(N.n, N.r, N.bases)
+
+
+@pytest.mark.parametrize("r,n,holes", [(3, 7, 0), (3, 7, 8), (4, 8, 0), (4, 8, 12)])
+def test_bruteforce_matches_reference_on_stiefel(r, n, holes):
+    rnd = random.Random(41 + 7 * r + holes)
+    rejected = 0
+    for _ in range(2):
+        nu = stiefel_valuation(r, n, rnd, holes)
+        M = nu.matroid
+        # with holes, some r-subsets are non-bases, where the value is INF
+        assert (len(M.bases) < len(r_subset_masks(n, r))) == bool(holes)
+        assert assert_checkers_agree(M, nu.values)
+        assert _check_exchange(n, r, M.bases) is ref.check_exchange(n, r, M.bases) is True
+        for vals in broken_copies(nu, rnd, 2):
+            rejected += not assert_checkers_agree(M, vals)
+    assert rejected >= 2
+
+
+def test_exchange_check_matches_reference_on_random_families():
+    rnd = random.Random(43)
+    verdicts = []
+    for n, r in [(4, 2), (5, 2), (5, 3), (6, 3), (6, 2), (7, 3)]:
+        subsets = r_subset_masks(n, r)
+        for _ in range(40):
+            family = frozenset(rnd.sample(subsets, rnd.randint(1, len(subsets))))
+            verdict = ref.check_exchange(n, r, family)
+            assert _check_exchange(n, r, family) is verdict
+            assert is_matroid(n, r, family) is verdict
+            verdicts.append(verdict)
+        # a matroid with one basis removed is often not a matroid
+        M = Matroid.uniform(r, n)
+        for b in rnd.sample(subsets, 5):
+            family = M.bases - {b}
+            assert _check_exchange(n, r, family) is ref.check_exchange(n, r, family)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 10
+
+
+# ---------------------------------------------------------------------------
+# The elimination against a Fraction rank and against substitution
+
+
+def random_sparse_rows(rnd, nrows, ncols, density=0.35):
+    return [[rnd.choice((-2, -1, 1, 2)) if rnd.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+# first pivots -1 (negated), 2 and -2 (the general step), and a unit pivot
+# whose update meets entries of 2
+PIVOT_CASES = [
+    [[-1, 2, 0], [2, 1, 1], [1, 0, -2]],
+    [[2, 1, 0], [-2, 1, 1], [1, 1, 1]],
+    [[-2, 1, 1, 0], [2, -1, -1, 0], [0, 2, 1, -1], [1, 0, 0, 2]],
+    [[1, 2, -2], [2, 1, 0], [-1, -2, 2]],
+]
+
+
+def test_integer_rank_matches_fraction_rank_on_sparse_matrices():
+    rnd = random.Random(47)
+    matrices = [[list(row) for row in m] for m in PIVOT_CASES]
+    for _ in range(150):
+        matrices.append(random_sparse_rows(rnd, rnd.randint(1, 12), rnd.randint(1, 12)))
+    for rows in matrices:
+        before = [list(row) for row in rows]
+        assert integer_matrix_rank(rows) == ref.fraction_rank(rows)
+        assert rows == before  # the caller's rows are left alone
+
+
+def test_solver_matches_substitution_on_sparse_systems():
+    rnd = random.Random(53)
+    systems = [(rows, [1] * len(rows)) for rows in PIVOT_CASES]
+    for _ in range(150):
+        rows = random_sparse_rows(rnd, rnd.randint(1, 10), rnd.randint(1, 10))
+        if rnd.random() < 0.5:  # consistent by construction
+            x0 = [rnd.randint(-2, 2) for _ in rows[0]]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+        else:
+            rhs = [rnd.randint(-2, 2) for _ in rows]
+        systems.append((rows, rhs))
+    solved = 0
+    for rows, rhs in systems:
+        variables = [f"x{j}" for j in range(len(rows[0]))]
+        eqs = [({v: Fraction(a) for v, a in zip(variables, row) if a}, Fraction(b))
+               for row, b in zip(rows, rhs)]
+        sol = solve_linear_system(eqs, variables)
+        augmented = [row + [b] for row, b in zip(rows, rhs)]
+        consistent = ref.fraction_rank(rows) == ref.fraction_rank(augmented)
+        assert (sol is not None) == consistent
+        if sol is not None:
+            solved += 1
+            for coeffs, b in eqs:
+                assert sum(c * sol[v] for v, c in coeffs.items()) == b
+    assert solved >= 75 and solved < len(systems)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dressian import INF, ext_sum, format_rational, is_finite, parse_rational
+from dressian import INF, RationalInputError, ext_sum, format_rational, is_finite, parse_rational
+from dressian.rationals import MAX_EXPONENT
 
 
 def test_parse_format_roundtrip():
@@ -13,6 +14,22 @@ def test_parse_format_roundtrip():
 def test_parse_rejects_junk():
     with pytest.raises(ValueError):
         parse_rational("a/b")
+    for text in ["a/b", "1/0", "1e", "1e_1", "1" * 5000]:
+        with pytest.raises(RationalInputError):
+            parse_rational(text)
+
+
+def test_exponent_is_bounded():
+    assert parse_rational("1e3") == 1000
+    assert parse_rational(" -2.5E-2 ") == Fraction(-1, 40)
+    assert parse_rational("1e1_0") == 10**10
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert parse_rational(f"3e-{MAX_EXPONENT}") == Fraction(3, 10**MAX_EXPONENT)
+    assert parse_rational(f"1e+000{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    for text in [f"1e{MAX_EXPONENT + 1}", f"1E-{MAX_EXPONENT + 1}", "7e1000000",
+                 "1e" + "9" * 6000, f"1e{MAX_EXPONENT}_0"]:
+        with pytest.raises(RationalInputError, match="exponent"):
+            parse_rational(text)
 
 
 def test_infinity_is_absorbing():
