@@ -23,6 +23,7 @@ from .linear import (
     subspace_from_symbols,
 )
 from .matroid import (
+    InputError,
     InvariantViolation,
     Matroid,
     MatroidInputError,

@@ -15,8 +15,10 @@ import mpmath
 
 from .linear import cell_dim
 from .matroid import (
+    InputError,
     InvariantViolation,
     Matroid,
+    MatroidInputError,
     johnson_neighbors,
     modular_stable_matroid,
     r_subset_masks,
@@ -27,9 +29,10 @@ LOG_DIGITS = 20
 DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
 DESK_SCALE_RANK2_CLASSES = 9  # most parallel classes for the rank-2 cell census
+DESK_SCALE_BOUNDS_N = 1000  # largest n for bounds: 2^n n^n then has 3302 digits, str() allows 4300
 
 
-class ScaleLimitError(ValueError):
+class ScaleLimitError(InputError):
     """Requested computation exceeds the documented desk-scale limits."""
 
 
@@ -110,8 +113,8 @@ def rank_t_dim_bound(t: int, m: int) -> Fraction:
 
 
 def bounds_report(n: int, r: int, t_contraction: int = 3) -> BoundsReport:
-    if not 0 < r < n:
-        raise ScaleLimitError(f"need 0 < r < n, got r={r}, n={n}")
+    if not 0 < r < n <= DESK_SCALE_BOUNDS_N:
+        raise ScaleLimitError(f"need 0 < r < n <= {DESK_SCALE_BOUNDS_N}, got r={r}, n={n}")
     if not 2 <= t_contraction <= r:
         raise ScaleLimitError(
             f"contraction rank must be within [2, {r}], got {t_contraction}"
@@ -124,10 +127,7 @@ def bounds_report(n: int, r: int, t_contraction: int = 3) -> BoundsReport:
         subspace_bound = _ln(Fraction(nr) * n**4 / u) * mpmath.mpf(int(u))
         ln_n = _ln(Fraction(n))
         count_upper = mpmath.mpf(nr) * (55 * ln_n + 4 * ln_n**2) / n
-    try:
-        s = count_sparse_paving(r, n) if nr <= DESK_SCALE_CENSUS else None
-    except ScaleLimitError:  # pragma: no cover - guarded above
-        s = None
+    s = count_sparse_paving(r, n) if nr <= DESK_SCALE_CENSUS else None
     return BoundsReport(
         n=n,
         r=r,
@@ -174,6 +174,8 @@ def all_stable_sets(r: int, n: int):
 
 def all_sparse_paving_matroids(r: int, n: int) -> list[Matroid]:
     """Every sparse paving matroid of rank r on n elements, by stable set."""
+    if n < 0 or r < 0:
+        raise ScaleLimitError(f"need n, r >= 0, got r={r}, n={n}")
     if comb(n, r) > DESK_SCALE_CENSUS:
         raise ScaleLimitError(
             f"C({n},{r}) = {comb(n, r)} exceeds the census limit {DESK_SCALE_CENSUS}"
@@ -195,6 +197,8 @@ def count_sparse_paving(r: int, n: int) -> int:
 
 def lower_bound_certificate(n: int, r: int):
     """Best modular sparse paving witness: (N, c(N), dim of its cell)."""
+    if not 0 < r < n:
+        raise ScaleLimitError(f"need 0 < r < n, got r={r}, n={n}")
     if comb(n, r) > DESK_SCALE_COORDS:
         raise ScaleLimitError(
             f"C({n},{r}) = {comb(n, r)} exceeds the elimination limit "
@@ -204,7 +208,7 @@ def lower_bound_certificate(n: int, r: int):
     for k in range(n):
         try:
             N = modular_stable_matroid(n, r, k)
-        except ValueError:
+        except MatroidInputError:
             continue
         c = N.johnson_components().component_count
         if best is None or c > best[1]:

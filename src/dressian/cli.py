@@ -1,8 +1,8 @@
 """Command-line surface: every operation behind a subcommand with file I/O.
 
-Output is deterministic for a fixed seed: JSON is emitted with sorted keys
-and no timestamps, CSV rows come out in a fixed order, and all sampling
-goes through seeded generators.
+Output is deterministic: JSON is emitted with sorted keys and no
+timestamps, CSV rows come out in a fixed order, and the one sampler,
+`sp-census --perturbed`, is seeded by `--seed`.
 """
 
 from __future__ import annotations
@@ -17,28 +17,20 @@ from math import comb
 
 from .bounds import (
     DESK_SCALE_COORDS,
-    BoundsReport,
+    DESK_SCALE_RANK2_CLASSES,
     ScaleLimitError,
     bounds_report,
     lower_bound_certificate,
     perturbed_census,
     sparse_paving_census,
 )
-from .linear import CoverInputError, ExactCover, RationalSubspace, cell_dim, exact_cover_check
-from .matroid import (
-    InvariantViolation,
-    Matroid,
-    MatroidInputError,
-    NotAMatroidError,
-    mask_to_set,
-)
-from .rationals import RationalInputError, format_rational, parse_rational
+from .linear import ExactCover, RationalSubspace, cell_dim, exact_cover_check
+from .matroid import InputError, InvariantViolation, Matroid, MatroidInputError, mask_to_set
+from .rationals import format_rational, parse_rational
 from .subdivision import spread_report, subdivision_cells
 from .trees import MetricTree, TreeInputError, decode_tree, enumerate_rank2_cells, tree_to_valuation
 from .valuation import (
-    NotAValuationError,
     Valuation,
-    ValuationInputError,
     check_valuation,
     check_valuation_bruteforce,
     combinatorial_type,
@@ -46,29 +38,19 @@ from .valuation import (
     equivalent,
     parse_valuation_document,
     residue_matroid,
-    shift,
     smooth_decompose,
     valuation_from_matroid,
 )
 
-INPUT_ERRORS = (
-    MatroidInputError,
-    NotAMatroidError,
-    ValuationInputError,
-    NotAValuationError,
-    TreeInputError,
-    CoverInputError,
-    RationalInputError,
-    ScaleLimitError,
-    json.JSONDecodeError,
-    OSError,
-    ValueError,
-)
+INPUT_ERRORS = (InputError, OSError)  # exit 2; any other exception but InvariantViolation is a bug
 
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, or too deep
+            raise InputError(f"{path}: {exc}") from None
 
 
 def _load_matroid(path) -> Matroid:
@@ -79,15 +61,14 @@ def _load_valuation(path) -> Valuation:
     return Valuation.from_json_obj(_load_json(path), matroid_loader=_load_matroid)
 
 
-def _parse_element_set(text):
-    return [int(tok) for tok in text.split(",") if tok != ""]
-
-
-def _parse_shift_vector(text, n):
-    parts = [parse_rational(tok) for tok in text.split(",")]
-    if len(parts) != n:
-        raise ValuationInputError(f"shift vector has {len(parts)} entries, need {n}")
-    return parts
+def _parse_element_set(text, n):
+    try:
+        elems = [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        elems = None
+    if elems is None or not all(0 <= e < n for e in elems):
+        raise MatroidInputError(f"--set {text[:40]!r} is not a list of elements of 0..{n - 1}")
+    return elems
 
 
 def _set_key(mask):
@@ -98,9 +79,7 @@ def _emit(args, obj, csv_rows=None, text=None):
     """Write the document in the requested format to stdout or --out."""
     if args.format == "json":
         doc = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        if csv_rows is None:
-            raise ValueError("this subcommand has no CSV form")
+    elif args.format == "csv":  # offered only where csv_rows are given
         buf = io.StringIO()
         buf.write("quantity,observed,bound,bound_source,satisfied\n")
         for row in csv_rows:
@@ -161,7 +140,7 @@ def cmd_dim(args):
 
 def cmd_contract(args):
     nu = _load_valuation(args.valuation)
-    S = _parse_element_set(args.set)
+    S = _parse_element_set(args.set, nu.matroid.n)
     contracted, keep = contract_valuation(nu, S)
     obj = {"valuation": contracted.to_json_obj(), "kept_elements": keep}
     _emit(args, obj)
@@ -169,7 +148,7 @@ def cmd_contract(args):
 
 def cmd_residue(args):
     nu = _load_valuation(args.valuation)
-    w = _parse_shift_vector(args.shift, nu.matroid.n) if args.shift else None
+    w = [parse_rational(tok) for tok in args.shift.split(",")] if args.shift else None
     M0 = residue_matroid(nu, w)
     _emit(args, M0.to_json_obj())
 
@@ -195,12 +174,18 @@ def cmd_tree_decode(args):
 
 def cmd_tree_encode(args):
     with open(args.tree) as fh:
-        T = MetricTree.from_newick(fh.read(), n=args.n)
+        try:
+            T = MetricTree.from_newick(fh.read(), n=args.n)
+        except UnicodeDecodeError as exc:
+            raise TreeInputError(f"{args.tree}: {exc}") from None
     nu = tree_to_valuation(T, Matroid.uniform(2, T.n))
     _emit(args, nu.to_json_obj())
 
 
 def cmd_rank2_census(args):
+    if args.n > DESK_SCALE_RANK2_CLASSES:  # U(2, n) has n classes: refuse before building it
+        raise ScaleLimitError(f"rank2-census needs at most {DESK_SCALE_RANK2_CLASSES} "
+                              f"parallel classes, got n = {args.n}")
     cells = enumerate_rank2_cells(Matroid.uniform(2, args.n))
     dims = {}
     for _topo, d in cells:
@@ -276,20 +261,8 @@ def cmd_sp_census(args):
 
 
 def cmd_cover_check(args):
-    sub = _load_json(args.subspace)
-    coords = [tuple(c) if isinstance(c, list) else c for c in sub["coords"]]
-    key_of = {str(c): c for c in coords}
-    equations = [
-        {key_of[k]: parse_rational(str(v)) for k, v in eq.items()}
-        for eq in sub["equations"]
-    ]
-    L = RationalSubspace(tuple(coords), equations)
-    cov = _load_json(args.cover)
-    cover = ExactCover(
-        ground=frozenset(key_of[str(g)] for g in cov["ground"]),
-        blocks=tuple(frozenset(key_of[str(x)] for x in blk) for blk in cov["blocks"]),
-        k=int(cov["k"]),
-    )
+    L = RationalSubspace.from_json_obj(_load_json(args.subspace))
+    cover = ExactCover.from_json_obj(_load_json(args.cover), L)
     lhs, rhs, holds = exact_cover_check(L, cover)
     if not holds:
         raise InvariantViolation(
@@ -323,12 +296,12 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **arguments):
+    def add(name, fn, csv=False, **arguments):
         sp = sub.add_parser(name)
         for flag, kw in arguments.items():
             sp.add_argument(flag, **kw)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        formats = ["json", "csv", "text"] if csv else ["json", "text"]
+        sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=fn)
         return sp
@@ -347,11 +320,11 @@ def _build_parser():
     add("rank2-census", cmd_rank2_census, **{"--n": {"type": int, "required": True}})
     add("subdivision", cmd_subdivision, **val)
     add("spread", cmd_spread, **val)
-    add("bounds", cmd_bounds,
+    add("bounds", cmd_bounds, csv=True,
         **{"--n": {"type": int, "required": True},
            "--r": {"type": int, "required": True},
            "--t": {"type": int, "default": 3}})
-    add("lower-bound", cmd_lower_bound,
+    add("lower-bound", cmd_lower_bound, csv=True,
         **{"--n": {"type": int, "required": True},
            "--r": {"type": int, "required": True}})
     add("sp-census", cmd_sp_census,
@@ -359,7 +332,8 @@ def _build_parser():
            "--r": {"type": int, "required": True},
            "--with-dims": {"action": "store_true"},
            "--perturbed": {"action": "store_true"},
-           "--samples": {"type": int, "default": 20}})
+           "--samples": {"type": int, "default": 20},
+           "--seed": {"type": int, "default": 0}})
     add("cover-check", cmd_cover_check,
         **{"--subspace": {"required": True}, "--cover": {"required": True}})
     add("smooth", cmd_smooth, **val)

@@ -19,12 +19,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matroid import InvariantViolation, Matroid
+from .matroid import InputError, InvariantViolation, Matroid, _is_int
+from .rationals import parse_rational
 from .valuation import CombinatorialType, Valuation, combinatorial_type, symbol_table
 
 
-class CoverInputError(ValueError):
-    """The supplied block multiset is not an exact k-cover."""
+class CoverInputError(InputError):
+    """A malformed subspace or cover, or blocks that are not an exact k-cover."""
+
+
+def _coordinate(x):
+    """A coordinate as a document writes it: an integer, a string, or a list
+    of integers (held as a tuple).  Documents name a coordinate by its `str`."""
+    if isinstance(x, list) and all(_is_int(e) for e in x):
+        return tuple(x)
+    if _is_int(x) or isinstance(x, str):
+        return x
+    raise CoverInputError("a coordinate must be an integer, a string or a list of integers")
+
+
+def _namer(coords):
+    """The function from a document's name for one of coords to the coordinate."""
+    key_of = {str(c): c for c in coords}
+    if len(key_of) != len(coords):
+        raise CoverInputError("two coordinates have the same name")
+
+    def named(x):
+        key = str(_coordinate(x))
+        if key not in key_of:
+            raise CoverInputError(f"unknown coordinate {key[:40]!r}")
+        return key_of[key]
+    return named
 
 
 def _integer_rows(coords, equations):
@@ -106,8 +131,23 @@ class RationalSubspace:
         for eq in self.equations:
             bad = set(eq) - cs
             if bad:
-                raise ValueError(f"equation touches unknown coordinates {bad}")
+                raise CoverInputError(f"equation touches unknown coordinates {bad}")
         self._dim = None
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "RationalSubspace":
+        """Build from {"coords": [...], "equations": [{"coord": "p/q", ...}, ...]}."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("coords"), list)
+                and isinstance(obj.get("equations"), list)):
+            raise CoverInputError('a subspace document needs lists "coords" and "equations"')
+        coords = tuple(map(_coordinate, obj["coords"]))
+        named = _namer(coords)
+        equations = []
+        for eq in obj["equations"]:
+            if not isinstance(eq, dict):
+                raise CoverInputError("an equation must map coordinates to rationals")
+            equations.append({named(k): parse_rational(str(v)) for k, v in eq.items()})
+        return cls(coords, equations)
 
     def dim(self) -> int:
         if self._dim is None:
@@ -128,7 +168,7 @@ class RationalSubspace:
         A = list(A)
         bad = set(A) - set(self.coords)
         if bad:
-            raise ValueError(f"projection coordinates {bad} not in ambient")
+            raise CoverInputError(f"projection coordinates {bad} not in ambient")
         return self.dim() - self.zero_section_dim(A)
 
     def contains(self, vector) -> bool:
@@ -224,12 +264,25 @@ class ExactCover:
                 raise CoverInputError("empty block")
             if not b <= self.ground:
                 raise CoverInputError(f"block {set(b)} leaves the ground set")
+        if not (_is_int(self.k) and self.k > 0):
+            raise CoverInputError("k must be a positive integer")
         for x in self.ground:
             count = sum(1 for b in self.blocks if x in b)
             if count != self.k:
                 raise CoverInputError(
                     f"element {x!r} covered {count} times, expected {self.k}"
                 )
+
+    @classmethod
+    def from_json_obj(cls, obj, L: RationalSubspace) -> "ExactCover":
+        """Build from {"ground": [...], "blocks": [[...], ...], "k": int} naming coords of L."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("ground"), list)
+                and isinstance(obj.get("blocks"), list) and "k" in obj
+                and all(isinstance(b, list) for b in obj["blocks"])):
+            raise CoverInputError('a cover document needs lists "ground" and "blocks" and "k"')
+        named = _namer(L.coords)
+        return cls(frozenset(map(named, obj["ground"])),
+                   tuple(frozenset(map(named, b)) for b in obj["blocks"]), obj["k"])
 
 
 def exact_cover_check(L: RationalSubspace, cover: ExactCover):

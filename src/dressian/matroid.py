@@ -13,16 +13,20 @@ from functools import lru_cache
 from itertools import combinations
 
 
-class MatroidInputError(ValueError):
-    """Malformed input (wrong subset size, out-of-range element, ...)."""
-
-
-class NotAMatroidError(ValueError):
-    """A candidate basis family violates the exchange axiom."""
+class InputError(ValueError):
+    """Bad input from outside the program; the CLI exits 2 on it."""
 
 
 class InvariantViolation(RuntimeError):
-    """A property the library guarantees failed to hold."""
+    """A property the library guarantees failed to hold: the CLI exits 1."""
+
+
+class MatroidInputError(InputError):
+    """Malformed input (wrong subset size, out-of-range element, ...)."""
+
+
+class NotAMatroidError(InputError):
+    """A candidate basis family violates the exchange axiom."""
 
 
 def _is_int(x) -> bool:
@@ -135,10 +139,6 @@ class Matroid:
         xm = X if isinstance(X, int) else set_to_mask(X)
         return self.rank_of(xm) == xm.bit_count()
 
-    def is_basis(self, X) -> bool:
-        xm = X if isinstance(X, int) else set_to_mask(X)
-        return xm in self.bases
-
     def is_uniform(self) -> bool:
         from math import comb
 
@@ -237,30 +237,14 @@ class Matroid:
         if not (_is_int(n) and _is_int(r)):
             raise MatroidInputError('"n" and "r" must be integers')
         if not (isinstance(bases, list) and all(
-                isinstance(b, list) and all(_is_int(e) and e >= 0 for e in b)
+                isinstance(b, list) and all(_is_int(e) and 0 <= e < n for e in b)
                 for b in bases)):
-            raise MatroidInputError('"bases" must be a list of lists of elements 0, 1, ...')
+            raise MatroidInputError(f'"bases" must be a list of lists of elements 0..{n - 1}')
         return cls(n, r, frozenset(set_to_mask(b) for b in bases))
 
     @classmethod
     def from_json(cls, text: str) -> "Matroid":
         return cls.from_json_obj(json.loads(text))
-
-    @classmethod
-    def from_text(cls, text: str, n: int | None = None) -> "Matroid":
-        """One basis per line, elements space-separated."""
-        bases = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            bases.append(tuple(int(tok) for tok in line.split()))
-        if not bases:
-            raise MatroidInputError("no bases in text input")
-        r = len(bases[0])
-        if n is None:
-            n = 1 + max(e for b in bases for e in b)
-        return cls(n, r, frozenset(set_to_mask(b) for b in bases))
 
     @staticmethod
     @lru_cache(maxsize=8)

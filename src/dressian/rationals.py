@@ -15,11 +15,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .matroid import InputError
+
 MAX_EXPONENT = 10_000  # largest |exponent| accepted in scientific notation
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
 
 
-class RationalInputError(ValueError):
+class RationalInputError(InputError):
     """Text that is not an accepted rational."""
 
 
@@ -91,4 +93,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # more digits than the interpreter's limit for str(int)
+        raise RationalInputError("a value has more digits than str() may write") from None

@@ -28,7 +28,7 @@ from math import comb
 
 from .bounds import DESK_SCALE_COORDS, ScaleLimitError
 from .matroid import InvariantViolation, Matroid, mask_to_set
-from .valuation import Valuation
+from .valuation import Valuation, ValuationInputError
 
 # The facet loop costs 2^n * |B| per cell (a rank-2 input on 11 elements
 # takes seconds), and locate_cell sums the point over all 2^n subsets.
@@ -204,8 +204,10 @@ def locate_cell(nu: Valuation, point) -> Matroid | None:
 
 def spread_report(nu: Valuation) -> dict:
     """Measured spread against both readings of the binomial spread bound."""
-    census = subdivision_cells(nu)
     n, r = nu.matroid.n, nu.matroid.r
+    if r < 2:
+        raise ValuationInputError(f"the spread bounds need rank 2 or more, got {r}")
+    census = subdivision_cells(nu)
     low = comb(n - 2, r - 2)
     high = comb(n - 2, r - 1)
     return {

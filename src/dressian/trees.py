@@ -16,13 +16,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bounds import DESK_SCALE_RANK2_CLASSES, ScaleLimitError
-from .matroid import InvariantViolation, Matroid, MatroidInputError, set_to_mask
+from .matroid import InputError, InvariantViolation, Matroid, MatroidInputError, set_to_mask
 from .linear import solve_linear_system
 from .rationals import format_rational, parse_rational
 from .valuation import Valuation, ValuationInputError
 
 
-class TreeInputError(ValueError):
+class TreeInputError(InputError):
     """Malformed tree or tree incompatible with the matroid."""
 
 
@@ -40,14 +40,8 @@ class MetricTree:
                 if u not in self.adj.get(v, ()):  # pragma: no cover - guard
                     raise TreeInputError("adjacency is not symmetric")
 
-    def vertices(self):
-        return list(self.adj)
-
     def internal_vertices(self):
         return [v for v in self.adj if v >= self.n]
-
-    def neighbors(self, v):
-        return self.adj[v]
 
     def path(self, a, b):
         """Vertex path from a to b (tree: unique)."""
@@ -282,36 +276,27 @@ def parallel_classes(M: Matroid) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def _confirmed_class_splits(nu: Valuation, classes) -> list[frozenset]:
-    """Splits of the class set supported by every representative quartet.
+def _class_splits(nu: Valuation, classes) -> list[frozenset]:
+    """The splits of the tree on the classes, each as its side avoiding class 0.
 
-    A bipartition is an edge of the tree iff each quartet taken two-and-two
-    across it makes the within-side pairing the strictly larger sum.
+    Rooted at class 0, g(i, j) = nu(ij) - nu(0i) - nu(0j) is twice the depth
+    of the point where the paths to i and j part (the tree metric is -nu),
+    so the classes below that point are i and every k with g(i, k) >= g(i, j).
+    Each such cluster with 2 <= |side| <= t - 2 is a split; an internal edge
+    of length 0 joins two depths into one, so its cluster does not appear.
+    Sides come out in ascending order of their bitmask over the classes.
     """
     reps = [cls[0] for cls in classes]
     t = len(reps)
-    val = lambda a, b: nu.values[set_to_mask((a, b))]
-    splits = []
-    for bits in range(1, 1 << (t - 1)):  # sides as subsets not containing rep 0
-        side = [i for i in range(1, t) if (bits >> (i - 1)) & 1]
-        other = [i for i in range(t) if i not in side]
-        if len(side) < 2 or len(other) < 2:
-            continue
-        ok = True
-        for i, j in combinations(side, 2):
-            for k, l in combinations(other, 2):
-                a, b, c, d = reps[i], reps[j], reps[k], reps[l]
-                s_own = val(a, b) + val(c, d)
-                s_x1 = val(a, c) + val(b, d)
-                s_x2 = val(a, d) + val(b, c)
-                if not (s_x1 == s_x2 and s_own > s_x1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            splits.append(frozenset(side))
-    return splits
+    val = lambda a, b: nu.values[set_to_mask((reps[a], reps[b]))]
+    g = {(i, j): val(i, j) - val(0, i) - val(0, j)
+         for i in range(1, t) for j in range(1, t) if i != j}
+    sides = set()
+    for i, j in combinations(range(1, t), 2):
+        side = 1 << i | sum(1 << k for k in range(1, t) if k != i and g[i, k] >= g[i, j])
+        if 2 <= side.bit_count() <= t - 2:
+            sides.add(side)
+    return [frozenset(k for k in range(1, t) if side >> k & 1) for side in sorted(sides)]
 
 
 def decode_tree(nu: Valuation) -> MetricTree:
@@ -325,35 +310,23 @@ def decode_tree(nu: Valuation) -> MetricTree:
     for i, cls in enumerate(classes):
         for e in cls:
             class_of[e] = i
-    splits = _confirmed_class_splits(nu, classes)
+    splits = _class_splits(nu, classes)
 
     # laminar clusters: split sides avoiding the class of element 0
     clusters = sorted(splits, key=len, reverse=True)
     n = M.n
     root = n
-    node_of_cluster = {}
-    adj = {root: set()}
-    next_id = n + 1
-    for cl in clusters:
-        node_of_cluster[cl] = next_id
-        adj[next_id] = set()
-        next_id += 1
+    node_of_cluster = {cl: n + 1 + i for i, cl in enumerate(clusters)}
+    adj = {v: set() for v in (root, *node_of_cluster.values())}
+    # the clusters holding a set form a chain, whose smallest member comes
+    # last: each cluster hangs from the smallest cluster above it, and each
+    # class (hence each leaf) from the smallest cluster holding it
     for i, cl in enumerate(clusters):
-        best = None
-        for j in range(i):
-            if cl < clusters[j] and (best is None or clusters[j] < best):
-                best = clusters[j]
-        parent = root if best is None else node_of_cluster[best]
-        _link(adj, node_of_cluster[cl], parent)
-    # attach each class (hence each leaf) to the smallest cluster holding it
-    for ci in range(len(classes)):
-        host = root
-        best_cl = None
-        for cl in clusters:
-            if ci in cl and (best_cl is None or cl < best_cl):
-                best_cl = cl
-                host = node_of_cluster[cl]
-        for e in classes[ci]:
+        _link(adj, node_of_cluster[cl],
+              next((node_of_cluster[c] for c in reversed(clusters[:i]) if cl < c), root))
+    for ci, members in enumerate(classes):
+        host = next((node_of_cluster[c] for c in reversed(clusters) if ci in c), root)
+        for e in members:
             adj[e] = set()
             _link(adj, e, host)
 

@@ -29,8 +29,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .matroid import (
+    InputError,
     Matroid,
-    MatroidInputError,
     mask_to_set,
     r_subset_masks,
     set_to_mask,
@@ -38,11 +38,11 @@ from .matroid import (
 from .rationals import INF, ext_sum, format_rational, parse_rational
 
 
-class ValuationInputError(ValueError):
+class ValuationInputError(InputError):
     """Malformed valuation input (wrong domain, bad rational, ...)."""
 
 
-class NotAValuationError(ValueError):
+class NotAValuationError(InputError):
     """A value map on a basis family violates the valuation axiom."""
 
 

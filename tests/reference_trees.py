@@ -1,12 +1,51 @@
-"""The frozenset split-system DFS that `enumerate_rank2_cells` used before
-the bitmask enumerator, kept as a test oracle.
+"""Earlier forms of two rank-2 routines, kept as test oracles.
 
-Candidate sides are frozensets of class indices; every step tests the next
-candidate against every chosen split and lifts each chosen side to its
-element split anew. The cells come out in the same preorder as the library's.
+`enumerate_rank2_cells` is the frozenset split-system DFS used before the
+bitmask enumerator.  Candidate sides are frozensets of class indices; every
+step tests the next candidate against every chosen split and lifts each
+chosen side to its element split anew. The cells come out in the same
+preorder as the library's.
+
+`confirmed_class_splits` is the split finder `decode_tree` used before it
+read splits off the distances to class 0: it tests every one of the
+2^(t-1) bipartitions of the t classes against every quartet across it.
 """
 
-from dressian import Matroid, TreeTopology, parallel_classes
+from itertools import combinations
+
+from dressian import Matroid, TreeTopology, Valuation, parallel_classes, set_to_mask
+
+
+def confirmed_class_splits(nu: Valuation, classes) -> list[frozenset]:
+    """Splits of the class set supported by every representative quartet.
+
+    A bipartition is an edge of the tree iff each quartet taken two-and-two
+    across it makes the within-side pairing the strictly larger sum.
+    """
+    reps = [cls[0] for cls in classes]
+    t = len(reps)
+    val = lambda a, b: nu.values[set_to_mask((a, b))]
+    splits = []
+    for bits in range(1, 1 << (t - 1)):  # sides as subsets not containing rep 0
+        side = [i for i in range(1, t) if (bits >> (i - 1)) & 1]
+        other = [i for i in range(t) if i not in side]
+        if len(side) < 2 or len(other) < 2:
+            continue
+        ok = True
+        for i, j in combinations(side, 2):
+            for k, l in combinations(other, 2):
+                a, b, c, d = reps[i], reps[j], reps[k], reps[l]
+                s_own = val(a, b) + val(c, d)
+                s_x1 = val(a, c) + val(b, d)
+                s_x2 = val(a, d) + val(b, c)
+                if not (s_x1 == s_x2 and s_own > s_x1):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            splits.append(frozenset(side))
+    return splits
 
 
 def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:

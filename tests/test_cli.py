@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import json
 import random
@@ -11,16 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressian import (
+    InputError,
     InvariantViolation,
     Matroid,
     Valuation,
     combinatorial_type,
     decode_tree,
+    modular_stable_matroid,
     set_to_mask,
     valuation_from_matroid,
 )
 from dressian.cli import _build_parser, run
-from helpers import N3, random_tree_metric_valuation
+from helpers import N3, N26, random_tree_metric_valuation, random_valuation
 
 
 @pytest.fixture()
@@ -73,11 +77,14 @@ def test_rank2_census(files, capsys):
 
 
 def test_rank2_census_scale_guard(files, capsys):
-    assert run(["rank2-census", "--n", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
-    assert "parallel classes" in captured.err
+    for n in ("10", "100"):  # U(2, 100) alone took 45 s to build and check
+        started = time.perf_counter()
+        assert run(["rank2-census", "--n", n]) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "parallel classes" in captured.err
 
 
 def test_check_and_equiv(files, capsys):
@@ -263,6 +270,12 @@ def test_cover_check(files, capsys, tmp_path):
                                  "--cover", str(pc)])
     doc = json.loads(out)
     assert code == 0 and doc["holds"] is True
+    # list coordinates: the cover writes them as lists, an equation by their str
+    coords = [[0, 1], [0, 2], [1, 2]]
+    ps.write_text(json.dumps({"coords": coords, "equations": [{"(0, 1)": "1", "(1, 2)": -1}]}))
+    pc.write_text(json.dumps({"ground": coords, "k": 1, "blocks": [coords[:1], coords[1:]]}))
+    code, out = capture(capsys, ["cover-check", "--subspace", str(ps), "--cover", str(pc)])
+    assert (code, json.loads(out)) == (0, {"holds": True, "lhs": 2, "rhs": "3"})
 
 
 def test_exit_codes(files, capsys):
@@ -349,9 +362,9 @@ def test_determinism_across_runs(files, capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
-    a = capture(capsys, ["subdivision", "--valuation", files["nu"], "--seed", "7"])
-    b = capture(capsys, ["subdivision", "--valuation", files["nu"], "--seed", "7"])
-    assert a == b
+    a = capture(capsys, ["subdivision", "--valuation", files["nu"]])
+    b = capture(capsys, ["subdivision", "--valuation", files["nu"]])
+    assert a == b and a[0] == 0
 
 
 def test_threads_option_and_env_are_gone(files, capsys, monkeypatch):
@@ -455,3 +468,221 @@ def test_oversized_exponent_in_cover_equation_exits_2(files, capsys, tmp_path, t
     ps.write_text(json.dumps({"coords": [0, 1], "equations": [{"0": "1e4", "1": "-1"}]}))
     code, out = capture(capsys, ["cover-check", "--subspace", str(ps), "--cover", str(pc)])
     assert code == 0 and json.loads(out)["holds"] is True
+
+
+def _typed_rejections(d):
+    """(label, argv) for inputs that once escaped as tracebacks or reached
+    exit 2 only because every ValueError did."""
+    def write(name, data):
+        path = d / name
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
+        return str(path)
+
+    M = Matroid.uniform(2, 4)
+    values = {"0,1": "0", "0,2": "0", "0,3": "0", "1,2": "0", "1,3": "0", "2,3": "0"}
+    nu = write("nu.json", {"matroid": M.to_json_obj(), "values": values})
+    huge = write("huge.json", {"matroid": M.to_json_obj(), "values": values | {"0,2": "1e5000"}})
+    rank1 = Matroid.uniform(1, 4)
+    r1 = write("r1.json", {"matroid": rank1.to_json_obj(),
+                           "values": {str(e): "0" for e in range(4)}})
+    cov = write("cov.json", {"ground": [0, 1], "k": 1, "blocks": [[0], [1]]})
+    sub = write("sub.json", {"coords": [0, 1], "equations": []})
+
+    def cover(name, subspace=None, cover_doc=None):
+        return ["cover-check", "--subspace", write(name, subspace) if subspace else sub,
+                "--cover", write(name, cover_doc) if cover_doc else cov]
+
+    return [
+        ("cover-no-equations", cover("s.json", {"coords": [0, 1]})),
+        ("cover-unknown-coordinate", cover("s.json", {"coords": [0, 1], "equations": [{"5": "1"}]})),
+        ("cover-list-document", cover("s.json", [0, 1])),
+        ("cover-repeated-coordinate", cover("s.json", {"coords": [0, "0"], "equations": []})),
+        ("cover-k-zero", cover("c.json", cover_doc={"ground": [0, 1], "k": 0, "blocks": []})),
+        ("cover-k-text", cover("c.json", cover_doc={"ground": [0, 1], "k": "1",
+                                                    "blocks": [[0], [1]]})),
+        ("lower-bound-r0", ["lower-bound", "--n", "3", "--r", "0"]),
+        ("lower-bound-n0", ["lower-bound", "--n", "0", "--r", "0"]),
+        ("lower-bound-negative", ["lower-bound", "--n", "-1", "--r", "0"]),
+        ("sp-census-negative", ["sp-census", "--n", "-1", "--r", "2"]),
+        ("deep-json", ["check", "--valuation", write("deep.json", "[" * 200000 + "]" * 200000)]),
+        ("non-utf8", ["check", "--valuation", write("bad.json", b'{"matroid": "\xff"}')]),
+        ("non-utf8-newick", ["tree-encode", "--tree", write("bad.nwk", b"(0:1,1:\xff,2:1);")]),
+        ("contract-not-integer", ["contract", "--valuation", nu, "--set", "a"]),
+        ("contract-negative", ["contract", "--valuation", nu, "--set=-1"]),
+        ("contract-huge-element", ["contract", "--valuation", nu, "--set", str(10**30)]),
+        ("contract-1e5000", ["contract", "--valuation", huge, "--set", "2"]),
+        ("smooth-1e5000", ["smooth", "--valuation", huge]),
+        ("bounds-n2000", ["bounds", "--n", "2000", "--r", "3"]),
+        ("spread-rank1", ["spread", "--valuation", r1]),
+    ]
+
+
+def test_bad_input_exits_2_through_a_typed_error(files, capsys):
+    for label, argv in _typed_rejections(files["dir"]):
+        assert run(argv) == 2, label
+        captured = capsys.readouterr()
+        assert captured.out == "", label
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err, label
+        args = _build_parser().parse_args(argv)
+        with pytest.raises(InputError):
+            args.fn(args)
+
+
+def test_internal_value_error_is_not_bad_input(files, capsys, monkeypatch):
+    def broken(nu, ctype=None):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr("dressian.cli.cell_dim", broken)
+    with pytest.raises(ValueError, match="an internal bug"):
+        run(["dim", "--valuation", files["nu"]])  # propagates: no exit 2
+
+
+def _subparsers():
+    action = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_options_exist_only_where_read():
+    for name, sp in _subparsers().items():
+        options = {flag: a for a in sp._actions for flag in a.option_strings}
+        assert ("--seed" in options) == (name == "sp-census"), name
+        assert ("csv" in options["--format"].choices) == (name in ("bounds", "lower-bound")), name
+    assert len(_subparsers()) == 17
+
+
+# ---------------------------------------------------------------------------
+# fuzzing every subcommand that reads a file
+
+FUZZ_COMMANDS = ["check", "type", "equiv", "dim", "contract", "residue", "from-matroid",
+                 "tree-decode", "subdivision", "spread", "smooth", "cover-check"]
+# JSON text put in place of a node: wrong types, bad rationals, deep nesting
+FUZZ_JUNK = ["null", "true", "-1", "0", "3", "2.5", '"x"', '"1/0"', '"1e100000"',
+             '"1e9999"', '"-3/4"', "[]", "{}", "[[0, 1]]", '{"n": 4}', "NaN", "1e400",
+             "1" * 5000, "[" * 980 + "]" * 980]
+# elements out of range or negative; n and r are left to FUZZ_JUNK so that
+# every document keeps C(n, r) <= 20
+FUZZ_ELEMENTS = [-1, 6, 9, 10**30]
+FUZZ_KEYS = ["0,9", "-1,2", "0,x", "", "0,1,2", "1,0", "1" * 5000]
+HOLE = "\x00hole"
+
+
+@functools.cache
+def fuzz_documents():
+    """Valid valuation, matroid and cover documents with C(n, r) <= 20."""
+    rnd = random.Random(11)
+    valuations = [
+        valuation_from_matroid(N3),
+        random_tree_metric_valuation(6, rnd),
+        valuation_from_matroid(modular_stable_matroid(6, 3, 0)),
+        random_valuation(N26, rnd),
+        Valuation(Matroid.uniform(1, 4), {1 << e: Fraction(e) for e in range(4)}),
+    ]
+    matroids = [N3, N26, Matroid.uniform(3, 6), modular_stable_matroid(6, 3, 1)]
+    coords = [[0, 1], [0, 2], [1, 2]]
+    covers = [
+        ({"coords": [0, 1, 2, 3], "equations": [{"0": "1", "1": "-1"}]},
+         {"ground": [0, 1, 2, 3], "k": 2, "blocks": [[0, 1], [2, 3], [0, 2], [1, 3]]}),
+        ({"coords": coords, "equations": [{"(0, 1)": "1/2", "(1, 2)": 3}]},
+         {"ground": coords, "k": 1, "blocks": [coords[:2], coords[2:]]}),
+    ]
+    return ([nu.to_json_obj() for nu in valuations],
+            [M.to_json_obj() for M in matroids], covers)
+
+
+def _nodes(doc, path=()):
+    yield path
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def fuzz_bytes(data, doc):
+    """The bytes of a JSON document after one drawn edit, or unedited."""
+    doc = json.loads(json.dumps(doc))
+    kind = data.draw(st.sampled_from(
+        ["none", "junk", "drop", "extra", "element", "key", "deep", "bytes", "truncate"]))
+    nodes = list(_nodes(doc))
+    dicts = [p for p in nodes if isinstance(_at(doc, p), dict) and _at(doc, p)]
+    ints = [p for p in nodes if p and p[-1] not in ("n", "r", "k")
+            and type(_at(doc, p)) is int]
+    junk = data.draw(st.sampled_from(FUZZ_JUNK))
+    if kind == "junk" or (kind == "element" and not ints):
+        path = data.draw(st.sampled_from(nodes))
+        if not path:
+            return junk.encode()
+        _at(doc, path[:-1])[path[-1]] = HOLE
+    elif kind in ("drop", "extra", "key"):
+        node = _at(doc, data.draw(st.sampled_from(dicts)))
+        key = data.draw(st.sampled_from(sorted(node)))
+        if kind == "drop":
+            del node[key]
+        elif kind == "extra":
+            node["extra"] = HOLE
+        else:
+            node[data.draw(st.sampled_from(FUZZ_KEYS))] = node.pop(key)
+    elif kind == "element":
+        path = data.draw(st.sampled_from(ints))
+        _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(FUZZ_ELEMENTS))
+    text = json.dumps(doc).replace(json.dumps(HOLE), junk)
+    if kind == "deep":
+        depth = data.draw(st.sampled_from([1, 980, 200000]))
+        text = "[" * depth + text + "]" * depth
+    raw = text.encode()
+    cut = data.draw(st.integers(0, len(raw)))
+    if kind == "bytes":
+        raw = raw[:cut] + data.draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80"])) + raw[cut:]
+    elif kind == "truncate":
+        raw = raw[:cut]
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_file_inputs_fuzz_exits_0_or_2(tmp_path_factory, data):
+    valuations, matroids, covers = fuzz_documents()
+    d = tmp_path_factory.getbasetemp()
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    first, second = d / "fuzz1.json", d / "fuzz2.json"
+    if command == "cover-check":
+        sub, cov = data.draw(st.sampled_from(covers))
+        fuzz_subspace = data.draw(st.booleans())
+        first.write_bytes(fuzz_bytes(data, sub) if fuzz_subspace else json.dumps(sub).encode())
+        second.write_bytes(json.dumps(cov).encode() if fuzz_subspace else fuzz_bytes(data, cov))
+        argv = ["cover-check", "--subspace", str(first), "--cover", str(second)]
+    elif command == "from-matroid":
+        first.write_bytes(fuzz_bytes(data, data.draw(st.sampled_from(matroids))))
+        argv = ["from-matroid", "--matroid", str(first)]
+    else:
+        doc = data.draw(st.sampled_from(valuations))
+        if data.draw(st.booleans()):  # the matroid as a file reference
+            second.write_text(json.dumps(doc["matroid"]))
+            doc = doc | {"matroid": str(second)}
+        first.write_bytes(fuzz_bytes(data, doc))
+        argv = [command, "--valuation", str(first)]
+        if command == "equiv":
+            other = d / "fuzz3.json"
+            other.write_text(json.dumps(data.draw(st.sampled_from(valuations))))
+            argv += ["--other", str(other)]
+        elif command == "contract":
+            argv.append("--set=" + data.draw(st.text("0123456789,-a ", max_size=6)))
+        elif command == "residue" and data.draw(st.booleans()):
+            argv.append("--shift=" + data.draw(st.one_of(
+                st.sampled_from(["0,1,0,0,0", "0,1/2,0,0,0,0", "1,1,1,1"]),
+                st.text("0123456789,/-.e ", max_size=14))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error:")

@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from dressian import (
     Matroid,
     MetricTree,
+    Valuation,
     ScaleLimitError,
     TreeInputError,
     cell_dim,
@@ -22,10 +25,13 @@ from helpers import (
     N2,
     N3,
     N26,
+    random_rational,
     random_shift_vector,
     random_tree_metric_valuation,
     rank2_nonuniform,
 )
+from dressian.trees import _class_splits
+from reference_trees import confirmed_class_splits
 from reference_trees import enumerate_rank2_cells as reference_rank2_cells
 
 
@@ -179,6 +185,61 @@ def test_decode_encode_roundtrip_random():
         T = decode_tree(nu)
         back = tree_to_valuation(T, nu.matroid)
         assert back == nu
+
+
+def random_class_tree_valuation(t, n, rnd):
+    """A rank-2 valuation on n elements in t >= 2 parallel classes: -d for a
+    random tree metric d on the classes, about a third of its internal
+    edges of length 0, plus a shift per element.  Built without the decoder."""
+    edges = [(0, 1)]
+    for leaf in range(2, t):
+        u, v = edges.pop(rnd.randrange(len(edges)))
+        mid = t + leaf
+        edges += [(u, mid), (mid, v), (leaf, mid)]
+    adj = {}
+    for u, v in edges:
+        internal = u >= t and v >= t
+        ell = Fraction(0) if internal and rnd.random() < 1 / 3 else (
+            random_rational(rnd, 1, 5) if internal else random_rational(rnd))
+        adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = ell
+
+    def dist(a, b):
+        seen = {a: Fraction(0)}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y, w in adj[x].items():
+                if y not in seen:
+                    seen[y] = seen[x] + w
+                    stack.append(y)
+        return seen[b]
+
+    cls = list(range(t)) + [rnd.randrange(t) for _ in range(n - t)]
+    rnd.shuffle(cls)
+    w = random_shift_vector(n, rnd)
+    vals = {set_to_mask((a, b)): -dist(cls[a], cls[b]) + w[a] + w[b]
+            for a, b in combinations(range(n), 2) if cls[a] != cls[b]}
+    return Valuation(Matroid(n, 2, frozenset(vals)), vals)
+
+
+def test_class_splits_match_quartet_oracle():
+    rnd = random.Random(83)
+    for _ in range(150):
+        t = rnd.randint(2, 9)
+        nu = random_class_tree_valuation(t, t + rnd.choice([0, 0, 1, 3]), rnd)
+        classes = parallel_classes(nu.matroid)
+        assert len(classes) == t
+        assert _class_splits(nu, classes) == confirmed_class_splits(nu, classes)
+
+
+def test_decode_is_polynomial_in_the_classes():
+    # the quartet test over all 2^23 bipartitions takes minutes
+    nu = random_tree_metric_valuation(24, random.Random(5))
+    started = time.perf_counter()
+    T = decode_tree(nu)
+    assert time.perf_counter() - started < 2
+    assert len(T.splits()) == 21  # a binary tree on 24 leaves
+    assert tree_to_valuation(T, nu.matroid) == nu
 
 
 def test_decode_matroid_valuation():
