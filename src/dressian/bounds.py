@@ -15,13 +15,14 @@ import mpmath
 
 from .linear import cell_dim
 from .matroid import (
-    InputError,
     InvariantViolation,
     Matroid,
     MatroidInputError,
+    ScaleLimitError,
     johnson_neighbors,
     modular_stable_matroid,
     r_subset_masks,
+    require_listable,
 )
 from .valuation import combinatorial_type, valuation_from_matroid
 
@@ -30,10 +31,6 @@ DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
 DESK_SCALE_RANK2_CLASSES = 9  # most parallel classes for the rank-2 cell census
 DESK_SCALE_BOUNDS_N = 1000  # largest n for bounds: 2^n n^n then has 3302 digits, str() allows 4300
-
-
-class ScaleLimitError(InputError):
-    """Requested computation exceeds the documented desk-scale limits."""
 
 
 _WORK_DPS = 40  # well beyond the 20 reported digits
@@ -176,6 +173,7 @@ def all_sparse_paving_matroids(r: int, n: int) -> list[Matroid]:
     """Every sparse paving matroid of rank r on n elements, by stable set."""
     if n < 0 or r < 0:
         raise ScaleLimitError(f"need n, r >= 0, got r={r}, n={n}")
+    require_listable(n, r)
     if comb(n, r) > DESK_SCALE_CENSUS:
         raise ScaleLimitError(
             f"C({n},{r}) = {comb(n, r)} exceeds the census limit {DESK_SCALE_CENSUS}"
@@ -199,6 +197,7 @@ def lower_bound_certificate(n: int, r: int):
     """Best modular sparse paving witness: (N, c(N), dim of its cell)."""
     if not 0 < r < n:
         raise ScaleLimitError(f"need 0 < r < n, got r={r}, n={n}")
+    require_listable(n, r)
     if comb(n, r) > DESK_SCALE_COORDS:
         raise ScaleLimitError(
             f"C({n},{r}) = {comb(n, r)} exceeds the elimination limit "

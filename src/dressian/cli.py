@@ -25,7 +25,14 @@ from .bounds import (
     sparse_paving_census,
 )
 from .linear import ExactCover, RationalSubspace, cell_dim, exact_cover_check
-from .matroid import InputError, InvariantViolation, Matroid, MatroidInputError, mask_to_set
+from .matroid import (
+    InputError,
+    InvariantViolation,
+    Matroid,
+    MatroidInputError,
+    mask_to_set,
+    require_listable,
+)
 from .rationals import format_rational, parse_rational
 from .subdivision import spread_report, subdivision_cells
 from .trees import MetricTree, TreeInputError, decode_tree, enumerate_rank2_cells, tree_to_valuation
@@ -102,6 +109,7 @@ def _emit(args, obj, csv_rows=None, text=None):
 def cmd_check(args):
     M, vals = parse_valuation_document(_load_json(args.valuation), _load_matroid)
     # the direct checker visits all C(n, r)^2 ordered pairs of r-subsets
+    require_listable(M.n, M.r)
     if comb(M.n, M.r) > DESK_SCALE_COORDS:
         raise ScaleLimitError(
             f"check needs C(n, r) <= {DESK_SCALE_COORDS}, "

@@ -231,16 +231,22 @@ def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:
     `ctype` is the combinatorial type of nu, when the caller has it already.
     L([nu]) is cut out of the basis coordinates by x(Sac) + x(Sbd) =
     x(Sad) + x(Sbc) over the symbols of [nu]; non-basis columns stay zero.
+    A location's three symbols are consecutive, (ab|cd), (ac|bd), (ad|bc);
+    where all three are in [nu], the (ad|bc) row is the (ac|bd) row minus
+    the (ab|cd) row, so it is checked but not handed to the elimination.
     """
     if ctype is None:
         ctype = combinatorial_type(nu)
     cross = symbol_table(nu.matroid.n, nu.matroid.r).cross
     v = nu.scaled
+    full = set(ctype.full_ids)
     rows = []
     for i in ctype.full_ids:
         sac, sbd, sad, sbc = cross[i]
         if v[sac] + v[sbd] != v[sad] + v[sbc]:
             raise InvariantViolation("valuation must lie in its own cell hull")
+        if i % 3 == 2 and i - 1 in full and i - 2 in full:
+            continue
         row = [0] * len(v)
         row[sac] = row[sbd] = 1
         row[sad] = row[sbc] = -1

@@ -11,6 +11,12 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import comb
+
+# Largest C(n, r) whose r-subsets a symbol table or U(r, n) may list: rank 2
+# reaches 32 elements and rank 3 reaches 15, and the largest symbol table,
+# (32, 2), has 35960 locations.
+DESK_SCALE_SUBSETS = 500
 
 
 class InputError(ValueError):
@@ -27,6 +33,32 @@ class MatroidInputError(InputError):
 
 class NotAMatroidError(InputError):
     """A candidate basis family violates the exchange axiom."""
+
+
+class ScaleLimitError(InputError):
+    """Requested computation exceeds the documented desk-scale limits."""
+
+
+def subsets_up_to(n: int, r: int, cap: int) -> int | None:
+    """C(n, r) for 0 <= r <= n if it is at most cap, else None.
+
+    The product C(n, i + 1) = C(n, i) (n - i) / (i + 1) stops as soon as it
+    passes cap, so a C(n, r) with thousands of digits costs neither the
+    seconds `math.comb` takes nor a `str` past Python's digit limit.
+    """
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count > cap:
+            return None
+    return count if count <= cap else None
+
+
+def require_listable(n: int, r: int) -> None:
+    """Raise ScaleLimitError when C(n, r) exceeds DESK_SCALE_SUBSETS."""
+    if 0 <= r <= n and subsets_up_to(n, r, DESK_SCALE_SUBSETS) is None:
+        raise ScaleLimitError(
+            f"C({n}, {r}) exceeds {DESK_SCALE_SUBSETS}, the limit on the r-subsets listed")
 
 
 def _is_int(x) -> bool:
@@ -56,7 +88,47 @@ def r_subset_masks(n: int, r: int) -> list[int]:
     return sorted(set_to_mask(c) for c in combinations(range(n), r))
 
 
+def _nonbases_stable(n: int, r: int, bases: frozenset[int]) -> bool:
+    """Every r-subset outside `bases` has all r(n - r) of its Johnson
+    neighbours in `bases`: the non-bases are a stable set of J(r, n)."""
+    full = (1 << n) - 1
+    for m in r_subset_masks(n, r):
+        if m in bases:
+            continue
+        d = m
+        while d:
+            ebit = d & -d
+            d ^= ebit
+            rest = m ^ ebit
+            out = full ^ m
+            while out:
+                fbit = out & -out
+                out ^= fbit
+                if rest | fbit not in bases:
+                    return False
+    return True
+
+
 def _check_exchange(n: int, r: int, bases: frozenset[int]) -> bool:
+    """Exchange axiom (B): a sparse paving certificate, else all pairs.
+
+    A family whose non-bases are stable in J(r, n) is the basis family of a
+    sparse paving matroid (Piff-Welsh), so the check returns True on that
+    certificate.  Counting the edges between non-bases and bases shows that
+    a stable complement has at most |B| / max(r, n - r) members (a basis is
+    adjacent to at most min(r, n - r) pairwise non-adjacent r-sets), so the
+    r-subsets are listed only when (C(n, r) - |B|) max(r, n - r) <= |B|,
+    which needs C(n, r) <= 2|B|.  Any other family goes to the pair loop,
+    `_exchange_pairs`.
+    """
+    total = subsets_up_to(n, r, 2 * len(bases))
+    if (total is not None and (total - len(bases)) * max(r, n - r) <= len(bases)
+            and _nonbases_stable(n, r, bases)):
+        return True
+    return _exchange_pairs(bases)
+
+
+def _exchange_pairs(bases: frozenset[int]) -> bool:
     """Exchange axiom (B), quantified directly over all pairs.
 
     The elements e of B1 - B2 and f of B2 - B1 are taken lowest bit first
@@ -140,8 +212,6 @@ class Matroid:
         return self.rank_of(xm) == xm.bit_count()
 
     def is_uniform(self) -> bool:
-        from math import comb
-
         return len(self.bases) == comb(self.n, self.r)
 
     # -- constructions ----------------------------------------------------
@@ -182,13 +252,7 @@ class Matroid:
 
     def is_sparse_paving(self) -> bool:
         """Non-bases form a stable set of the Johnson graph J(r, n)."""
-        nb = self.nonbases()
-        nbset = set(nb)
-        for m in nb:
-            for other in johnson_neighbors(self.n, m):
-                if other in nbset:
-                    return False
-        return True
+        return _nonbases_stable(self.n, self.r, self.bases)
 
     def johnson_components(self) -> "JohnsonComponentReport":
         """Connected components of the subgraph of J(r,n) induced on non-bases."""
@@ -249,7 +313,9 @@ class Matroid:
     @staticmethod
     @lru_cache(maxsize=8)
     def uniform(r: int, n: int) -> "Matroid":
-        """U(r, n), built (and its exchange axiom checked) once per (r, n)."""
+        """U(r, n), built (and its exchange axiom checked) once per (r, n);
+        ScaleLimitError when C(n, r) exceeds DESK_SCALE_SUBSETS."""
+        require_listable(n, r)
         return Matroid(n, r, frozenset(r_subset_masks(n, r)))
 
     def __repr__(self):

@@ -33,6 +33,7 @@ from .matroid import (
     Matroid,
     mask_to_set,
     r_subset_masks,
+    require_listable,
     set_to_mask,
 )
 from .rationals import INF, ext_sum, format_rational, parse_rational
@@ -109,7 +110,9 @@ class SymbolTable(NamedTuple):
 
 @lru_cache(maxsize=8)
 def symbol_table(n: int, r: int) -> SymbolTable:
-    """The (n, r) tables, built once per (n, r)."""
+    """The (n, r) tables, built once per (n, r); ScaleLimitError when
+    C(n, r) exceeds DESK_SCALE_SUBSETS."""
+    require_listable(n, r)
     subsets = tuple(r_subset_masks(n, r))
     position = {m: i for i, m in enumerate(subsets)}
     locs, symbols, cross = [], [], []
@@ -452,9 +455,12 @@ def contract_valuation(nu: Valuation, S) -> tuple[Valuation, list[int]]:
 
 
 def valuation_from_matroid(N: Matroid) -> Valuation:
-    """nu_N(X) = r - rank_N(X) on the uniform ambient U(r, n)."""
+    """nu_N(X) = r - rank_N(X) on the uniform ambient U(r, n); the rank is
+    computed on the non-bases of N only, since it is r on the bases."""
     ambient = Matroid.uniform(N.r, N.n)
-    vals = {m: Fraction(N.r - N.rank_of(m)) for m in ambient.bases}
+    zero = Fraction(0)
+    vals = {m: zero if m in N.bases else Fraction(N.r - N.rank_of(m))
+            for m in ambient.bases}
     return Valuation(ambient, vals)
 
 

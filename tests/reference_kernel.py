@@ -9,13 +9,24 @@ Types are returned as (Z1 part, Z part) frozensets of `Symbol`.
 `check_valuation_bruteforce` is the Fraction form of the direct checker,
 and `check_exchange` the exchange-axiom loop that shifts through every bit
 position, both as they were before they moved to the integer view and to
-lowest-bit iteration.
+lowest-bit iteration.  `is_sparse_paving` is the pairwise neighbour test
+`Matroid.is_sparse_paving` ran before it shared the exchange check's
+stable-set certificate.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from dressian import INF, Symbol, ext_sum, is_finite, mask_to_set, r_subset_masks, set_to_mask
+from dressian import (
+    INF,
+    Symbol,
+    ext_sum,
+    is_finite,
+    johnson_neighbors,
+    mask_to_set,
+    r_subset_masks,
+    set_to_mask,
+)
 
 
 def locations(n, r):
@@ -162,4 +173,15 @@ def check_exchange(n, r, bases):
                         return False
                 d >>= 1
                 e += 1
+    return True
+
+
+def is_sparse_paving(n, r, bases):
+    """No two non-bases are adjacent in the Johnson graph J(r, n)."""
+    nb = [m for m in r_subset_masks(n, r) if m not in bases]
+    nbset = set(nb)
+    for m in nb:
+        for other in johnson_neighbors(n, m):
+            if other in nbset:
+                return False
     return True

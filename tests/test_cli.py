@@ -87,6 +87,53 @@ def test_rank2_census_scale_guard(files, capsys):
         assert "parallel classes" in captured.err
 
 
+def assert_refused_within_a_second(capsys, argv):
+    started = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "the limit on the r-subsets listed" in captured.err
+
+
+def test_subset_scale_guard(files, capsys):
+    """A matroid with one basis on many elements is refused before its
+    C(n, r) r-subsets are listed."""
+    for n in (300, 10**6):
+        matroid = {"n": n, "r": 2, "bases": [[0, 1]]}
+        p_mat = files["dir"] / f"one_basis_{n}.json"
+        p_mat.write_text(json.dumps(matroid))
+        p_nu = files["dir"] / f"nu_one_basis_{n}.json"
+        p_nu.write_text(json.dumps({"matroid": matroid, "values": {"0,1": "0"}}))
+        assert_refused_within_a_second(capsys, ["type", "--valuation", str(p_nu)])
+        assert_refused_within_a_second(capsys, ["from-matroid", "--matroid", str(p_mat)])
+
+
+def test_huge_binomials_are_refused_without_computing_them(files, capsys):
+    """C(10**6, 5 * 10**5) takes seconds to compute, and C(20000, 10000)
+    has more digits than str() may print."""
+    for n, r in [(10**6, 5 * 10**5), (20000, 10000)]:
+        for sub in ("lower-bound", "sp-census"):
+            assert_refused_within_a_second(capsys, [sub, "--n", str(n), "--r", str(r)])
+    basis = list(range(10000))
+    path = files["dir"] / "nu_one_basis_20000.json"
+    path.write_text(json.dumps({"matroid": {"n": 20000, "r": 10000, "bases": [basis]},
+                                "values": {",".join(map(str, basis)): "0"}}))
+    assert_refused_within_a_second(capsys, ["check", "--valuation", str(path)])
+
+
+def test_tree_encode_scale_guard(files, capsys):
+    """C(33, 2) = 528 and C(1000, 2) are above the limit of 500."""
+    for leaves in (33, 1000):
+        text = "0:1"
+        for leaf in range(1, leaves):
+            text = f"({text},{leaf}:1):1"
+        path = files["dir"] / f"caterpillar_{leaves}.nwk"
+        path.write_text(text + ";")
+        assert_refused_within_a_second(capsys, ["tree-encode", "--tree", str(path)])
+
+
 def test_check_and_equiv(files, capsys):
     code, out = capture(capsys, ["check", "--valuation", files["nu"]])
     assert code == 0 and json.loads(out)["valid"] is True

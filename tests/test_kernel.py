@@ -8,11 +8,16 @@ solver are compared with a Fraction rank and with substitution.
 """
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+import dressian.linear as linear_module
+import dressian.matroid as matroid_module
 import reference_kernel as ref
 from dressian import (
     INF,
@@ -27,13 +32,15 @@ from dressian import (
     equivalent,
     integer_matrix_rank,
     is_matroid,
+    lower_bound_certificate,
     r_subset_masks,
     set_to_mask,
     shift,
     solve_linear_system,
     valuation_from_matroid,
 )
-from dressian.matroid import _check_exchange
+from dressian.bounds import all_stable_sets
+from dressian.matroid import _check_exchange, _nonbases_stable
 from dressian.valuation import symbol_table
 from helpers import (
     CORPUS,
@@ -125,6 +132,20 @@ def test_all_sparse_paving_of_rank_3_on_6_agree_with_reference():
         dims.append(cell_dim(nu, t))
         assert dims[-1] == ref.cell_dim(nu)
     assert max(dims) == 10
+
+
+def test_cell_dim_hands_two_rows_per_fully_tied_location_to_the_rank(monkeypatch):
+    rows = []
+    rank = linear_module.integer_matrix_rank
+
+    def counted(matrix):
+        rows.append(len(matrix))
+        return rank(matrix)
+
+    monkeypatch.setattr(linear_module, "integer_matrix_rank", counted)
+    dims = [cell_dim(valuation_from_matroid(N)) for N in all_sparse_paving_matroids(3, 6)]
+    # one row per symbol of [nu] would be 13050 rows
+    assert (sum(rows), sum(dims)) == (10590, 2326)
 
 
 def test_shifts_with_denominators_and_negative_values_agree():
@@ -246,6 +267,158 @@ def test_exchange_check_matches_reference_on_random_families():
             family = M.bases - {b}
             assert _check_exchange(n, r, family) is ref.check_exchange(n, r, family)
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 10
+
+
+# ---------------------------------------------------------------------------
+# The stable-set certificate in front of the exchange pair loop
+
+
+@pytest.fixture()
+def pair_loop_calls(monkeypatch):
+    """The families `_check_exchange` hands to the pair loop."""
+    calls = []
+    loop = matroid_module._exchange_pairs
+
+    def counted(bases):
+        calls.append(bases)
+        return loop(bases)
+
+    monkeypatch.setattr(matroid_module, "_exchange_pairs", counted)
+    return calls
+
+
+def within_size_gate(n, r, family):
+    """A stable complement has at most |B| / max(r, n - r) members."""
+    return (comb(n, r) - len(family)) * max(r, n - r) <= len(family)
+
+
+@pytest.mark.parametrize("r, n, count", [(2, 6, 76), (3, 6, 271), (3, 7, 5596), (4, 7, 5596)])
+def test_stable_complements_are_decided_by_the_certificate(r, n, count, pair_loop_calls):
+    full = frozenset(r_subset_masks(n, r))
+    stable_sets = all_stable_sets(r, n)
+    assert len(stable_sets) == count
+    for stable in stable_sets:
+        family = full - set(stable)
+        assert _check_exchange(n, r, family) is ref.check_exchange(n, r, family) is True
+    assert pair_loop_calls == []
+
+
+def test_near_uniform_families_match_reference(pair_loop_calls):
+    """Every family missing one to three r-subsets, adjacent or not."""
+    outcomes = Counter()
+    for r, n in [(2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)]:
+        subsets = r_subset_masks(n, r)
+        full = frozenset(subsets)
+        for k in (1, 2, 3):
+            for removed in combinations(subsets, k):
+                family = full - set(removed)
+                verdict = ref.check_exchange(n, r, family)
+                before = len(pair_loop_calls)
+                assert _check_exchange(n, r, family) is verdict
+                adjacent = not ref.is_sparse_paving(n, r, family)
+                gated = within_size_gate(n, r, family)
+                assert (len(pair_loop_calls) > before) is (adjacent or not gated)
+                outcomes[adjacent, gated, verdict] += 1
+    # a stable complement always passes the gate and is a matroid; adjacent
+    # non-bases may make a matroid or not, also where the certificate was
+    # tried and failed (the parallel class {0, 1, 2} in rank 2 on 6 elements)
+    assert set(outcomes) == {(False, True, True),
+                             (True, True, False), (True, True, True),
+                             (True, False, False), (True, False, True)}
+    # adjacent non-bases containing {0, 1}: a parallel pair of U(3, 6)
+    family = frozenset(m for m in r_subset_masks(6, 3) if m & 0b11 != 0b11)
+    before = len(pair_loop_calls)
+    assert _check_exchange(6, 3, family) is ref.check_exchange(6, 3, family) is True
+    assert len(pair_loop_calls) == before + 1
+
+
+def test_size_gate_sends_large_complements_straight_to_the_pair_loop(monkeypatch,
+                                                                      pair_loop_calls):
+    def refuse(n, r, bases):
+        raise AssertionError("certificate tried outside the size gate")
+
+    uniform = lambda r, n: frozenset(r_subset_masks(n, r))
+    masks = lambda *sets: {set_to_mask(s) for s in sets}
+    # the tightest families the gate admits, (C(n, r) - |B|) max(r, n - r) = |B|
+    for r, n, removed in [(2, 4, masks((0, 1), (2, 3))),
+                          (2, 6, masks((0, 1), (2, 3), (4, 5)))]:
+        family = uniform(r, n) - removed
+        assert (comb(n, r) - len(family)) * max(r, n - r) == len(family)
+        assert _check_exchange(n, r, family) is True
+    assert pair_loop_calls == []
+    monkeypatch.setattr(matroid_module, "_nonbases_stable", refuse)
+    cases = [
+        # one non-basis more than the gate admits at (2, 5): 3 * 3 > 7
+        (2, 5, uniform(2, 5) - masks((0, 1), (0, 2), (1, 2)), True),
+        (2, 5, uniform(2, 5) - masks((0, 1), (0, 2), (3, 4)), False),
+        (2, 4, uniform(2, 4) - masks((0, 1), (0, 2), (1, 2)), True),
+        (2, 6, uniform(2, 6) - masks((0, 1), (2, 3), (4, 5), (0, 2)), False),
+        # a loop: the ten 3-subsets avoiding 0
+        (3, 6, frozenset(m for m in r_subset_masks(6, 3) if not m & 1), True),
+    ]
+    rnd = random.Random(47)
+    subsets = r_subset_masks(6, 3)
+    for _ in range(60):
+        family = frozenset(rnd.sample(subsets, rnd.randint(1, 14)))
+        cases.append((3, 6, family, ref.check_exchange(6, 3, family)))
+    for r, n, family, verdict in cases:
+        assert not within_size_gate(n, r, family)
+        before = len(pair_loop_calls)
+        assert _check_exchange(n, r, family) is ref.check_exchange(n, r, family) is verdict
+        assert len(pair_loop_calls) == before + 1
+    assert {verdict for *_, verdict in cases} == {True, False}
+
+
+def test_census_and_certificate_builds_skip_the_pair_loop(monkeypatch, pair_loop_calls):
+    builds = []
+    check = matroid_module._check_exchange
+
+    def counted(n, r, bases):
+        builds.append((n, r))
+        return check(n, r, bases)
+
+    monkeypatch.setattr(matroid_module, "_check_exchange", counted)
+    assert len(all_sparse_paving_matroids(3, 6)) == 271
+    assert builds == [(6, 3)] * 271
+    builds.clear()
+    Matroid.uniform.cache_clear()
+    N, c, dim = lower_bound_certificate(8, 4)
+    assert (c, dim) == (10, 18)
+    assert builds == [(8, 4)] * 9  # the eight modular matroids and U(4, 8)
+    assert pair_loop_calls == []
+
+
+def test_two_basis_family_on_a_million_elements_lists_no_subsets(monkeypatch):
+    def refuse(n, r):
+        raise AssertionError("listed the r-subsets")
+
+    monkeypatch.setattr(matroid_module, "r_subset_masks", refuse)
+    n = 10**6
+    started = time.perf_counter()
+    for family, verdict in [({0b11, 0b101}, True), ({0b11, 0b1100}, False)]:
+        family = frozenset(family)
+        assert _check_exchange(n, 2, family) is ref.check_exchange(n, 2, family) is verdict
+        assert is_matroid(n, 2, family) is verdict
+    assert Matroid(n, 2, frozenset({0b11, 0b101})).r == 2
+    assert time.perf_counter() - started < 1
+
+
+def test_is_sparse_paving_matches_the_neighbour_test():
+    for M in all_sparse_paving_matroids(3, 6):
+        assert M.is_sparse_paving() is ref.is_sparse_paving(6, 3, M.bases) is True
+    rnd = random.Random(53)
+    seen = Counter()
+    for n, r in [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (7, 3)]:
+        subsets = r_subset_masks(n, r)
+        for _ in range(40):
+            # mostly small complements, so that both answers occur
+            family = frozenset(subsets) - set(rnd.sample(subsets, rnd.randint(0, 4)))
+            verdict = ref.is_sparse_paving(n, r, family)
+            assert _nonbases_stable(n, r, family) is verdict
+            if ref.check_exchange(n, r, family):
+                assert Matroid(n, r, family).is_sparse_paving() is verdict
+                seen[verdict] += 1
+    assert seen[True] >= 20 and seen[False] >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from dressian import (
     Matroid,
     MatroidInputError,
     NotAMatroidError,
+    ScaleLimitError,
     is_matroid,
     johnson_neighbors,
     mask_to_set,
@@ -17,6 +19,8 @@ from dressian import (
     r_subset_masks,
     set_to_mask,
 )
+from dressian.matroid import DESK_SCALE_SUBSETS, subsets_up_to
+from dressian.valuation import symbol_table
 from helpers import CORPUS, random_sparse_paving
 
 
@@ -141,6 +145,24 @@ def test_sparse_paving_neighbors_are_bases():
         for nb in M.nonbases():
             for m in johnson_neighbors(M.n, nb):
                 assert m in M.bases
+
+
+def test_uniform_refuses_more_subsets_than_the_limit():
+    assert comb(500, 1) == DESK_SCALE_SUBSETS
+    assert len(Matroid.uniform(1, 500).bases) == 500
+    for r, n in [(1, 501), (2, 33), (3, 16), (2, 10**6), (5 * 10**5, 10**6)]:
+        with pytest.raises(ScaleLimitError):
+            Matroid.uniform(r, n)
+        with pytest.raises(ScaleLimitError):
+            symbol_table(n, r)
+
+
+def test_subsets_up_to_stops_past_the_cap():
+    for n in range(12):
+        for r in range(n + 1):
+            for cap in (0, 1, 5, 20, 462, 500):
+                expected = comb(n, r) if comb(n, r) <= cap else None
+                assert subsets_up_to(n, r, cap) == expected
 
 
 def test_json_roundtrip():
