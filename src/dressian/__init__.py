@@ -57,6 +57,7 @@ from .trees import (
     decode_tree,
     enumerate_rank2_cells,
     parallel_classes,
+    rank2_cell_dims,
     tree_to_valuation,
 )
 from .valuation import (

@@ -29,7 +29,9 @@ from .valuation import combinatorial_type, valuation_from_matroid
 LOG_DIGITS = 20
 DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
-DESK_SCALE_RANK2_CLASSES = 9  # most parallel classes for the rank-2 cell census
+# most parallel classes in the rank-2 census: bounds the cell listing (660032
+# cells, about 475 MB, at 9) and rank2-census's check before it builds U(2, n)
+DESK_SCALE_RANK2_CLASSES = 9
 DESK_SCALE_BOUNDS_N = 1000  # largest n for bounds: 2^n n^n then has 3302 digits, str() allows 4300
 
 

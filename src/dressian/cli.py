@@ -35,7 +35,7 @@ from .matroid import (
 )
 from .rationals import format_rational, parse_rational
 from .subdivision import spread_report, subdivision_cells
-from .trees import MetricTree, TreeInputError, decode_tree, enumerate_rank2_cells, tree_to_valuation
+from .trees import MetricTree, TreeInputError, decode_tree, rank2_cell_dims, tree_to_valuation
 from .valuation import (
     Valuation,
     check_valuation,
@@ -194,13 +194,10 @@ def cmd_rank2_census(args):
     if args.n > DESK_SCALE_RANK2_CLASSES:  # U(2, n) has n classes: refuse before building it
         raise ScaleLimitError(f"rank2-census needs at most {DESK_SCALE_RANK2_CLASSES} "
                               f"parallel classes, got n = {args.n}")
-    cells = enumerate_rank2_cells(Matroid.uniform(2, args.n))
-    dims = {}
-    for _topo, d in cells:
-        dims[d] = dims.get(d, 0) + 1
-    obj = {"n": args.n, "cells": len(cells),
-           "dims": {str(k): dims[k] for k in sorted(dims)}}
-    _emit(args, obj, text=f"cells: {len(cells)}")
+    dims = rank2_cell_dims(Matroid.uniform(2, args.n))
+    cells = sum(dims.values())
+    obj = {"n": args.n, "cells": cells, "dims": {str(k): v for k, v in dims.items()}}
+    _emit(args, obj, text=f"cells: {cells}")
 
 
 def cmd_subdivision(args):
@@ -229,8 +226,10 @@ def cmd_bounds(args):
 
 
 def cmd_lower_bound(args):
+    if not 2 <= args.r < args.n:  # the rank-t contraction bound needs t >= 2
+        raise ScaleLimitError(f"lower-bound needs 2 <= r < n, got r={args.r}, n={args.n}")
     N, c, dim = lower_bound_certificate(args.n, args.r)
-    rep = bounds_report(args.n, args.r, min(3, args.r) if args.r >= 2 else 2)
+    rep = bounds_report(args.n, args.r, min(3, args.r))
     obj = {
         "n": args.n,
         "r": args.r,

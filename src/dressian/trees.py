@@ -1,4 +1,8 @@
-"""Metric trees for rank-2 valuations: decode, encode, topology census.
+"""Metric trees for rank-2 valuations: decode, encode, and the cell census.
+
+The cells of a rank-2 Dressian are tree topologies; ``enumerate_rank2_cells``
+lists them and ``rank2_cell_dims`` counts them per dimension without
+building any.
 
 Sign convention: the negation of a rank-2 valuation is a classical tree
 metric (four-point condition, maximum attained twice), so split extraction
@@ -383,26 +387,15 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
 # Cell enumeration
 
 
-def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
-    """All cells of the rank-2 Dressian of M as (topology, dimension).
+def _rank2_candidates(M: Matroid):
+    """Parallel classes, candidate split sides and their compatibility masks.
 
-    Cells correspond to pairwise-compatible systems of nontrivial splits
-    that neither separate a parallel pair nor cut off a single parallel
-    class (the latter edge length is absorbed by leaf edges and does not
-    change the combinatorial type).  Each cell has dimension n + #splits.
-
-    A split is named by its side avoiding class 0, held as a bitmask over
-    the class indices; two such sides are compatible iff they are disjoint
-    or nested.  For each candidate the compatible later candidates are one
-    precomputed int, so the depth-first search extends a system by the bits
-    of ``allowed & compat[i]`` in ascending order and never compares splits
-    again.  Each candidate is lifted to its element split once, and every
-    cell shares those objects.  Cells come out in preorder: a system before
-    its extensions, extensions by candidates in ascending order of their
-    sorted class indices.  The count grows like A000311 in the number of
-    classes (39208 cells for 8, 660032 for 9, about 12.8 million for 10),
-    so more than ``DESK_SCALE_RANK2_CLASSES`` classes raise
-    ``ScaleLimitError``.
+    A split is named by its side avoiding class 0, a tuple of class indices
+    with 2 <= |side| <= t - 2; sides are sorted.  Two sides are compatible
+    iff they are disjoint or nested, and ``compat[i]`` holds, as one int, the
+    bits of the later candidates compatible with candidate i.  The number of
+    split systems grows like A000311 in the number t of classes, so more
+    than ``DESK_SCALE_RANK2_CLASSES`` classes raise ``ScaleLimitError``.
     """
     classes = parallel_classes(M)
     t = len(classes)
@@ -418,11 +411,6 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
             sides.append(side)
     sides.sort()
     masks = [sum(1 << i for i in side) for side in sides]
-    ground = frozenset(range(M.n))
-    splits = []
-    for side in sides:
-        elems = frozenset(e for i in side for e in classes[i])
-        splits.append(frozenset((elems, ground - elems)))
     compat = []
     for i, a in enumerate(masks):
         later = 0
@@ -431,6 +419,32 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
             if common == 0 or common == a or common == masks[j]:
                 later |= 1 << j
         compat.append(later)
+    return classes, sides, compat
+
+
+def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
+    """All cells of the rank-2 Dressian of M as (topology, dimension).
+
+    Cells correspond to pairwise-compatible systems of nontrivial splits
+    that neither separate a parallel pair nor cut off a single parallel
+    class (the latter edge length is absorbed by leaf edges and does not
+    change the combinatorial type).  Each cell has dimension n + #splits.
+
+    The depth-first search over ``_rank2_candidates`` extends a system by
+    the bits of ``allowed & compat[i]`` in ascending order and never compares
+    splits again.  Each candidate is lifted to its element split once, and
+    every cell shares those objects.  Cells come out in preorder: a system
+    before its extensions, extensions by candidates in ascending order of
+    their sorted class indices.  Listing costs memory per cell (39208 cells
+    for 8 classes, 660032 for 9); ``rank2_cell_dims`` counts them without
+    building any.
+    """
+    classes, sides, compat = _rank2_candidates(M)
+    ground = frozenset(range(M.n))
+    splits = []
+    for side in sides:
+        elems = frozenset(e for i in side for e in classes[i])
+        splits.append(frozenset((elems, ground - elems)))
 
     out = []
 
@@ -446,3 +460,34 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
 
     extend((1 << len(splits)) - 1, [])
     return out
+
+
+def rank2_cell_dims(M: Matroid) -> dict[int, int]:
+    """Number of cells of the rank-2 Dressian of M per dimension, ascending.
+
+    The same cells as ``enumerate_rank2_cells``, counted without listing
+    them.  ``counts(allowed)[k]`` is the number of k-split systems drawn
+    from the candidates in ``allowed``: the empty system, plus for each
+    candidate i in ``allowed`` the systems whose lowest split is i, which
+    are i together with a system from ``allowed & compat[i]``.  It is
+    memoized on ``allowed`` (1598 masks for 8 classes, 9457 for 9).
+    """
+    _classes, sides, compat = _rank2_candidates(M)
+    memo = {}
+
+    def counts(allowed):
+        if allowed in memo:
+            return memo[allowed]
+        c = [1]
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = counts(allowed & compat[low.bit_length() - 1])
+            c.extend([0] * (len(sub) + 1 - len(c)))
+            for k, x in enumerate(sub, 1):
+                c[k] += x
+        memo[allowed] = c
+        return c
+
+    return {M.n + k: x for k, x in enumerate(counts((1 << len(sides)) - 1))}

@@ -74,6 +74,15 @@ def test_rank2_census(files, capsys):
     }
     code, out = capture(capsys, ["rank2-census", "--n", "8", "--format", "text"])
     assert (code, out) == (0, "cells: 39208\n")
+    started = time.perf_counter()  # counted, not listed: 660032 cells
+    code, out = capture(capsys, ["rank2-census", "--n", "9"])
+    assert time.perf_counter() - started < 2
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 9, "cells": 660032,
+        "dims": {"9": 1, "10": 246, "11": 6825, "12": 56980, "13": 190575,
+                 "14": 270270, "15": 135135},
+    }
 
 
 def test_rank2_census_scale_guard(files, capsys):
@@ -551,6 +560,7 @@ def _typed_rejections(d):
         ("cover-k-text", cover("c.json", cover_doc={"ground": [0, 1], "k": "1",
                                                     "blocks": [[0], [1]]})),
         ("lower-bound-r0", ["lower-bound", "--n", "3", "--r", "0"]),
+        ("lower-bound-r1", ["lower-bound", "--n", "4", "--r", "1"]),
         ("lower-bound-n0", ["lower-bound", "--n", "0", "--r", "0"]),
         ("lower-bound-negative", ["lower-bound", "--n", "-1", "--r", "0"]),
         ("sp-census-negative", ["sp-census", "--n", "-1", "--r", "2"]),
@@ -576,6 +586,16 @@ def test_bad_input_exits_2_through_a_typed_error(files, capsys):
         args = _build_parser().parse_args(argv)
         with pytest.raises(InputError):
             args.fn(args)
+
+
+def test_lower_bound_refuses_rank_below_two(files, capsys):
+    # refused before the certificate, with the valid range in the message
+    started = time.perf_counter()
+    assert run(["lower-bound", "--n", "4", "--r", "1"]) == 2
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lower-bound needs 2 <= r < n, got r=1, n=4\n"
 
 
 def test_internal_value_error_is_not_bad_input(files, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from dressian import (
     enumerate_rank2_cells,
     equivalent,
     parallel_classes,
+    rank2_cell_dims,
     set_to_mask,
     shift,
     tree_to_valuation,
@@ -109,9 +110,17 @@ def test_rank2_census_matches_oracle():
         assert ours == oracle
 
 
+def dim_tally(cells):
+    dims = {}
+    for _topo, d in cells:
+        dims[d] = dims.get(d, 0) + 1
+    return dims
+
+
 def test_enumerator_matches_reference_dfs():
-    # same cells, same order, equal split frozensets as the frozenset DFS
-    matroids = [Matroid.uniform(2, n) for n in range(4, 8)] + [N2, N3, N26]
+    # same cells, same order, equal split frozensets as the frozenset DFS;
+    # the counter agrees with the listing's dimension tally
+    matroids = [Matroid.uniform(2, n) for n in range(2, 8)] + [N2, N3, N26]
     rnd = random.Random(113)
     for _ in range(6):
         n = rnd.randint(5, 8)
@@ -124,25 +133,52 @@ def test_enumerator_matches_reference_dfs():
                 used |= {a, b}
         matroids.append(rank2_nonuniform(n, nonbases))
     for M in matroids:
-        assert enumerate_rank2_cells(M) == reference_rank2_cells(M)
+        cells = enumerate_rank2_cells(M)
+        assert cells == reference_rank2_cells(M)
+        assert rank2_cell_dims(M) == dim_tally(cells)
 
 
 def test_rank2_census_counts_and_dims():
     # A000311: phylogenetic trees on n labelled leaves
     for n, expected in [(4, 4), (5, 26), (6, 236), (7, 2752), (8, 39208)]:
-        cells = enumerate_rank2_cells(Matroid.uniform(2, n))
+        M = Matroid.uniform(2, n)
+        cells = enumerate_rank2_cells(M)
         assert len(cells) == expected
-    dims = {}
-    for _topo, d in cells:
-        dims[d] = dims.get(d, 0) + 1
-    assert dims == {8: 1, 9: 119, 10: 1918, 11: 9450, 12: 17325, 13: 10395}
+        assert rank2_cell_dims(M) == dim_tally(cells)
+    assert dim_tally(cells) == {8: 1, 9: 119, 10: 1918, 11: 9450, 12: 17325, 13: 10395}
+
+
+def phylogenetic_trees_by_dim(n):
+    """{n + k: trees on n labelled leaves with k internal edges}, n >= 3.
+
+    Leaf insertion: leaf n goes onto one of the n + k - 2 edges of a tree
+    with k - 1 internal edges (making a new one), or onto one of the k + 1
+    internal vertices of a tree with k internal edges.
+    """
+    T = {(3, 0): 1}
+    for m in range(4, n + 1):
+        for k in range(m - 2):
+            T[m, k] = (m + k - 2) * T.get((m - 1, k - 1), 0) + (k + 1) * T.get((m - 1, k), 0)
+    return {n + k: T[n, k] for k in range(n - 2)}
+
+
+def test_rank2_cell_dims_match_leaf_insertion_recurrence():
+    for n in range(3, 10):
+        dims = rank2_cell_dims(Matroid.uniform(2, n))
+        assert dims == phylogenetic_trees_by_dim(n)
+        assert list(dims) == sorted(dims)
+    assert dims == {9: 1, 10: 246, 11: 6825, 12: 56980, 13: 190575, 14: 270270, 15: 135135}
+    assert sum(dims.values()) == 660032  # A000311
 
 
 def test_rank2_census_scale_guard():
-    with pytest.raises(ScaleLimitError):
-        enumerate_rank2_cells(Matroid.uniform(2, 10))
+    for census in (enumerate_rank2_cells, rank2_cell_dims):
+        with pytest.raises(ScaleLimitError, match="parallel classes"):
+            census(Matroid.uniform(2, 10))
     # the limit counts parallel classes, not elements: 10 elements in 8 classes
-    assert len(enumerate_rank2_cells(rank2_nonuniform(10, [(0, 1), (2, 3)]))) == 39208
+    M = rank2_nonuniform(10, [(0, 1), (2, 3)])
+    assert len(enumerate_rank2_cells(M)) == 39208
+    assert sum(rank2_cell_dims(M).values()) == 39208
 
 
 def test_cell_dims_in_census():
