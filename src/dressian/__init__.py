@@ -3,11 +3,11 @@
 from .bounds import (
     BoundsReport,
     CensusRecord,
-    ScaleLimitError,
     all_sparse_paving_matroids,
     bounds_report,
     census_from_matroids,
     count_sparse_paving,
+    dim_upper,
     lower_bound_certificate,
     perturbed_census,
     sparse_paving_census,
@@ -28,6 +28,7 @@ from .matroid import (
     Matroid,
     MatroidInputError,
     NotAMatroidError,
+    ScaleLimitError,
     is_matroid,
     johnson_neighbors,
     mask_to_set,

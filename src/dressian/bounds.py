@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-import mpmath
-
 from .linear import cell_dim
 from .matroid import (
+    DESK_SCALE_BOUNDS_N,
+    DESK_SCALE_CENSUS,
+    DESK_SCALE_COORDS,
     InvariantViolation,
     Matroid,
     MatroidInputError,
@@ -27,25 +28,26 @@ from .matroid import (
 from .valuation import combinatorial_type, valuation_from_matroid
 
 LOG_DIGITS = 20
-DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
-DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
-# most parallel classes in the rank-2 census: bounds the cell listing (660032
-# cells, about 475 MB, at 9) and rank2-census's check before it builds U(2, n)
-DESK_SCALE_RANK2_CLASSES = 9
-DESK_SCALE_BOUNDS_N = 1000  # largest n for bounds: 2^n n^n then has 3302 digits, str() allows 4300
-
-
 _WORK_DPS = 40  # well beyond the 20 reported digits
 
 
-def _ln(x: Fraction) -> mpmath.mpf:
-    with mpmath.workdps(_WORK_DPS):
+def _log_bounds(n: int, nr: int) -> tuple[str, str]:
+    """The subspace bound u ln(C(n,r) n^4 / u) with u = C(n,r) = nr, and the
+    count bound C(n,r) (55 ln n + 4 ln^2 n) / n, each to LOG_DIGITS digits."""
+    import mpmath  # here, not at module level: no other command pays its import time
+
+    def ln(x: Fraction):
         return mpmath.log(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
 
-
-def _digits(x: mpmath.mpf) -> str:
-    with mpmath.workdps(_WORK_DPS):
+    def digits(x) -> str:
         return mpmath.nstr(x, LOG_DIGITS, strip_zeros=False)
+
+    u = Fraction(nr)  # dim U(U(r,n)): no forced symbols on the uniform matroid
+    with mpmath.workdps(_WORK_DPS):
+        subspace_bound = ln(Fraction(nr) * n**4 / u) * mpmath.mpf(int(u))
+        ln_n = ln(Fraction(n))
+        count_upper = mpmath.mpf(nr) * (55 * ln_n + 4 * ln_n**2) / n
+        return digits(subspace_bound), digits(count_upper)
 
 
 @dataclass
@@ -111,21 +113,25 @@ def rank_t_dim_bound(t: int, m: int) -> Fraction:
     return Fraction(comb(m - 2, t - 2) + m - 1)
 
 
-def bounds_report(n: int, r: int, t_contraction: int = 3) -> BoundsReport:
-    if not 0 < r < n <= DESK_SCALE_BOUNDS_N:
-        raise ScaleLimitError(f"need 0 < r < n <= {DESK_SCALE_BOUNDS_N}, got r={r}, n={n}")
+def dim_upper(n: int, r: int) -> Fraction:
+    """Rank-3 contraction bound on a cell's dimension: C(n, r) 3 / (n - r + 3)."""
+    return Fraction(comb(n, r) * 3, n - r + 3)
+
+
+def bounds_report(n: int, r: int, t_contraction: int | None = None) -> BoundsReport:
+    """Every bound at (n, r); the contraction rank defaults to min(3, r)."""
+    if not 2 <= r < n <= DESK_SCALE_BOUNDS_N:
+        raise ScaleLimitError(f"bounds need 2 <= r < n <= {DESK_SCALE_BOUNDS_N}, got r={r}, n={n}")
+    if t_contraction is None:
+        t_contraction = min(3, r)
     if not 2 <= t_contraction <= r:
         raise ScaleLimitError(
             f"contraction rank must be within [2, {r}], got {t_contraction}"
         )
     nr = comb(n, r)
-    sym = comb(n, r - 2) * comb(n - r + 2, 4) if r >= 2 else 0
+    sym = comb(n, r - 2) * comb(n - r + 2, 4)
     m = n - r + t_contraction
-    u = Fraction(nr)  # dim U(U(r,n)): no forced symbols on the uniform matroid
-    with mpmath.workdps(_WORK_DPS):
-        subspace_bound = _ln(Fraction(nr) * n**4 / u) * mpmath.mpf(int(u))
-        ln_n = _ln(Fraction(n))
-        count_upper = mpmath.mpf(nr) * (55 * ln_n + 4 * ln_n**2) / n
+    subspace_bound, count_upper = _log_bounds(n, nr)
     s = count_sparse_paving(r, n) if nr <= DESK_SCALE_CENSUS else None
     return BoundsReport(
         n=n,
@@ -134,12 +140,12 @@ def bounds_report(n: int, r: int, t_contraction: int = 3) -> BoundsReport:
         symbol_count_ordered=sym * 6,
         symbol_count=sym * 3,
         log2_count_bound=sym * 3,
-        dim_upper=Fraction(nr * 3, n - r + 3),
+        dim_upper=dim_upper(n, r),
         dim_contraction_ratio=rank_t_dim_bound(t_contraction, m) / comb(m, t_contraction),
         spreaddim_upper=comb(n - 2, r - 2) + n - 1,
         spreaddim_upper_alt=comb(n - 2, r - 1) + n - 1,
-        subspace_count_bound=_digits(subspace_bound),
-        count_upper=_digits(count_upper),
+        subspace_count_bound=subspace_bound,
+        count_upper=count_upper,
         tree_dim_upper=2 * n - 3,
         tree_count_upper=2**n * n**n,
         dim_lower=Fraction(nr, n),

@@ -16,20 +16,21 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import (
-    DESK_SCALE_COORDS,
-    DESK_SCALE_RANK2_CLASSES,
-    ScaleLimitError,
     bounds_report,
+    dim_upper,
     lower_bound_certificate,
     perturbed_census,
     sparse_paving_census,
 )
 from .linear import ExactCover, RationalSubspace, cell_dim, exact_cover_check
 from .matroid import (
+    DESK_SCALE_COORDS,
+    DESK_SCALE_RANK2_CLASSES,
     InputError,
     InvariantViolation,
     Matroid,
     MatroidInputError,
+    ScaleLimitError,
     mask_to_set,
     require_listable,
 )
@@ -229,23 +230,23 @@ def cmd_lower_bound(args):
     if not 2 <= args.r < args.n:  # the rank-t contraction bound needs t >= 2
         raise ScaleLimitError(f"lower-bound needs 2 <= r < n, got r={args.r}, n={args.n}")
     N, c, dim = lower_bound_certificate(args.n, args.r)
-    rep = bounds_report(args.n, args.r, min(3, args.r))
+    upper = dim_upper(args.n, args.r)
     obj = {
         "n": args.n,
         "r": args.r,
         "nonbases": [_set_key(b) for b in sorted(N.nonbases())],
         "component_count": c,
         "cell_dim": dim,
-        "dim_upper": str(rep.dim_upper),
+        "dim_upper": str(upper),
     }
     rows = [
         ("cell_dim_vs_components", dim, c, "sparse paving component certificate",
          dim >= c),
-        ("cell_dim_vs_dim_upper", dim, rep.dim_upper,
-         "rank-3 contraction dimension bound", Fraction(dim) <= rep.dim_upper),
+        ("cell_dim_vs_dim_upper", dim, upper,
+         "rank-3 contraction dimension bound", Fraction(dim) <= upper),
     ]
     _emit(args, obj, csv_rows=rows,
-          text=f"c(N) = {c}, cell_dim = {dim}, dim_upper = {rep.dim_upper}")
+          text=f"c(N) = {c}, cell_dim = {dim}, dim_upper = {upper}")
 
 
 def cmd_sp_census(args):
@@ -330,7 +331,7 @@ def _build_parser():
     add("bounds", cmd_bounds, csv=True,
         **{"--n": {"type": int, "required": True},
            "--r": {"type": int, "required": True},
-           "--t": {"type": int, "default": 3}})
+           "--t": {"type": int, "default": None}})  # None: min(3, r)
     add("lower-bound", cmd_lower_bound, csv=True,
         **{"--n": {"type": int, "required": True},
            "--r": {"type": int, "required": True}})

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bounds import DESK_SCALE_COORDS, ScaleLimitError
-from .matroid import InvariantViolation, Matroid, mask_to_set
+from .matroid import DESK_SCALE_COORDS, InvariantViolation, Matroid, ScaleLimitError, mask_to_set
 from .valuation import Valuation, ValuationInputError
 
 # The facet loop costs 2^n * |B| per cell (a rank-2 input on 11 elements

@@ -19,8 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .bounds import DESK_SCALE_RANK2_CLASSES, ScaleLimitError
-from .matroid import InputError, InvariantViolation, Matroid, MatroidInputError, set_to_mask
+from .matroid import (
+    DESK_SCALE_RANK2_CLASSES,
+    InputError,
+    InvariantViolation,
+    Matroid,
+    MatroidInputError,
+    ScaleLimitError,
+    set_to_mask,
+)
 from .linear import solve_linear_system
 from .rationals import format_rational, parse_rational
 from .valuation import Valuation, ValuationInputError

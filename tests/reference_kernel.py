@@ -7,11 +7,11 @@ a plain Fraction Gaussian elimination, independent of `dressian.linear`.
 Types are returned as (Z1 part, Z part) frozensets of `Symbol`.
 
 `check_valuation_bruteforce` is the Fraction form of the direct checker,
-and `check_exchange` the exchange-axiom loop that shifts through every bit
-position, both as they were before they moved to the integer view and to
-lowest-bit iteration.  `is_sparse_paving` is the pairwise neighbour test
-`Matroid.is_sparse_paving` ran before it shared the exchange check's
-stable-set certificate.
+as it was before it moved to the integer view, and `check_exchange` the
+exchange-axiom loop over all ordered pairs of bases, independent of the
+lowest-bit iteration and the stable-set certificate in `dressian.matroid`.
+`is_sparse_paving` is the pairwise neighbour test `Matroid.is_sparse_paving`
+ran before it shared the exchange check's stable-set certificate.
 """
 
 from fractions import Fraction
@@ -148,31 +148,21 @@ def check_valuation_bruteforce(M, values):
 
 
 def check_exchange(n, r, bases):
-    """Exchange axiom (B) over all pairs, shifting through every position."""
-    blist = list(bases)
-    for b1 in blist:
-        for b2 in blist:
-            diff = b1 & ~b2
-            e = 0
-            d = diff
-            while d:
-                if d & 1:
-                    ebit = 1 << e
-                    ok = False
-                    f = 0
-                    fd = b2 & ~b1
-                    while fd:
-                        if fd & 1:
-                            fbit = 1 << f
-                            if (b1 ^ ebit | fbit) in bases and (b2 ^ fbit | ebit) in bases:
-                                ok = True
-                                break
-                        fd >>= 1
-                        f += 1
-                    if not ok:
-                        return False
-                d >>= 1
-                e += 1
+    """Exchange axiom (B) over all ordered pairs and every element of B1 - B2.
+
+    The element bits of each basis are listed once up front; the quantifier
+    is the same as in the loop that shifted through every bit position."""
+    bits = {b: [1 << e for e in range(n) if b >> e & 1] for b in bases}
+    for b1, bits1 in bits.items():
+        for b2, bits2 in bits.items():
+            for ebit in bits1:
+                if ebit & b2:
+                    continue
+                for fbit in bits2:
+                    if not fbit & b1 and (b1 ^ ebit | fbit) in bases and (b2 ^ fbit | ebit) in bases:
+                        break
+                else:
+                    return False
     return True
 
 

@@ -117,6 +117,10 @@ def test_bounds_report_rejects_bad_shapes():
         bounds_report(4, 4)
     with pytest.raises(ScaleLimitError):
         bounds_report(6, 3, t_contraction=5)
+    with pytest.raises(ScaleLimitError):
+        bounds_report(6, 1)  # no contraction rank 2 <= t <= r
+    assert bounds_report(6, 2).t_contraction == 2
+    assert bounds_report(6, 3).t_contraction == bounds_report(6, 4).t_contraction == 3
 
 
 def involutions(n):

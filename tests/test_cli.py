@@ -3,10 +3,15 @@ import contextlib
 import functools
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from dressian import (
     InvariantViolation,
     Matroid,
     Valuation,
+    bounds_report,
     combinatorial_type,
     decode_tree,
     modular_stable_matroid,
@@ -312,6 +318,84 @@ def test_lower_bound_and_sp_census(files, capsys):
     doc = json.loads(out)
     assert doc["distinct_types"] == 26 and doc["distinct_is_injective"] is True
 
+
+def test_bounds_contraction_rank_defaults_to_min_3_r(capsys):
+    code, out = capture(capsys, ["bounds", "--n", "6", "--r", "2"])
+    assert code == 0
+    assert json.loads(out)["t_contraction"] == 2
+    assert capture(capsys, ["bounds", "--n", "6", "--r", "2", "--t", "2"]) == (0, out)
+
+
+def test_bounds_refuses_rank_below_two(capsys):
+    # no contraction rank 2 <= t <= r exists for r = 1
+    assert run(["bounds", "--n", "6", "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bounds need 2 <= r < n <= 1000, got r=1, n=6\n"
+
+
+LOWER_BOUND_DOCS = {
+    (6, 3): {"cell_dim": 10, "component_count": 4, "dim_upper": "10", "n": 6,
+             "nonbases": ["1,2,3", "0,2,4", "0,1,5", "3,4,5"], "r": 3},
+    (8, 4): {"cell_dim": 18, "component_count": 10, "dim_upper": "30", "n": 8,
+             "nonbases": ["1,2,3,4", "0,2,3,5", "0,1,4,5", "0,1,3,6", "3,4,5,6",
+                          "0,1,2,7", "2,4,5,7", "2,3,6,7", "1,4,6,7", "0,5,6,7"], "r": 4},
+}
+LOWER_BOUND_CSV_HEADER = "quantity,observed,bound,bound_source,satisfied\n"
+LOWER_BOUND_STDOUT = {
+    (6, 3, "json"): json.dumps(LOWER_BOUND_DOCS[6, 3], sort_keys=True, indent=2) + "\n",
+    (6, 3, "csv"): LOWER_BOUND_CSV_HEADER
+    + '"cell_dim_vs_components","10","4","sparse paving component certificate","True"\n'
+    + '"cell_dim_vs_dim_upper","10","10","rank-3 contraction dimension bound","True"\n',
+    (6, 3, "text"): "c(N) = 4, cell_dim = 10, dim_upper = 10\n",
+    (8, 4, "json"): json.dumps(LOWER_BOUND_DOCS[8, 4], sort_keys=True, indent=2) + "\n",
+    (8, 4, "csv"): LOWER_BOUND_CSV_HEADER
+    + '"cell_dim_vs_components","18","10","sparse paving component certificate","True"\n'
+    + '"cell_dim_vs_dim_upper","18","30","rank-3 contraction dimension bound","True"\n',
+    (8, 4, "text"): "c(N) = 10, cell_dim = 18, dim_upper = 30\n",
+}
+
+
+@pytest.mark.parametrize("n,r,fmt", sorted(LOWER_BOUND_STDOUT))
+def test_lower_bound_stdout_is_pinned(capsys, n, r, fmt):
+    argv = ["lower-bound", "--n", str(n), "--r", str(r), "--format", fmt]
+    assert capture(capsys, argv) == (0, LOWER_BOUND_STDOUT[n, r, fmt])
+
+
+def test_lower_bound_dim_upper_matches_bounds_report(capsys, monkeypatch):
+    # dim_upper does not depend on the certificate; a stand-in keeps the
+    # r = n - 1 cases up to n = 70 from running 70-coordinate eliminations
+    monkeypatch.setattr("dressian.cli.lower_bound_certificate",
+                        lambda n, r: (Matroid.uniform(r, n), 0, 0))
+    cases = [(n, r) for n in range(3, 71) for r in range(2, n) if comb(n, r) <= 70]
+    assert len(cases) == 91
+    for n, r in cases:
+        code, out = capture(capsys, ["lower-bound", "--n", str(n), "--r", str(r)])
+        assert code == 0
+        assert json.loads(out)["dim_upper"] == str(bounds_report(n, r, min(3, r)).dim_upper), (n, r)
+
+
+def test_only_bounds_loads_mpmath(files):
+    # a fresh interpreter, since this one imported mpmath long ago
+    commands = [["sp-census", "--n", "5", "--r", "2"],
+                ["lower-bound", "--n", "6", "--r", "3"],
+                ["subdivision", "--valuation", files["nu"]],
+                ["rank2-census", "--n", "5"]]
+    script = (
+        "import sys\n"
+        "import dressian.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert dressian.cli.run(argv) == 0, argv\n"
+        "assert 'mpmath' not in sys.modules, 'loaded before bounds'\n"
+        "assert dressian.cli.run(['bounds', '--n', '6', '--r', '3']) == 0\n"
+        "assert 'mpmath' in sys.modules, 'bounds ran without it'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 def test_cover_check(files, capsys, tmp_path):
     sub = {"coords": [0, 1, 2, 3],
