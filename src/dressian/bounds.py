@@ -16,6 +16,7 @@ from .matroid import (
     DESK_SCALE_BOUNDS_N,
     DESK_SCALE_CENSUS,
     DESK_SCALE_COORDS,
+    InputError,
     InvariantViolation,
     Matroid,
     MatroidInputError,
@@ -280,6 +281,8 @@ def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
     Still a lower bound only: faces reachable this way need not exhaust
     the cell complex in rank >= 3.
     """
+    if samples < 0:
+        raise InputError(f"need samples >= 0, got {samples}")
     import random
 
     from .valuation import residue_matroid, shift

@@ -3,8 +3,12 @@
 `_eliminate` is the one elimination routine.  It is fraction-free, in the
 manner of Bareiss: a pivot step replaces a row by an integer combination
 with the pivot row and divides out the gcd of its entries, so no rational
-arithmetic happens inside the pivoting loop.  A pivot row is negated when
-its pivot is negative; a pivot of 1, the common case on the +-1 rows of
+arithmetic happens inside the pivoting loop.  It makes one pass per
+column: a single comprehension picks out the rows without a pivot that are
+nonzero there, and only those rows (with `reduced`, also the earlier pivot
+rows nonzero there) are touched; rows are never swapped, and the pivot
+rows are put in pivot order at the end.  A pivot row is negated when its
+pivot is negative; a pivot of 1, the common case on the +-1 rows of
 `cell_dim`, subtracts a multiple of the pivot row over its nonzero columns
 only, in place and with no gcd.  Rank (`integer_matrix_rank`)
 and linear solving (`solve_linear_system`, which clears denominators row by
@@ -67,49 +71,54 @@ def _integer_rows(coords, equations):
 
 
 def _eliminate(rows, reduced=False) -> list[int]:
-    """Fraction-free elimination of integer rows in place, column by column.
+    """Fraction-free elimination of integer rows in place, one pass per column.
 
-    A pivot row with a negative pivot is negated first.  When the pivot is
-    1, row i becomes row_i - q * pivot row, where q is the entry of row i
-    in the pivot column; only the pivot row's nonzero columns are updated,
-    in place, with no gcd.  Otherwise row i is replaced by
-    (p * row_i - q * pivot row) / gcd, where p is the pivot.  Rows below
-    each pivot are cleared; with `reduced`, rows above it too, so that
-    every pivot is alone in its column.  Returns the pivot columns; rows[k]
-    is the row of the k-th pivot, and the zero rows after them are dropped.
+    For each column one comprehension collects the rows that have no pivot
+    yet and are nonzero there; the first of them becomes the pivot row,
+    negated if its pivot is negative, and only the others are updated (with
+    `reduced`, so are the earlier pivot rows that are nonzero in the column,
+    so that every pivot is alone in its column).  When the pivot is 1, row i
+    becomes row_i - q * pivot row, where q is the entry of row i in the
+    pivot column; only the pivot row's nonzero columns are updated, in
+    place, with no gcd.  Otherwise row i is replaced by
+    (p * row_i - q * pivot row) / gcd, where p is the pivot.  Returns the
+    pivot columns; rows[k] becomes the row of the k-th pivot, and every
+    other row, all of them zero by then, is dropped.
     """
-    rows[:] = [row for row in rows if any(row)]
-    pivots = []
+    pivots, done = [], []  # pivot columns, and the indices of their rows
+    free = [i for i, row in enumerate(rows) if any(row)]  # rows with no pivot yet
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
+        hit = [i for i in free if rows[i][col]]
+        if not hit:
             continue
+        piv = hit.pop(0)
+        free.remove(piv)
         prow = rows[piv]
         if prow[col] < 0:
-            prow = [-a for a in prow]
-        rows[piv], rows[rank] = rows[rank], prow
+            prow = rows[piv] = [-a for a in prow]
         p = prow[col]
-        # rows at or below rank, the pivot row among them, are zero left of col
-        support = [(c, prow[c]) for c in range(col, ncols) if prow[c]] if p == 1 else None
-        for i in range(0 if reduced else rank + 1, len(rows)):
-            row = rows[i]
-            q = row[col]
-            if not q or i == rank:
-                continue
-            if support is not None:
+        if reduced:
+            hit += [i for i in done if rows[i][col]]
+        if p == 1:
+            # prow, like every row without a pivot, is zero left of col
+            support = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
+            for i in hit:
+                row = rows[i]
+                q = row[col]
                 for c, a in support:
                     row[c] -= q * a
-            else:
-                row = [p * a - q * b for a, b in zip(row, prow)]
+        else:
+            for i in hit:
+                q = rows[i][col]
+                row = [p * a - q * b for a, b in zip(rows[i], prow)]
                 g = gcd(*row)
                 rows[i] = [a // g for a in row] if g > 1 else row
+        done.append(piv)
         pivots.append(col)
-    # every column is done, so the rows after the last pivot row are zero
-    del rows[len(pivots):]
+        if not free:
+            break
+    rows[:] = [rows[i] for i in done]
     return pivots
 
 

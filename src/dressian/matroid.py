@@ -89,16 +89,23 @@ def mask_to_set(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=8)
+def _colex_subsets(n: int, r: int) -> tuple[int, ...]:
+    """All r-subsets of {0..n-1} as masks, in colex (= numeric) order: one
+    tuple per (n, r), built on first use and shared by every reader."""
+    return tuple(sorted(set_to_mask(c) for c in combinations(range(n), r)))
+
+
 def r_subset_masks(n: int, r: int) -> list[int]:
     """All r-subsets of {0..n-1} as masks, in colex (= numeric) order."""
-    return sorted(set_to_mask(c) for c in combinations(range(n), r))
+    return list(_colex_subsets(n, r))
 
 
 def _nonbases_stable(n: int, r: int, bases: frozenset[int]) -> bool:
     """Every r-subset outside `bases` has all r(n - r) of its Johnson
     neighbours in `bases`: the non-bases are a stable set of J(r, n)."""
     full = (1 << n) - 1
-    for m in r_subset_masks(n, r):
+    for m in _colex_subsets(n, r):
         if m in bases:
             continue
         d = m
@@ -204,7 +211,7 @@ class Matroid:
         return sorted(self.bases)
 
     def nonbases(self) -> list[int]:
-        return [m for m in r_subset_masks(self.n, self.r) if m not in self.bases]
+        return [m for m in _colex_subsets(self.n, self.r) if m not in self.bases]
 
     def rank_of(self, X) -> int:
         """Rank of a subset: max |X ∩ B| over bases B."""
@@ -322,7 +329,7 @@ class Matroid:
         """U(r, n), built (and its exchange axiom checked) once per (r, n);
         ScaleLimitError when C(n, r) exceeds DESK_SCALE_SUBSETS."""
         require_listable(n, r)
-        return Matroid(n, r, frozenset(r_subset_masks(n, r)))
+        return Matroid(n, r, frozenset(_colex_subsets(n, r)))
 
     def __repr__(self):
         return f"Matroid(n={self.n}, r={self.r}, |bases|={len(self.bases)})"
@@ -356,7 +363,7 @@ def modular_stable_matroid(n: int, r: int, k: int) -> Matroid:
     if not 0 <= k < n:
         raise MatroidInputError(f"need 0 <= k < n, got k={k}")
     bases = [
-        m for m in r_subset_masks(n, r) if sum(mask_to_set(m)) % n != k
+        m for m in _colex_subsets(n, r) if sum(mask_to_set(m)) % n != k
     ]
     if not bases:
         raise MatroidInputError(f"modular class (n={n}, r={r}, k={k}) leaves no bases")

@@ -3,9 +3,16 @@
 All values are exact rationals; the extension off the basis family to the
 full r-subset lattice is by the INF sentinel and is never materialized.
 
+Values are held as `Fraction`s: a value given as a `Fraction` is kept as it
+is, anything else is converted once, and `valuation_from_matroid` takes its
+values from one shared tuple Fraction(0), ..., Fraction(r), so building a
+valuation rebuilds no Fraction.
+
 Each valuation also carries an integer view, computed once at construction:
 one positive common denominator D and the tuple of integers nu*D indexed by
 colex rank among all r-subsets, with the INF sentinel on the non-bases.
+When D = 1, as for every nu_N and every integer input, the view is the
+numerators themselves and nothing is rescaled.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
@@ -31,8 +38,8 @@ from typing import NamedTuple
 from .matroid import (
     InputError,
     Matroid,
+    _colex_subsets,
     mask_to_set,
-    r_subset_masks,
     require_listable,
     set_to_mask,
 )
@@ -113,7 +120,7 @@ def symbol_table(n: int, r: int) -> SymbolTable:
     """The (n, r) tables, built once per (n, r); ScaleLimitError when
     C(n, r) exceeds DESK_SCALE_SUBSETS."""
     require_listable(n, r)
-    subsets = tuple(r_subset_masks(n, r))
+    subsets = _colex_subsets(n, r)
     position = {m: i for i, m in enumerate(subsets)}
     locs, symbols, cross = [], [], []
     if r >= 2 and n - r + 2 >= 4:
@@ -175,7 +182,7 @@ def _normalize_values(M: Matroid, values) -> dict[int, Fraction]:
         if m not in M.bases:
             subset = ",".join(str(e) for e in mask_to_set(m))
             raise ValuationInputError(f"value supplied for non-basis {subset}")
-        out[m] = Fraction(val)
+        out[m] = val if type(val) is Fraction else Fraction(val)
     missing = M.bases - out.keys()
     if missing:
         raise ValuationInputError(f"missing values for {len(missing)} bases")
@@ -202,7 +209,8 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
     vals = {}
     for key, text in values.items():
         try:
-            elems = [int(tok) for tok in key.split(",")]
+            # "" is the empty set, the one basis of a rank-0 matroid
+            elems = [int(tok) for tok in key.split(",")] if key else []
             value = parse_rational(str(text))
         except ValueError:
             raise ValuationInputError(f"bad value entry {key!r}: {text!r}") from None
@@ -217,13 +225,14 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
 
 def _integer_view(M: Matroid, vals: dict) -> tuple[int, tuple]:
     """(D, nu*D in colex order with INF off the bases), D > 0 the least
-    common denominator of the values."""
+    common denominator of the values; at D = 1 the numerators, unscaled."""
     den = lcm(*(v.denominator for v in vals.values()))
-    scaled = []
-    for m in symbol_table(M.n, M.r).subsets:
-        v = vals.get(m)
-        scaled.append(INF if v is None else v.numerator * (den // v.denominator))
-    return den, tuple(scaled)
+    get = vals.get
+    subsets = symbol_table(M.n, M.r).subsets
+    if den == 1:
+        return 1, tuple(INF if (v := get(m)) is None else v.numerator for m in subsets)
+    return den, tuple(INF if (v := get(m)) is None else v.numerator * (den // v.denominator)
+                      for m in subsets)
 
 
 def _three_term_holds(locs, v) -> bool:
@@ -458,10 +467,16 @@ def valuation_from_matroid(N: Matroid) -> Valuation:
     """nu_N(X) = r - rank_N(X) on the uniform ambient U(r, n); the rank is
     computed on the non-bases of N only, since it is r on the bases."""
     ambient = Matroid.uniform(N.r, N.n)
-    zero = Fraction(0)
-    vals = {m: zero if m in N.bases else Fraction(N.r - N.rank_of(m))
+    level = _integers_up_to(N.r)
+    vals = {m: level[0] if m in N.bases else level[N.r - N.rank_of(m)]
             for m in ambient.bases}
     return Valuation(ambient, vals)
+
+
+@lru_cache(maxsize=8)
+def _integers_up_to(r: int) -> tuple:
+    """Fraction(0), ..., Fraction(r): the values nu_N takes at rank r."""
+    return tuple(Fraction(k) for k in range(r + 1))
 
 
 def separating_shift(nu: Valuation, sym: Symbol) -> list[Fraction]:

@@ -12,9 +12,14 @@ exchange-axiom loop over all ordered pairs of bases, independent of the
 lowest-bit iteration and the stable-set certificate in `dressian.matroid`.
 `is_sparse_paving` is the pairwise neighbour test `Matroid.is_sparse_paving`
 ran before it shared the exchange check's stable-set certificate.
+`eliminate` is the fraction-free elimination `dressian.linear._eliminate`
+ran before its one comprehension pass per column: it searches each column
+for a pivot with a generator, swaps the pivot row up, and visits every row
+below it.
 """
 
 from fractions import Fraction
+from math import gcd
 from itertools import combinations
 
 from dressian import (
@@ -175,3 +180,43 @@ def is_sparse_paving(n, r, bases):
             if other in nbset:
                 return False
     return True
+
+
+def eliminate(rows, reduced=False):
+    """Fraction-free elimination of integer rows in place, with row swaps.
+
+    Same contract as `dressian.linear._eliminate`: returns the pivot
+    columns, rows[k] is the (positive-pivot) row of the k-th pivot and the
+    zero rows are dropped; with `reduced` each pivot is alone in its column.
+    """
+    rows[:] = [row for row in rows if any(row)]
+    pivots = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        prow = rows[piv]
+        if prow[col] < 0:
+            prow = [-a for a in prow]
+        rows[piv], rows[rank] = rows[rank], prow
+        p = prow[col]
+        support = [(c, prow[c]) for c in range(col, ncols) if prow[c]] if p == 1 else None
+        for i in range(0 if reduced else rank + 1, len(rows)):
+            row = rows[i]
+            q = row[col]
+            if not q or i == rank:
+                continue
+            if support is not None:
+                for c, a in support:
+                    row[c] -= q * a
+            else:
+                row = [p * a - q * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    del rows[len(pivots):]
+    return pivots

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from decimal import Context, Decimal, getcontext
 from fractions import Fraction
 from math import comb, log, log2
@@ -175,6 +176,7 @@ def test_rank3_census_dims_within_corollary_bound():
     assert rec.max_cell_dim is not None
     assert Fraction(rec.max_cell_dim) <= rep.dim_upper
     assert rec.distinct_is_injective  # N -> type injective over sparse paving
+    assert Counter(rec.dims) == {6: 1, 7: 20, 8: 100, 9: 120, 10: 30}
 
 
 def test_census_count_log_bounds():

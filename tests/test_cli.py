@@ -192,6 +192,31 @@ def test_emitted_valuations_reload(files, capsys, tmp_path):
     assert again == valuation_from_matroid(N3)
 
 
+def test_rank_zero_documents_reload(files, capsys, tmp_path):
+    # a rank-0 valuation names its one basis, the empty set, by the key ""
+    mat = tmp_path / "rank0.json"
+    mat.write_text(json.dumps({"n": 3, "r": 0, "bases": [[]]}))
+    u24 = tmp_path / "u24.json"
+    u24.write_text(valuation_from_matroid(Matroid.uniform(2, 4)).to_json())
+    code, out = capture(capsys, ["from-matroid", "--matroid", str(mat)])
+    assert code == 0 and json.loads(out)["values"] == {"": "0"}
+    emitted = {"from-matroid": out}
+    code, out = capture(capsys, ["contract", "--valuation", str(u24), "--set", "0,1"])
+    assert code == 0
+    doc = json.loads(out)["valuation"]
+    assert doc["matroid"]["r"] == 0 and doc["values"] == {"": "0"}
+    emitted["contract"] = json.dumps(doc)
+    for name, text in emitted.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for command, expected in (
+                ("check", {"valid": True}),
+                ("type", {"symbols_equal": [], "type_size": 0, "z1_size": 0}),
+                ("dim", {"dim": 1})):
+            code, out = capture(capsys, [command, "--valuation", str(path)])
+            assert code == 0 and json.loads(out) == expected, (name, command)
+
+
 def test_residue_and_smooth(files, capsys):
     code, out = capture(capsys, ["residue", "--valuation", files["nu"]])
     assert code == 0
@@ -431,6 +456,9 @@ def test_malformed_valuation_documents_exit_2(files, capsys, command):
     docs = {
         "no-values": {"matroid": matroid},
         "list-values": {"matroid": matroid, "values": [["0,1", "0"]]},
+        # every basis of U(2,4) valued, but 0,1 written with an empty element
+        "empty-element": {"matroid": matroid, "values": {
+            "0,,1": "0", "0,2": "0", "0,3": "0", "1,2": "0", "1,3": "0", "2,3": "0"}},
         "non-basis": {"matroid": N3.to_json_obj(), "values": {"0,1": "0"}},
     }
     for name, doc in docs.items():
@@ -648,6 +676,8 @@ def _typed_rejections(d):
         ("lower-bound-n0", ["lower-bound", "--n", "0", "--r", "0"]),
         ("lower-bound-negative", ["lower-bound", "--n", "-1", "--r", "0"]),
         ("sp-census-negative", ["sp-census", "--n", "-1", "--r", "2"]),
+        ("sp-census-negative-samples", ["sp-census", "--n", "5", "--r", "2", "--perturbed",
+                                        "--samples", "-1"]),
         ("deep-json", ["check", "--valuation", write("deep.json", "[" * 200000 + "]" * 200000)]),
         ("non-utf8", ["check", "--valuation", write("bad.json", b'{"matroid": "\xff"}')]),
         ("non-utf8-newick", ["tree-encode", "--tree", write("bad.nwk", b"(0:1,1:\xff,2:1);")]),

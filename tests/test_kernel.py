@@ -37,6 +37,7 @@ from dressian import (
     set_to_mask,
     shift,
     solve_linear_system,
+    sparse_paving_census,
     valuation_from_matroid,
 )
 from dressian.bounds import all_stable_sets
@@ -476,3 +477,92 @@ def test_solver_matches_substitution_on_sparse_systems():
             for coeffs, b in eqs:
                 assert sum(c * sol[v] for v, c in coeffs.items()) == b
     assert solved >= 75 and solved < len(systems)
+
+
+# ---------------------------------------------------------------------------
+# The per-column elimination against the swap-based routine it replaced
+
+
+def assert_eliminations_agree(rows, reduced):
+    new, old = [list(row) for row in rows], [list(row) for row in rows]
+    pivots = linear_module._eliminate(new, reduced)
+    assert pivots == ref.eliminate(old, reduced)
+    assert len(new) == len(pivots)
+    for row, col in zip(new, pivots):  # echelon rows with positive pivots
+        assert row[col] > 0 and not any(row[:col])
+    if reduced:  # the reduced echelon form is unique up to row scaling
+        for a, b, col in zip(new, old, pivots):
+            assert [x * b[col] for x in a] == [y * a[col] for y in b]
+
+
+def captured_matrices(monkeypatch, compute):
+    """The integer rows `compute()` hands to `_eliminate`, with `reduced`."""
+    seen = []
+    real = linear_module._eliminate
+
+    def record(rows, reduced=False):
+        seen.append(([list(row) for row in rows], reduced))
+        return real(rows, reduced)
+
+    with monkeypatch.context() as m:
+        m.setattr(linear_module, "_eliminate", record)
+        compute()
+    return seen
+
+
+def test_elimination_matches_the_swap_oracle_on_census_and_desk_matrices(monkeypatch):
+    census = captured_matrices(
+        monkeypatch, lambda: sparse_paving_census(3, 6, with_dims=True))
+    assert len(census) == 271
+
+    def desk():
+        lower_bound_certificate(8, 4)
+        rnd = random.Random(61)
+        for r in (3, 4):
+            nu = stiefel_valuation(r, 8, rnd)
+            cell_dim(nu)
+            cell_dim(shift(nu, random_shift_vector(8, rnd)))
+
+    desk_edge = captured_matrices(monkeypatch, desk)
+    assert len(desk_edge) == 5 and max(len(rows[0]) for rows, _ in desk_edge) == 70
+    for rows, reduced in census + desk_edge:
+        assert_eliminations_agree(rows, reduced)
+        assert_eliminations_agree(rows, not reduced)
+
+
+def test_elimination_matches_the_swap_oracle_on_random_systems():
+    rnd = random.Random(67)
+    matrices = [[list(row) for row in m] for m in PIVOT_CASES]
+    for _ in range(200):  # sparse +-1 rows, as cell_dim writes them
+        matrices.append(random_sparse_rows(rnd, rnd.randint(1, 14), rnd.randint(1, 14)))
+        for row in matrices[-1]:
+            row[:] = [(a > 0) - (a < 0) for a in row]
+    for _ in range(200):  # rational equations, cleared row by row
+        ncols = rnd.randint(1, 8)
+        eqs = [{j: random_rational(rnd, -3, 3, den=rnd.randint(1, 5))
+                for j in range(ncols) if rnd.random() < 0.6}
+               for _ in range(rnd.randint(1, 8))]
+        matrices.append(linear_module._integer_rows(range(ncols), eqs))
+    for rows in matrices:
+        assert_eliminations_agree(rows, False)
+        assert_eliminations_agree(rows, True)
+
+
+def test_solver_results_match_the_swap_oracle(monkeypatch):
+    rnd = random.Random(71)
+    systems = []
+    for _ in range(200):
+        variables = [f"x{j}" for j in range(rnd.randint(1, 7))]
+        x0 = {v: random_rational(rnd, -3, 3) for v in variables}
+        eqs = []
+        for _ in range(rnd.randint(1, 8)):
+            coeffs = {v: random_rational(rnd, -2, 2, den=rnd.randint(1, 4))
+                      for v in variables if rnd.random() < 0.5}
+            rhs = sum(c * x0[v] for v, c in coeffs.items())
+            eqs.append((coeffs, rhs if rnd.random() < 0.7 else rhs + 1))
+        systems.append((eqs, variables))
+    ours = [solve_linear_system(eqs, variables) for eqs, variables in systems]
+    monkeypatch.setattr(linear_module, "_eliminate", ref.eliminate)
+    theirs = [solve_linear_system(eqs, variables) for eqs, variables in systems]
+    assert ours == theirs
+    assert 50 <= sum(sol is None for sol in ours) < 150

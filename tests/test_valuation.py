@@ -12,6 +12,7 @@ from dressian import (
     NotAValuationError,
     Valuation,
     ValuationInputError,
+    all_sparse_paving_matroids,
     all_symbols,
     check_valuation,
     check_valuation_bruteforce,
@@ -19,6 +20,8 @@ from dressian import (
     contract_valuation,
     equivalent,
     ext_sum,
+    modular_stable_matroid,
+    r_subset_masks,
     residue_matroid,
     separating_shift,
     set_to_mask,
@@ -197,6 +200,38 @@ def test_valuation_from_matroid_is_valid():
         nu = valuation_from_matroid(N)  # validity enforced on construction
         assert set(nu.values.values()) <= {Fraction(0), Fraction(1)}
         assert {m for m, v in nu.values.items() if v == 0} == N.bases
+
+
+def _sources(name):
+    if name == "modular-8-4":  # the eight builds of lower_bound_certificate(8, 4)
+        return [modular_stable_matroid(8, 4, k) for k in range(8)]
+    r, n = {"sparse-paving-2-6": (2, 6), "sparse-paving-3-6": (3, 6)}[name]
+    return all_sparse_paving_matroids(r, n)
+
+
+@pytest.mark.parametrize("name", ["sparse-paving-2-6", "sparse-paving-3-6", "modular-8-4"])
+def test_valuation_from_matroid_matches_the_constructor(name):
+    for N in _sources(name):
+        U = Matroid.uniform(N.r, N.n)
+        ref = Valuation(U, {m: Fraction(N.r - N.rank_of(m)) for m in U.bases})
+        nu = valuation_from_matroid(N)
+        assert nu.values == ref.values
+        assert all(type(v) is Fraction for v in nu.values.values())
+        assert (nu.denominator, nu.scaled) == (ref.denominator, ref.scaled)
+        # integer values: no rescaling, nu itself by colex position
+        assert nu.denominator == 1
+        assert nu.scaled == tuple(N.r - N.rank_of(m) for m in r_subset_masks(N.n, N.r))
+
+
+def test_values_of_any_type_become_fractions():
+    M = Matroid.uniform(2, 4)
+    # the shift of 0 by w = (0, 1/2, 1/4, 1), in colex order 01, 02, 12, 03, 13, 23
+    raw = dict(zip(sorted(M.bases), ["1/2", Fraction(1, 4), "3/4", 1, "3/2", Fraction(5, 4)]))
+    nu = Valuation(M, raw)
+    assert all(type(v) is Fraction for v in nu.values.values())
+    assert nu.values == {m: Fraction(v) for m, v in raw.items()}
+    assert nu.denominator == 4
+    assert nu.scaled == (2, 1, 3, 4, 6, 5)
 
 
 def test_contraction_preserves_equivalence():
