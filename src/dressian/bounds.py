@@ -7,7 +7,6 @@ with mpmath and reported as decimal strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -51,44 +50,52 @@ def _log_bounds(n: int, nr: int) -> tuple[str, str]:
         return digits(subspace_bound), digits(count_upper)
 
 
-@dataclass
 class BoundsReport:
     """Every closed-form bound for a rank-r matroid on n elements, with the
-    uniform-ambient instantiations of the quantities that need one."""
+    uniform-ambient instantiations of the quantities that need one.
 
-    n: int
-    r: int
-    t_contraction: int
-    symbol_count_ordered: int  # C(n,r-2) C(n-r+2,4) 6, ordered presentations
-    symbol_count: int  # canonical count, 3 per (S, 4-subset)
-    log2_count_bound: int  # |Z1| for the uniform matroid = symbol_count
-    dim_upper: Fraction  # C(n,r) * 3 / (n-r+3)
-    dim_contraction_ratio: Fraction  # per-coordinate dim bound via rank-t minors
-    spreaddim_upper: int  # C(n-2,r-2) + n - 1
-    spreaddim_upper_alt: int  # C(n-2,r-1) + n - 1, shifted-exponent reading
-    subspace_count_bound: str  # u ln(C(n,r) n^4 / u), u = dim U(U(r,n)) = C(n,r)
-    count_upper: str  # C(n,r) (55 ln n + 4 ln^2 n) / n
-    tree_dim_upper: int  # n + t - 3 with t = n parallel classes
-    tree_count_upper: int  # 2^t t^n with t = n
-    dim_lower: Fraction  # C(n,r) / n
-    count_lower: int | None  # s(r, n) when within census scale
-    log_precision: int = LOG_DIGITS
+    Built with keywords: n, r, t_contraction and one per entry of SOURCES,
+    each read back as the attribute of that name.
+    """
 
     SOURCES = {
+        # C(n,r-2) C(n-r+2,4) 6, ordered presentations
         "symbol_count_ordered": "ordered three-term location count",
+        # canonical count, 3 per (S, 4-subset)
         "symbol_count": "canonical three-term location count",
+        # |Z1| for the uniform matroid = symbol_count
         "log2_count_bound": "type-subset counting bound over free symbols",
+        # C(n,r) * 3 / (n-r+3), a Fraction
         "dim_upper": "rank-3 contraction dimension bound",
+        # per-coordinate dim bound via rank-t minors, a Fraction
         "dim_contraction_ratio": "per-coordinate contraction dimension bound",
+        # C(n-2,r-2) + n - 1
         "spreaddim_upper": "spread-plus-shift dimension bound",
+        # C(n-2,r-1) + n - 1, shifted-exponent reading
         "spreaddim_upper_alt": "spread-plus-shift dimension bound, shifted exponent",
+        # u ln(C(n,r) n^4 / u), u = dim U(U(r,n)) = C(n,r), a decimal string
         "subspace_count_bound": "single-container subspace counting bound",
+        # C(n,r) (55 ln n + 4 ln^2 n) / n, a decimal string
         "count_upper": "recursive container counting bound",
+        # n + t - 3 with t = n parallel classes
         "tree_dim_upper": "metric-tree dimension bound",
+        # 2^t t^n with t = n
         "tree_count_upper": "metric-tree topology counting bound",
+        # C(n,r) / n, a Fraction
         "dim_lower": "sparse paving component certificate",
+        # s(r, n) when within census scale, else None
         "count_lower": "sparse paving matroid count",
     }
+    __slots__ = ("n", "r", "t_contraction", "log_precision", *SOURCES)
+
+    def __init__(self, n: int, r: int, t_contraction: int, *,
+                 log_precision: int = LOG_DIGITS, **bounds):
+        if bounds.keys() != self.SOURCES.keys():
+            raise TypeError(f"BoundsReport takes exactly the bounds {list(self.SOURCES)}")
+        self.n, self.r, self.t_contraction = n, r, t_contraction
+        self.log_precision = log_precision
+        for name, value in bounds.items():
+            setattr(self, name, value)
 
     def rows(self):
         for name, source in self.SOURCES.items():
@@ -230,16 +237,20 @@ def lower_bound_certificate(n: int, r: int):
     return N, c, dim
 
 
-@dataclass
 class CensusRecord:
-    n: int
-    r: int
-    source_size: int
-    distinct_types: int
-    completeness: str
-    distinct_is_injective: bool
-    max_cell_dim: int | None = None
-    dims: list = field(default_factory=list)
+    __slots__ = ("n", "r", "source_size", "distinct_types", "completeness",
+                 "distinct_is_injective", "max_cell_dim", "dims")
+
+    def __init__(self, n: int, r: int, source_size: int, distinct_types: int,
+                 completeness: str, distinct_is_injective: bool,
+                 max_cell_dim: int | None, dims: list):
+        self.n, self.r = n, r
+        self.source_size = source_size
+        self.distinct_types = distinct_types
+        self.completeness = completeness
+        self.distinct_is_injective = distinct_is_injective
+        self.max_cell_dim = max_cell_dim
+        self.dims = dims
 
 
 def census_from_matroids(r: int, n: int, source, with_dims: bool = False) -> CensusRecord:

@@ -19,11 +19,10 @@ the per-(n, r) symbol table and the valuation's integer view (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matroid import InputError, InvariantViolation, Matroid, _is_int
+from .matroid import InputError, InvariantViolation, Matroid, _Frozen, _is_int
 from .rationals import parse_rational
 from .valuation import CombinatorialType, Valuation, combinatorial_type, symbol_table
 
@@ -127,17 +126,16 @@ def integer_matrix_rank(rows) -> int:
     return len(_eliminate([list(row) for row in rows]))
 
 
-@dataclass
 class RationalSubspace:
     """Solution space of rational linear equations over an ordered coord set."""
 
-    coords: tuple
-    equations: list  # list of dict coord -> Fraction
+    __slots__ = ("coords", "equations", "_dim")
 
-    def __post_init__(self):
-        self.coords = tuple(self.coords)
+    def __init__(self, coords, equations: list):
+        self.coords = tuple(coords)
+        self.equations = equations  # list of dict coord -> Fraction
         cs = set(self.coords)
-        for eq in self.equations:
+        for eq in equations:
             bad = set(eq) - cs
             if bad:
                 raise CoverInputError(f"equation touches unknown coordinates {bad}")
@@ -263,17 +261,15 @@ def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:
     return len(nu.matroid.bases) - integer_matrix_rank(rows)
 
 
-@dataclass(frozen=True)
-class ExactCover:
+class ExactCover(_Frozen):
     """Multiset of blocks covering each ground element exactly k times."""
 
-    ground: frozenset
-    blocks: tuple
-    k: int
+    __slots__ = ("ground", "blocks", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ground", frozenset(self.ground))
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
+    def __init__(self, ground, blocks, k: int):
+        object.__setattr__(self, "ground", frozenset(ground))
+        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in blocks))
+        object.__setattr__(self, "k", k)
         for b in self.blocks:
             if not b:
                 raise CoverInputError("empty block")

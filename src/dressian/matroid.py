@@ -3,12 +3,16 @@
 Bases are stored as n-bit masks with exactly r bits set.  The canonical
 ordering of bases everywhere (serialization, iteration) is colexicographic,
 which for bitmask encodings is plain integer order.
+
+The package's records are plain classes with `__slots__` and hand-written
+`__init__`s; the immutable ones derive from `_Frozen` here.  Nothing in the
+package generates code at import time, so a fresh process loads neither
+`inspect` nor `typing` (see README, Start-up).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -43,6 +47,44 @@ class NotAMatroidError(InputError):
 
 class ScaleLimitError(InputError):
     """Requested computation exceeds the documented desk-scale limits."""
+
+
+class _Frozen:
+    """Base of the immutable records.  `__init__` sets the slots through
+    `object.__setattr__`, and any later assignment raises AttributeError.
+    Two records of one class are equal, and hash alike, when their slots,
+    taken in order, are; the repr names each slot."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle restore the slots without going through __setattr__
+    def __getstate__(self):
+        return self._fields()
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 def subsets_up_to(n: int, r: int, cap: int) -> int | None:
@@ -191,15 +233,19 @@ def _normalize_bases(n: int, r: int, candidate_bases) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(_Frozen):
     """A matroid (E, B) with E = {0..n-1}; immutable after construction."""
 
-    n: int
-    r: int
-    bases: frozenset[int]
+    __slots__ = ("n", "r", "bases")
+
+    def __init__(self, n: int, r: int, bases: frozenset[int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "bases", bases)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Normalize `bases` and check the exchange axiom."""
         bases = _normalize_bases(self.n, self.r, self.bases)
         object.__setattr__(self, "bases", bases)
         if not _check_exchange(self.n, self.r, bases):
@@ -335,11 +381,13 @@ class Matroid:
         return f"Matroid(n={self.n}, r={self.r}, |bases|={len(self.bases)})"
 
 
-@dataclass(frozen=True)
 class JohnsonComponentReport:
-    nonbasis_count: int
-    component_count: int
-    components: list = field(default_factory=list)
+    __slots__ = ("nonbasis_count", "component_count", "components")
+
+    def __init__(self, nonbasis_count: int, component_count: int, components: list):
+        self.nonbasis_count = nonbasis_count
+        self.component_count = component_count
+        self.components = components
 
 
 def johnson_neighbors(n: int, mask: int):

@@ -22,7 +22,6 @@ reached.  A failure raises InvariantViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -123,11 +122,17 @@ def _facets(n: int, cell: frozenset, full_dim: int) -> dict:
     return out
 
 
-@dataclass
 class SubdivisionCensus:
-    maximal_cells: list  # Matroids, sorted by basis family
-    spread: int
-    exploration_status: str  # always "exhaustive": the walk is certified
+    """The maximal cells (Matroids, sorted by basis family), their count as
+    the spread, and the exploration status, always "exhaustive": the walk
+    is certified."""
+
+    __slots__ = ("maximal_cells", "spread", "exploration_status")
+
+    def __init__(self, maximal_cells: list, spread: int, exploration_status: str):
+        self.maximal_cells = maximal_cells
+        self.spread = spread
+        self.exploration_status = exploration_status
 
     def cell_basis_families(self) -> set:
         return {cell.bases for cell in self.maximal_cells}

@@ -15,7 +15,6 @@ a-b path literally, which makes internal lengths negative; the positive
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +25,7 @@ from .matroid import (
     Matroid,
     MatroidInputError,
     ScaleLimitError,
+    _Frozen,
     set_to_mask,
 )
 from .linear import solve_linear_system
@@ -37,16 +37,16 @@ class TreeInputError(InputError):
     """Malformed tree or tree incompatible with the matroid."""
 
 
-@dataclass
 class MetricTree:
     """Tree with leaf vertices 0..n-1 (the ground set) and internal ids >= n."""
 
-    n: int
-    adj: dict
-    lengths: dict  # frozenset({u, v}) -> Fraction
+    __slots__ = ("n", "adj", "lengths")
 
-    def __post_init__(self):
-        for u, nbrs in self.adj.items():
+    def __init__(self, n: int, adj: dict, lengths: dict):
+        self.n = n
+        self.adj = adj
+        self.lengths = lengths  # frozenset({u, v}) -> Fraction
+        for u, nbrs in adj.items():
             for v in nbrs:
                 if u not in self.adj.get(v, ()):  # pragma: no cover - guard
                     raise TreeInputError("adjacency is not symmetric")
@@ -245,11 +245,13 @@ def _newick_length(token: str) -> Fraction:
         raise TreeInputError(f"edge length {token!r} is not a rational number") from None
 
 
-@dataclass(frozen=True)
-class TreeTopology:
+class TreeTopology(_Frozen):
     """Canonical leaf-labeled shape: the set of nontrivial splits."""
 
-    splits: frozenset
+    __slots__ = ("splits",)
+
+    def __init__(self, splits: frozenset):
+        object.__setattr__(self, "splits", splits)
 
     def key(self) -> str:
         parts = []

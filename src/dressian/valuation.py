@@ -17,7 +17,8 @@ Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
 do integer arithmetic only.  An INF entry is tested before any addition;
-inside Z(M) every crossing set is a basis and no test is needed.  The
+inside Z(M) every crossing set is a basis and no test is needed, and the
+three-term check of a view with no INF (a uniform matroid) tests none.  The
 brute-force checker reads the same integer view, but walks the exchange
 inequality over all pairs of r-subsets, taking elements lowest bit first
 and looking values up by colex position, without the location tables, so
@@ -28,17 +29,17 @@ that it stays an independent second check.  Outputs that report values
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import NamedTuple
 
 from .matroid import (
     InputError,
     Matroid,
     _colex_subsets,
+    _Frozen,
     mask_to_set,
     require_listable,
     set_to_mask,
@@ -58,19 +59,15 @@ class NotAValuationError(InputError):
 # Symbols
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "s_mask a b c d")):
     """A location (S, ab|cd): an (r-2)-set S plus a pairing of four elements.
 
     Canonical form: a < b, c < d, a < c.  The symbol asserts the equality of
-    the two crossing sums, nu(Sac) + nu(Sbd) = nu(Sad) + nu(Sbc).
+    the two crossing sums, nu(Sac) + nu(Sbd) = nu(Sad) + nu(Sbc).  Symbols
+    are ordered, and hashed, as the tuple (s_mask, a, b, c, d).
     """
 
-    s_mask: int
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     @classmethod
     def make(cls, s_mask: int, pair1, pair2) -> "Symbol":
@@ -101,18 +98,20 @@ class Symbol:
         return f"({s}|{self.a}{self.b}.{self.c}{self.d})"
 
 
-class SymbolTable(NamedTuple):
+class SymbolTable(namedtuple("SymbolTable", "subsets position locations symbols cross")):
     """Index tables of the three-term condition on r-subsets of {0..n-1}.
 
     A position is the colex rank of an r-subset; it indexes the integer
     view `Valuation.scaled`.
+
+    - subsets: every r-subset mask, in colex order
+    - position: mask -> colex rank
+    - locations: per location (S, abcd): (Sab, Scd, Sac, Sbd, Sad, Sbc)
+    - symbols: Z(r, E), three symbols per location, in location order
+    - cross: per symbol, (Sac, Sbd, Sad, Sbc)
     """
 
-    subsets: tuple  # every r-subset mask, in colex order
-    position: dict  # mask -> colex rank
-    locations: tuple  # per location (S, abcd): (Sab, Scd, Sac, Sbd, Sad, Sbc)
-    symbols: tuple  # Z(r, E): three symbols per location, in location order
-    cross: tuple  # per symbol: (Sac, Sbd, Sad, Sbc)
+    __slots__ = ()
 
 
 @lru_cache(maxsize=8)
@@ -235,9 +234,22 @@ def _integer_view(M: Matroid, vals: dict) -> tuple[int, tuple]:
                       for m in subsets)
 
 
-def _three_term_holds(locs, v) -> bool:
+def _three_term_holds(M: Matroid, v) -> bool:
     """At every location the minimum of the three pairing sums of the
-    integer view v is infinite or attained at least twice."""
+    integer view v of a valuation on M is infinite or attained at least
+    twice.  INF sits exactly off the bases, so a view of a uniform M holds
+    none and its sums are plain integer sums."""
+    locs = symbol_table(M.n, M.r).locations
+    if len(M.bases) == len(v):
+        for ab, cd, ac, bd, ad, bc in locs:
+            p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
+            # attained twice: p = q <= s, or p != q and s ties the smaller
+            if p == q:
+                if s < p:
+                    return False
+            elif s != (p if p < q else q):
+                return False
+        return True
     for ab, cd, ac, bd, ad, bc in locs:
         p, q, s = ext_sum(v[ab], v[cd]), ext_sum(v[ac], v[bd]), ext_sum(v[ad], v[bc])
         lo = min(p, q, s)
@@ -250,7 +262,7 @@ def check_valuation(M: Matroid, values) -> bool:
     """Three-term test: at every location the minimum of the three pairing
     sums of the extension is infinite or attained at least twice."""
     _den, scaled = _integer_view(M, _normalize_values(M, values))
-    return _three_term_holds(symbol_table(M.n, M.r).locations, scaled)
+    return _three_term_holds(M, scaled)
 
 
 def check_valuation_bruteforce(M: Matroid, values) -> bool:
@@ -290,25 +302,25 @@ def check_valuation_bruteforce(M: Matroid, values) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class Valuation:
+class Valuation(_Frozen):
     """An exact-rational valuation of a matroid; immutable, checked on build."""
 
-    matroid: Matroid
-    values: dict
-    # the integer view: values * denominator by colex rank, INF off the bases
-    denominator: int = field(init=False, repr=False)
-    scaled: tuple = field(init=False, repr=False)
+    # `scaled` is the integer view: values * denominator by colex rank, INF
+    # off the bases
+    __slots__ = ("matroid", "values", "denominator", "scaled")
 
-    def __post_init__(self):
-        M = self.matroid
-        vals = _normalize_values(M, self.values)
-        den, scaled = _integer_view(M, vals)
+    def __init__(self, matroid: Matroid, values: dict):
+        vals = _normalize_values(matroid, values)
+        den, scaled = _integer_view(matroid, vals)
+        object.__setattr__(self, "matroid", matroid)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "scaled", scaled)
-        if not _three_term_holds(symbol_table(M.n, M.r).locations, scaled):
+        if not _three_term_holds(matroid, scaled):
             raise NotAValuationError("value map violates the three-term condition")
+
+    def __repr__(self):
+        return f"Valuation(matroid={self.matroid!r}, values={self.values!r})"
 
     def __eq__(self, other):
         return (
@@ -352,17 +364,20 @@ class Valuation:
         return cls.from_json_obj(json.loads(text), matroid_loader)
 
 
-@dataclass(frozen=True, eq=False)
-class CombinatorialType:
+class CombinatorialType(_Frozen):
     """The equality pattern of a valuation over the free symbols Z1(M).
 
     Symbols are held by their positions in `symbol_table(n, r).symbols`,
-    in ascending order.
+    in ascending order: `full_ids` is [nu] = [nu-bar] ∩ Z(M) and
+    `free_ids` is [nu] ∩ Z1(M).
     """
 
-    matroid: Matroid
-    full_ids: tuple  # [nu] = [nu-bar] ∩ Z(M)
-    free_ids: tuple  # [nu] ∩ Z1(M)
+    __slots__ = ("matroid", "full_ids", "free_ids")
+
+    def __init__(self, matroid: Matroid, full_ids: tuple, free_ids: tuple):
+        object.__setattr__(self, "matroid", matroid)
+        object.__setattr__(self, "full_ids", full_ids)
+        object.__setattr__(self, "free_ids", free_ids)
 
     def _symbols(self, ids) -> frozenset:
         symbols = symbol_table(self.matroid.n, self.matroid.r).symbols

@@ -422,6 +422,27 @@ def test_only_bounds_loads_mpmath(files):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
+
+def test_cli_import_loads_no_code_generators():
+    # a fresh interpreter; only what the import adds is checked, since the
+    # interpreter's own start-up (site) may load typing already
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import dressian.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dressian.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "mpmath"}, sorted(loaded)
+
+
 def test_cover_check(files, capsys, tmp_path):
     sub = {"coords": [0, 1, 2, 3],
            "equations": [{"0": "1", "1": "-1"}]}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -84,6 +85,38 @@ def test_checkers_agree_on_corpus():
             accepted += fast
             rejected += not fast
         assert accepted > 0 and rejected > 0
+
+
+@pytest.mark.parametrize("removed", [(), ((0, 1),), ((0, 1), (2, 3))])
+def test_checkers_agree_on_every_small_value_map(removed):
+    # every map into {0, 1, 2} on U(2, 4) and on two of its sparse paving
+    # restrictions: all orders of the three pairing sums, with and without INF
+    M = rank2_nonuniform(4, removed)
+    bases = sorted(M.bases)
+    verdicts = set()
+    for values in itertools.product(range(3), repeat=len(bases)):
+        vals = dict(zip(bases, values))
+        fast = check_valuation(M, vals)
+        assert fast == check_valuation_bruteforce(M, vals), vals
+        verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+def test_checkers_agree_on_rank3_integer_maps():
+    rnd = random.Random(29)
+    N = random_sparse_paving(3, 6, random.Random(3))
+    assert not N.is_uniform()
+    for M in (Matroid.uniform(3, 6), N):
+        verdicts = []
+        for _ in range(150):
+            if rnd.random() < 0.5:
+                vals = random_valuation(M, rnd).values
+            else:
+                vals = {m: rnd.randint(0, 3) for m in M.bases}
+            fast = check_valuation(M, vals)
+            assert fast == check_valuation_bruteforce(M, vals)
+            verdicts.append(fast)
+        assert True in verdicts and False in verdicts
 
 
 def test_invalid_values_rejected_on_construction():
