@@ -25,7 +25,7 @@ from .matroid import (
     r_subset_masks,
     require_listable,
 )
-from .valuation import combinatorial_type, valuation_from_matroid
+from .valuation import combinatorial_type, residue_matroid, shift, valuation_from_matroid
 
 LOG_DIGITS = 20
 _WORK_DPS = 40  # well beyond the 20 reported digits
@@ -86,14 +86,13 @@ class BoundsReport:
         # s(r, n) when within census scale, else None
         "count_lower": "sparse paving matroid count",
     }
-    __slots__ = ("n", "r", "t_contraction", "log_precision", *SOURCES)
+    __slots__ = ("n", "r", "t_contraction", *SOURCES)
+    log_precision = LOG_DIGITS  # digits of every logarithmic bound
 
-    def __init__(self, n: int, r: int, t_contraction: int, *,
-                 log_precision: int = LOG_DIGITS, **bounds):
+    def __init__(self, n: int, r: int, t_contraction: int, **bounds):
         if bounds.keys() != self.SOURCES.keys():
             raise TypeError(f"BoundsReport takes exactly the bounds {list(self.SOURCES)}")
         self.n, self.r, self.t_contraction = n, r, t_contraction
-        self.log_precision = log_precision
         for name, value in bounds.items():
             setattr(self, name, value)
 
@@ -295,8 +294,6 @@ def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
     if samples < 0:
         raise InputError(f"need samples >= 0, got {samples}")
     import random
-
-    from .valuation import residue_matroid, shift
 
     rnd = random.Random(seed)
     seen = {}

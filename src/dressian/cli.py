@@ -25,7 +25,6 @@ from .bounds import (
 from .linear import ExactCover, RationalSubspace, cell_dim, exact_cover_check
 from .matroid import (
     DESK_SCALE_COORDS,
-    DESK_SCALE_RANK2_CLASSES,
     InputError,
     InvariantViolation,
     Matroid,
@@ -192,9 +191,6 @@ def cmd_tree_encode(args):
 
 
 def cmd_rank2_census(args):
-    if args.n > DESK_SCALE_RANK2_CLASSES:  # U(2, n) has n classes: refuse before building it
-        raise ScaleLimitError(f"rank2-census needs at most {DESK_SCALE_RANK2_CLASSES} "
-                              f"parallel classes, got n = {args.n}")
     dims = rank2_cell_dims(Matroid.uniform(2, args.n))
     cells = sum(dims.values())
     obj = {"n": args.n, "cells": cells, "dims": {str(k): v for k, v in dims.items()}}

@@ -23,8 +23,8 @@ from math import comb
 DESK_SCALE_SUBSETS = 500
 DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
-# most parallel classes in the rank-2 census: bounds the cell listing (660032
-# cells, about 475 MB, at 9) and rank2-census's check before it builds U(2, n)
+# most parallel classes whose rank-2 cells enumerate_rank2_cells lists (660032
+# cells, about 475 MB, at 9); rank2_cell_dims counts them in closed form, unlimited
 DESK_SCALE_RANK2_CLASSES = 9
 DESK_SCALE_BOUNDS_N = 1000  # largest n for bounds: 2^n n^n then has 3302 digits, str() allows 4300
 

@@ -1,8 +1,9 @@
 """Metric trees for rank-2 valuations: decode, encode, and the cell census.
 
-The cells of a rank-2 Dressian are tree topologies; ``enumerate_rank2_cells``
-lists them and ``rank2_cell_dims`` counts them per dimension without
-building any.
+The cells of a rank-2 Dressian are tree topologies on the parallel classes;
+``enumerate_rank2_cells`` lists them and ``rank2_cell_dims`` counts them per
+dimension in closed form, by the recurrence for trees by number of internal
+vertices, without building any.
 
 Sign convention: the negation of a rank-2 valuation is a classical tree
 metric (four-point condition, maximum attained twice), so split extraction
@@ -253,13 +254,6 @@ class TreeTopology(_Frozen):
     def __init__(self, splits: frozenset):
         object.__setattr__(self, "splits", splits)
 
-    def key(self) -> str:
-        parts = []
-        for split in self.splits:
-            sides = sorted(tuple(sorted(s)) for s in split)
-            parts.append("|".join(",".join(map(str, s)) for s in sides))
-        return ";".join(sorted(parts)) or "star"
-
 
 # ---------------------------------------------------------------------------
 # Parallel classes and split extraction
@@ -396,15 +390,27 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
 # Cell enumeration
 
 
-def _rank2_candidates(M: Matroid):
-    """Parallel classes, candidate split sides and their compatibility masks.
+def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
+    """All cells of the rank-2 Dressian of M as (topology, dimension).
 
-    A split is named by its side avoiding class 0, a tuple of class indices
-    with 2 <= |side| <= t - 2; sides are sorted.  Two sides are compatible
-    iff they are disjoint or nested, and ``compat[i]`` holds, as one int, the
-    bits of the later candidates compatible with candidate i.  The number of
-    split systems grows like A000311 in the number t of classes, so more
-    than ``DESK_SCALE_RANK2_CLASSES`` classes raise ``ScaleLimitError``.
+    Cells correspond to pairwise-compatible systems of nontrivial splits
+    that neither separate a parallel pair nor cut off a single parallel
+    class (the latter edge length is absorbed by leaf edges and does not
+    change the combinatorial type).  Each cell has dimension n + #splits.
+
+    A candidate split is named by its side avoiding class 0, a tuple of
+    class indices with 2 <= |side| <= t - 2; sides are sorted.  Two sides
+    are compatible iff they are disjoint or nested, and ``compat[i]`` holds,
+    as one int, the bits of the later candidates compatible with candidate
+    i.  The depth-first search extends a system by the bits of
+    ``allowed & compat[i]`` in ascending order and never compares splits
+    again.  Each candidate is lifted to its element split once, and every
+    cell shares those objects.  Cells come out in preorder: a system before
+    its extensions, extensions by candidates in ascending order of their
+    sorted class indices.  Listing costs memory per cell (39208 cells for
+    8 classes, 660032 for 9), so more than ``DESK_SCALE_RANK2_CLASSES``
+    classes raise ``ScaleLimitError``; ``rank2_cell_dims`` counts the cells
+    for any number of classes.
     """
     classes = parallel_classes(M)
     t = len(classes)
@@ -428,27 +434,6 @@ def _rank2_candidates(M: Matroid):
             if common == 0 or common == a or common == masks[j]:
                 later |= 1 << j
         compat.append(later)
-    return classes, sides, compat
-
-
-def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
-    """All cells of the rank-2 Dressian of M as (topology, dimension).
-
-    Cells correspond to pairwise-compatible systems of nontrivial splits
-    that neither separate a parallel pair nor cut off a single parallel
-    class (the latter edge length is absorbed by leaf edges and does not
-    change the combinatorial type).  Each cell has dimension n + #splits.
-
-    The depth-first search over ``_rank2_candidates`` extends a system by
-    the bits of ``allowed & compat[i]`` in ascending order and never compares
-    splits again.  Each candidate is lifted to its element split once, and
-    every cell shares those objects.  Cells come out in preorder: a system
-    before its extensions, extensions by candidates in ascending order of
-    their sorted class indices.  Listing costs memory per cell (39208 cells
-    for 8 classes, 660032 for 9); ``rank2_cell_dims`` counts them without
-    building any.
-    """
-    classes, sides, compat = _rank2_candidates(M)
     ground = frozenset(range(M.n))
     splits = []
     for side in sides:
@@ -475,28 +460,17 @@ def rank2_cell_dims(M: Matroid) -> dict[int, int]:
     """Number of cells of the rank-2 Dressian of M per dimension, ascending.
 
     The same cells as ``enumerate_rank2_cells``, counted without listing
-    them.  ``counts(allowed)[k]`` is the number of k-split systems drawn
-    from the candidates in ``allowed``: the empty system, plus for each
-    candidate i in ``allowed`` the systems whose lowest split is i, which
-    are i together with a system from ``allowed & compat[i]``.  It is
-    memoized on ``allowed`` (1598 masks for 8 classes, 9457 for 9).
+    them: a cell is a tree on the t parallel classes, and one with k splits
+    has k + 1 internal vertices and dimension n + k.  The trees on s leaves
+    with m internal vertices number T(s, m), where T(3, 1) = 1 and
+    T(s, m) = m T(s-1, m) + (s+m-3) T(s-1, m-1): the last leaf joins a
+    tree on s - 1 leaves at one of its m internal vertices, or subdivides
+    one of the s+m-3 edges of one with m - 1 internal vertices (Felsenstein
+    1978).
     """
-    _classes, sides, compat = _rank2_candidates(M)
-    memo = {}
-
-    def counts(allowed):
-        if allowed in memo:
-            return memo[allowed]
-        c = [1]
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sub = counts(allowed & compat[low.bit_length() - 1])
-            c.extend([0] * (len(sub) + 1 - len(c)))
-            for k, x in enumerate(sub, 1):
-                c[k] += x
-        memo[allowed] = c
-        return c
-
-    return {M.n + k: x for k, x in enumerate(counts((1 << len(sides)) - 1))}
+    t = len(parallel_classes(M))
+    row = [1]  # row[m - 1] = T(s, m), starting from s = 3 (also the count for t <= 2)
+    for s in range(4, t + 1):
+        prev = [0, *row, 0]
+        row = [m * prev[m] + (s + m - 3) * prev[m - 1] for m in range(1, s - 1)]
+    return {M.n + m - 1: x for m, x in enumerate(row, 1)}

@@ -1,10 +1,15 @@
-"""Earlier forms of two rank-2 routines, kept as test oracles.
+"""Earlier forms of three rank-2 routines, kept as test oracles.
 
 `enumerate_rank2_cells` is the frozenset split-system DFS used before the
 bitmask enumerator.  Candidate sides are frozensets of class indices; every
 step tests the next candidate against every chosen split and lifts each
 chosen side to its element split anew. The cells come out in the same
 preorder as the library's.
+
+`rank2_cell_dims` is the count per dimension used before the closed-form
+recurrence: a recursion over bitmasks of compatible candidate splits,
+memoized on the set of candidates still allowed.  It counts the same split
+systems the enumerators list, but never builds one.
 
 `confirmed_class_splits` is the split finder `decode_tree` used before it
 read splits off the distances to class 0: it tests every one of the
@@ -83,3 +88,38 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
         topo = TreeTopology(frozenset(lift(s) for s in system))
         out.append((topo, M.n + len(system)))
     return out
+
+
+def rank2_cell_dims(M: Matroid) -> dict[int, int]:
+    """{n + k: k-split systems}: ``counts(allowed)[k]`` is the number of
+    k-split systems drawn from the candidates in ``allowed``, the empty
+    system plus, for each candidate i in ``allowed``, i together with a
+    system from the later candidates in ``allowed`` compatible with i."""
+    t = len(parallel_classes(M))
+    # candidate sides as masks over the classes, avoiding class 0
+    masks = [bits << 1 for bits in range(1, 1 << (t - 1)) if 2 <= bits.bit_count() <= t - 2]
+    compat = []
+    for i, a in enumerate(masks):
+        later = 0
+        for j in range(i + 1, len(masks)):
+            common = a & masks[j]
+            if common in (0, a, masks[j]):
+                later |= 1 << j
+        compat.append(later)
+    memo = {}
+
+    def counts(allowed):
+        if allowed not in memo:
+            c = [1]
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = counts(allowed & compat[low.bit_length() - 1])
+                c.extend([0] * (len(sub) + 1 - len(c)))
+                for k, x in enumerate(sub, 1):
+                    c[k] += x
+            memo[allowed] = c
+        return memo[allowed]
+
+    return {M.n + k: x for k, x in enumerate(counts((1 << len(masks)) - 1))}

@@ -89,17 +89,29 @@ def test_rank2_census(files, capsys):
         "dims": {"9": 1, "10": 246, "11": 6825, "12": 56980, "13": 190575,
                  "14": 270270, "15": 135135},
     }
+    # counted in closed form: more classes than enumerate_rank2_cells lists
+    code, out = capture(capsys, ["rank2-census", "--n", "10"])
+    assert code == 0
+    assert json.loads(out)["cells"] == 12818912  # A000311
+    started = time.perf_counter()
+    code, out = capture(capsys, ["rank2-census", "--n", "32"])
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], len(doc["dims"]), doc["dims"]["32"]) == (32, 30, 1)
 
 
 def test_rank2_census_scale_guard(files, capsys):
-    for n in ("10", "100"):  # U(2, 100) alone took 45 s to build and check
+    # C(33, 2) = 528 pairs exceed DESK_SCALE_SUBSETS before U(2, n) is built;
+    # U(2, 100) alone once took 45 s to build and check
+    for n in ("33", "100"):
         started = time.perf_counter()
         assert run(["rank2-census", "--n", n]) == 2
         assert time.perf_counter() - started < 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
-        assert "parallel classes" in captured.err
+        assert f"C({n}, 2) exceeds 500" in captured.err
 
 
 def assert_refused_within_a_second(capsys, argv):

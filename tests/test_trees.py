@@ -34,6 +34,7 @@ from helpers import (
 from dressian.trees import _class_splits
 from reference_trees import confirmed_class_splits
 from reference_trees import enumerate_rank2_cells as reference_rank2_cells
+from reference_trees import rank2_cell_dims as reference_rank2_cell_dims
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,37 @@ def test_enumerator_matches_reference_dfs():
         assert rank2_cell_dims(M) == dim_tally(cells)
 
 
+def random_rank2_by_classes(rnd, max_classes=8, max_size=3):
+    """A rank-2 matroid whose 2 to max_classes parallel classes have random
+    sizes 1..max_size, elements shuffled; a basis is a pair across classes.
+    (A single class has no basis, so rank 2 needs two.)"""
+    sizes = [rnd.randint(1, max_size) for _ in range(rnd.randint(2, max_classes))]
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    rnd.shuffle(cls)
+    n = len(cls)
+    bases = frozenset(set_to_mask((a, b)) for a, b in combinations(range(n), 2)
+                      if cls[a] != cls[b])
+    return Matroid(n, 2, bases), len(sizes)
+
+
+def test_rank2_cell_dims_match_memo_oracle():
+    for n in range(2, 10):
+        M = Matroid.uniform(2, n)
+        assert rank2_cell_dims(M) == reference_rank2_cell_dims(M)
+    rnd = random.Random(127)
+    seen_classes, seen_size3 = set(), False
+    for _ in range(64):
+        M, t = random_rank2_by_classes(rnd)
+        classes = parallel_classes(M)
+        assert len(classes) == t
+        seen_classes.add(t)
+        seen_size3 |= max(map(len, classes)) == 3
+        dims = rank2_cell_dims(M)
+        assert dims == reference_rank2_cell_dims(M)
+        assert list(dims) == sorted(dims)
+    assert seen_classes == set(range(2, 9)) and seen_size3
+
+
 def test_rank2_census_counts_and_dims():
     # A000311: phylogenetic trees on n labelled leaves
     for n, expected in [(4, 4), (5, 26), (6, 236), (7, 2752), (8, 39208)]:
@@ -163,18 +195,24 @@ def phylogenetic_trees_by_dim(n):
 
 
 def test_rank2_cell_dims_match_leaf_insertion_recurrence():
-    for n in range(3, 10):
+    totals = []
+    for n in range(3, 13):
         dims = rank2_cell_dims(Matroid.uniform(2, n))
         assert dims == phylogenetic_trees_by_dim(n)
         assert list(dims) == sorted(dims)
-    assert dims == {9: 1, 10: 246, 11: 6825, 12: 56980, 13: 190575, 14: 270270, 15: 135135}
-    assert sum(dims.values()) == 660032  # A000311
+        totals.append(sum(dims.values()))
+    assert rank2_cell_dims(Matroid.uniform(2, 9)) == {
+        9: 1, 10: 246, 11: 6825, 12: 56980, 13: 190575, 14: 270270, 15: 135135}
+    assert totals == [1, 4, 26, 236, 2752, 39208, 660032,  # A000311
+                      12818912, 282137824, 6939897856]
 
 
 def test_rank2_census_scale_guard():
-    for census in (enumerate_rank2_cells, rank2_cell_dims):
-        with pytest.raises(ScaleLimitError, match="parallel classes"):
-            census(Matroid.uniform(2, 10))
+    # only the listing is limited; the count is closed-form at any size
+    U210 = Matroid.uniform(2, 10)
+    with pytest.raises(ScaleLimitError, match="parallel classes"):
+        enumerate_rank2_cells(U210)
+    assert rank2_cell_dims(U210) == phylogenetic_trees_by_dim(10)
     # the limit counts parallel classes, not elements: 10 elements in 8 classes
     M = rank2_nonuniform(10, [(0, 1), (2, 3)])
     assert len(enumerate_rank2_cells(M)) == 39208
