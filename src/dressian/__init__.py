@@ -39,9 +39,7 @@ from .matroid import (
 from .rationals import (
     INF,
     RationalInputError,
-    ext_sum,
     format_rational,
-    is_finite,
     parse_rational,
 )
 from .subdivision import (

@@ -1,12 +1,13 @@
 """Closed-form bound evaluation, lower-bound certificates, and censuses.
 
-All combinatorial quantities are exact; the few genuinely transcendental
+All combinatorial quantities are exact; the two genuinely transcendental
 bounds (natural-log expressions) are evaluated to 20 significant digits
-with mpmath and reported as decimal strings.
+with the standard library's `decimal` and reported as decimal strings.
 """
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -28,26 +29,29 @@ from .matroid import (
 from .valuation import combinatorial_type, residue_matroid, shift, valuation_from_matroid
 
 LOG_DIGITS = 20
-_WORK_DPS = 40  # well beyond the 20 reported digits
+_WORK_DIGITS = 40  # well beyond the LOG_DIGITS reported
 
 
 def _log_bounds(n: int, nr: int) -> tuple[str, str]:
     """The subspace bound u ln(C(n,r) n^4 / u) with u = C(n,r) = nr, and the
-    count bound C(n,r) (55 ln n + 4 ln^2 n) / n, each to LOG_DIGITS digits."""
-    import mpmath  # here, not at module level: no other command pays its import time
+    count bound C(n,r) (55 ln n + 4 ln^2 n) / n, each to LOG_DIGITS digits.
 
-    def ln(x: Fraction):
-        return mpmath.log(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
+    Both are evaluated and formatted (format rounds in the current context)
+    in a fresh context, so the caller's precision, rounding and traps do not
+    reach the digits."""
+    u = nr  # dim U(U(r,n)): no forced symbols on the uniform matroid
+    with localcontext(Context(prec=_WORK_DIGITS)):
+        subspace_bound = u * (Decimal(nr * n**4) / u).ln()
+        ln_n = Decimal(n).ln()
+        count_upper = nr * (55 * ln_n + 4 * ln_n * ln_n) / n
+        return _digits(subspace_bound), _digits(count_upper)
 
-    def digits(x) -> str:
-        return mpmath.nstr(x, LOG_DIGITS, strip_zeros=False)
 
-    u = Fraction(nr)  # dim U(U(r,n)): no forced symbols on the uniform matroid
-    with mpmath.workdps(_WORK_DPS):
-        subspace_bound = ln(Fraction(nr) * n**4 / u) * mpmath.mpf(int(u))
-        ln_n = ln(Fraction(n))
-        count_upper = mpmath.mpf(nr) * (55 * ln_n + 4 * ln_n**2) / n
-        return digits(subspace_bound), digits(count_upper)
+def _digits(x: Decimal) -> str:
+    """x to LOG_DIGITS significant digits in the report's fixed form: a
+    whole number of exactly LOG_DIGITS digits keeps a trailing "."."""
+    text = format(x, f".{LOG_DIGITS}g")
+    return text if "." in text or "e" in text else text + "."
 
 
 class BoundsReport:
@@ -167,7 +171,7 @@ def bounds_report(n: int, r: int, t_contraction: int | None = None) -> BoundsRep
 def all_stable_sets(r: int, n: int):
     """All stable sets of the Johnson graph J(r, n), empty set included."""
     verts = r_subset_masks(n, r)
-    nbrs = {v: set(johnson_neighbors(n, v)) & set(verts) for v in verts}
+    nbrs = {v: set(johnson_neighbors(n, v)) for v in verts}
     out = []
 
     def extend(i, chosen, blocked):

@@ -21,7 +21,9 @@ from math import comb
 # reaches 32 elements and rank 3 reaches 15, and the largest symbol table,
 # (32, 2), has 35960 locations.
 DESK_SCALE_SUBSETS = 500
-DESK_SCALE_COORDS = 70  # largest C(n, r) for exact elimination work
+# Largest C(n, r) for `check` (its direct checker), `lower-bound` and the
+# subdivision walk; `dim`, `type` and `equiv` are bound by DESK_SCALE_SUBSETS only.
+DESK_SCALE_COORDS = 70
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
 # most parallel classes whose rank-2 cells enumerate_rank2_cells lists (660032
 # cells, about 475 MB, at 9); rank2_cell_dims counts them in closed form, unlimited

@@ -1,8 +1,9 @@
 """Exact rationals extended with a single infinity.
 
 Finite values are fractions.Fraction; the symbol INF absorbs addition and
-dominates every finite value.  Comparisons and sums in valuation checks go
-through the helpers below so that infinity arithmetic stays in one place.
+dominates every finite value.  INF's own operators are the one place where
+infinity arithmetic lives: `x + INF` and `x < INF` reach them by reflection,
+so valuation checks add and compare with plain `+` and `<`.
 
 `parse_rational` accepts what `Fraction` accepts, but rejects scientific
 notation whose exponent exceeds `MAX_EXPONENT` in absolute value:
@@ -63,17 +64,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
-
-def is_finite(x) -> bool:
-    return x is not INF
-
-
-def ext_sum(a, b):
-    """a + b with infinity absorption."""
-    if a is INF or b is INF:
-        return INF
-    return a + b
 
 
 def parse_rational(text: str) -> Fraction:

@@ -44,7 +44,7 @@ from .matroid import (
     require_listable,
     set_to_mask,
 )
-from .rationals import INF, ext_sum, format_rational, parse_rational
+from .rationals import INF, format_rational, parse_rational
 
 
 class ValuationInputError(InputError):
@@ -237,23 +237,14 @@ def _integer_view(M: Matroid, vals: dict) -> tuple[int, tuple]:
 def _three_term_holds(M: Matroid, v) -> bool:
     """At every location the minimum of the three pairing sums of the
     integer view v of a valuation on M is infinite or attained at least
-    twice.  INF sits exactly off the bases, so a view of a uniform M holds
-    none and its sums are plain integer sums."""
-    locs = symbol_table(M.n, M.r).locations
-    if len(M.bases) == len(v):
-        for ab, cd, ac, bd, ad, bc in locs:
-            p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
-            # attained twice: p = q <= s, or p != q and s ties the smaller
-            if p == q:
-                if s < p:
-                    return False
-            elif s != (p if p < q else q):
+    twice.  INF's own operators absorb sums and dominate every integer."""
+    for ab, cd, ac, bd, ad, bc in symbol_table(M.n, M.r).locations:
+        p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
+        # attained twice: p = q <= s, or p != q and s ties the smaller
+        if p == q:
+            if s < p:
                 return False
-        return True
-    for ab, cd, ac, bd, ad, bc in locs:
-        p, q, s = ext_sum(v[ab], v[cd]), ext_sum(v[ac], v[bd]), ext_sum(v[ad], v[bc])
-        lo = min(p, q, s)
-        if lo is not INF and (p == lo) + (q == lo) + (s == lo) < 2:
+        elif s != (p if p < q else q):
             return False
     return True
 
@@ -413,7 +404,7 @@ class CombinatorialType(_Frozen):
 def symbol_equality_holds(nu: Valuation, sym: Symbol) -> bool:
     position, v = symbol_table(nu.matroid.n, nu.matroid.r).position, nu.scaled
     sac, sbd, sad, sbc = (v[position[m]] for m in sym.cross_sets())
-    return ext_sum(sac, sbd) == ext_sum(sad, sbc)
+    return sac + sbd == sad + sbc
 
 
 def combinatorial_type(nu: Valuation) -> CombinatorialType:

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from decimal import Context, Decimal, getcontext
+from decimal import ROUND_DOWN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import comb, log, log2
 
@@ -25,7 +25,8 @@ from helpers import random_sparse_paving
 
 
 # frozen 20-significant-digit fixtures (checked below against an independent
-# Decimal evaluation, so the two libraries agree digit for digit)
+# Decimal evaluation); (63, 28) and (1000, 500) pin how the log bounds are
+# written: a whole 20-digit number keeps a trailing ".", a large one an exponent
 FIXTURES = {
     (6, 3): {
         "symbol_count_ordered": 180,
@@ -72,16 +73,24 @@ FIXTURES = {
         "dim_lower": Fraction(35, 4),
         "count_lower": None,
     },
+    (63, 28): {
+        "subspace_count_bound": "10429236116375347632.",
+        "count_upper": "2962090903550039632.0",
+    },
+    (1000, 500): {
+        "subspace_count_bound": "7.4683400929505410770e+300",
+        "count_upper": "1.5427914198038298405e+299",
+    },
 }
 
 
 def decimal_oracle(n, r):
     """Independent evaluation of the two log bounds, 20 significant digits."""
-    getcontext().prec = 45
     nr = comb(n, r)
-    ln_n = Decimal(n).ln()
-    sub = Decimal(nr) * (Decimal(n) ** 4).ln()  # u = C(n,r): u ln(C(n,r) n^4 / u)
-    cu = Decimal(nr) * (55 * ln_n + 4 * ln_n**2) / n
+    with localcontext(Context(prec=45)):
+        ln_n = Decimal(n).ln()
+        sub = Decimal(nr) * (Decimal(n) ** 4).ln()  # u = C(n,r): u ln(C(n,r) n^4 / u)
+        cu = Decimal(nr) * (55 * ln_n + 4 * ln_n**2) / n
     round20 = Context(prec=20)
     return sub.normalize(round20), cu.normalize(round20)
 
@@ -99,6 +108,27 @@ def test_log_fixtures_match_decimal_oracle():
         sub, cu = decimal_oracle(n, r)
         assert Decimal(expected["subspace_count_bound"]) == sub
         assert Decimal(expected["count_upper"]) == cu
+
+
+def test_log_bounds_match_mpmath_reference():
+    pytest.importorskip("mpmath")
+    from reference_bounds import log_bounds
+    cases = {(n, r) for n in range(3, 1001) for r in (2, 3, n // 2, n - 1) if 2 <= r < n}
+    cases.add((63, 28))
+    for n, r in sorted(cases):
+        rep = bounds_report(n, r)
+        want = log_bounds(n, comb(n, r))
+        assert (rep.subspace_count_bound, rep.count_upper) == want, (n, r)
+
+
+def test_log_bounds_ignore_the_callers_decimal_context():
+    # the digits come from a fresh context, not from whatever the caller set
+    ambient = Context(prec=5, rounding=ROUND_DOWN, traps=[Inexact])
+    with localcontext(ambient):
+        for n, r in [(8, 4), (63, 28)]:
+            rep = bounds_report(n, r)
+            for name in ("subspace_count_bound", "count_upper"):
+                assert getattr(rep, name) == FIXTURES[n, r][name], (n, r, name)
 
 
 def test_report_rows_carry_sources():
