@@ -69,7 +69,7 @@ class BoundsReport:
         "symbol_count": "canonical three-term location count",
         # |Z1| for the uniform matroid = symbol_count
         "log2_count_bound": "type-subset counting bound over free symbols",
-        # C(n,r) * 3 / (n-r+3), a Fraction
+        # C(n,r) * 3 / (n-r+3), a Fraction; a cell-dimension bound for 3 <= r <= n-3 only
         "dim_upper": "rank-3 contraction dimension bound",
         # per-coordinate dim bound via rank-t minors, a Fraction
         "dim_contraction_ratio": "per-coordinate contraction dimension bound",
@@ -125,7 +125,9 @@ def rank_t_dim_bound(t: int, m: int) -> Fraction:
 
 
 def dim_upper(n: int, r: int) -> Fraction:
-    """Rank-3 contraction bound on a cell's dimension: C(n, r) 3 / (n - r + 3)."""
+    """Rank-3 contraction bound on a cell's dimension: C(n, r) 3 / (n - r + 3),
+    for 3 <= r <= n - 3 only.  `cell_dim` counts the n-dimensional lineality
+    space, so cells of U(3, 5) (duals of binary trees on U(2, 5)) reach 7."""
     return Fraction(comb(n, r) * 3, n - r + 3)
 
 
@@ -192,11 +194,7 @@ def all_sparse_paving_matroids(r: int, n: int) -> list[Matroid]:
     """Every sparse paving matroid of rank r on n elements, by stable set."""
     if n < 0 or r < 0:
         raise ScaleLimitError(f"need n, r >= 0, got r={r}, n={n}")
-    require_listable(n, r)
-    if comb(n, r) > DESK_SCALE_CENSUS:
-        raise ScaleLimitError(
-            f"C({n},{r}) = {comb(n, r)} exceeds the census limit {DESK_SCALE_CENSUS}"
-        )
+    require_listable(n, r, DESK_SCALE_CENSUS, "the census")
     full = frozenset(r_subset_masks(n, r))
     out = []
     for stable in all_stable_sets(r, n):
@@ -216,12 +214,7 @@ def lower_bound_certificate(n: int, r: int):
     """Best modular sparse paving witness: (N, c(N), dim of its cell)."""
     if not 0 < r < n:
         raise ScaleLimitError(f"need 0 < r < n, got r={r}, n={n}")
-    require_listable(n, r)
-    if comb(n, r) > DESK_SCALE_COORDS:
-        raise ScaleLimitError(
-            f"C({n},{r}) = {comb(n, r)} exceeds the elimination limit "
-            f"{DESK_SCALE_COORDS}"
-        )
+    require_listable(n, r, DESK_SCALE_COORDS, "the lower-bound certificate")
     best = None
     for k in range(n):
         try:

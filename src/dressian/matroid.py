@@ -25,6 +25,9 @@ DESK_SCALE_SUBSETS = 500
 # subdivision walk; `dim`, `type` and `equiv` are bound by DESK_SCALE_SUBSETS only.
 DESK_SCALE_COORDS = 70
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
+# Largest n for the subdivision walk: its facet loop costs 2^n |B| per cell (a
+# rank-2 input on 11 elements takes seconds); locate_cell sums over 2^n subsets.
+DESK_SCALE_WALK_N = 10
 # most parallel classes whose rank-2 cells enumerate_rank2_cells lists (660032
 # cells, about 475 MB, at 9); rank2_cell_dims counts them in closed form, unlimited
 DESK_SCALE_RANK2_CLASSES = 9
@@ -104,11 +107,17 @@ def subsets_up_to(n: int, r: int, cap: int) -> int | None:
     return count if count <= cap else None
 
 
-def require_listable(n: int, r: int) -> None:
-    """Raise ScaleLimitError when C(n, r) exceeds DESK_SCALE_SUBSETS."""
-    if 0 <= r <= n and subsets_up_to(n, r, DESK_SCALE_SUBSETS) is None:
+def require_listable(n: int, r: int, cap: int = DESK_SCALE_SUBSETS,
+                     what: str = "the r-subsets listed") -> None:
+    """The one C(n, r) guard, called once by each function whose cost grows
+    with C(n, r): ScaleLimitError when 0 <= r <= n and C(n, r) exceeds
+    DESK_SCALE_SUBSETS or `cap`, the limit on `what`."""
+    count = subsets_up_to(n, r, DESK_SCALE_SUBSETS) if 0 <= r <= n else 0
+    if count is None:
         raise ScaleLimitError(
             f"C({n}, {r}) exceeds {DESK_SCALE_SUBSETS}, the limit on the r-subsets listed")
+    if count > cap:
+        raise ScaleLimitError(f"C({n},{r}) = {count} exceeds {cap}, the limit on {what}")
 
 
 def _is_int(x) -> bool:

@@ -25,12 +25,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .matroid import DESK_SCALE_COORDS, InvariantViolation, Matroid, ScaleLimitError, mask_to_set
+from .matroid import (
+    DESK_SCALE_COORDS,
+    DESK_SCALE_WALK_N,
+    InvariantViolation,
+    Matroid,
+    ScaleLimitError,
+    mask_to_set,
+    require_listable,
+)
 from .valuation import Valuation, ValuationInputError
-
-# The facet loop costs 2^n * |B| per cell (a rank-2 input on 11 elements
-# takes seconds), and locate_cell sums the point over all 2^n subsets.
-MAX_WALK_ELEMENTS = 10
 
 
 def _components(n: int, masks) -> list[int]:
@@ -141,11 +145,9 @@ class SubdivisionCensus:
 def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
     """Maximal cells of P(nu) by a certified walk across interior facets."""
     M = nu.matroid
-    if M.n > MAX_WALK_ELEMENTS or comb(M.n, M.r) > DESK_SCALE_COORDS:
-        raise ScaleLimitError(
-            f"subdivision walk needs n <= {MAX_WALK_ELEMENTS} and C(n, r) <= "
-            f"{DESK_SCALE_COORDS}, got n={M.n}, C(n, r)={comb(M.n, M.r)}"
-        )
+    if M.n > DESK_SCALE_WALK_N:
+        raise ScaleLimitError(f"subdivision walk needs n <= {DESK_SCALE_WALK_N}, got n={M.n}")
+    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the subdivision walk")
     full_dim = polytope_dim(M)
     first = _first_gaps(M, nu, full_dim)
     cells = {_tight(first): first}

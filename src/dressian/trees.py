@@ -27,6 +27,7 @@ from .matroid import (
     MatroidInputError,
     ScaleLimitError,
     _Frozen,
+    mask_to_set,
     set_to_mask,
 )
 from .linear import solve_linear_system
@@ -82,30 +83,27 @@ class MetricTree:
         )
 
     def splits(self) -> frozenset:
-        """Leaf bipartitions induced by internal edges (both sides >= 2)."""
-        out = set()
-        for edge in self.lengths:
-            u, v = tuple(edge)
-            side = self._leaves_beyond(u, v)
-            other = frozenset(range(self.n)) - side
-            if len(side) >= 2 and len(other) >= 2:
-                out.add(frozenset((side, other)))
-        return frozenset(out)
+        """Leaf bipartitions induced by internal edges (both sides >= 2).
 
-    def _leaves_beyond(self, u, v) -> frozenset:
-        """Leaves in the component of v after removing edge (u, v)."""
-        seen = {u, v}
-        stack = [v]
-        leaves = set()
-        while stack:
-            x = stack.pop()
-            if x < self.n:
-                leaves.add(x)
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(leaves)
+        One search from leaf 0 records each vertex's parent; in reverse
+        discovery order each vertex adds the leaves below it to its
+        parent's, so every edge's side away from leaf 0 is known at once.
+        """
+        parent = {0: None}
+        order = [0]
+        for u in order:  # grows while it is walked
+            for v in self.adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    order.append(v)
+        below = {v: 1 << v if v < self.n else 0 for v in order}
+        for v in reversed(order[1:]):
+            below[parent[v]] |= below[v]
+        full = (1 << self.n) - 1
+        return frozenset(
+            frozenset((frozenset(mask_to_set(side)), frozenset(mask_to_set(full ^ side))))
+            for side in (below[v] for v in order[1:])
+            if 2 <= side.bit_count() <= self.n - 2)
 
     def topology(self) -> "TreeTopology":
         return TreeTopology(self.splits())
@@ -260,27 +258,23 @@ class TreeTopology(_Frozen):
 
 
 def parallel_classes(M: Matroid) -> list[list[int]]:
-    """Maximal sets of mutually parallel elements (singletons included)."""
+    """Maximal sets of mutually parallel elements (singletons included),
+    each ascending, in the order of their least elements."""
     if M.r != 2:
         raise MatroidInputError("parallel classes defined here for rank 2 only")
     for e in range(M.n):
         if not any((b >> e) & 1 for b in M.bases):
             raise MatroidInputError(f"element {e} is a loop; no tree model")
-    parent = list(range(M.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in combinations(range(M.n), 2):
-        if set_to_mask((a, b)) not in M.bases:
-            parent[find(a)] = find(b)
-    groups: dict = {}
-    for e in range(M.n):
-        groups.setdefault(find(e), []).append(e)
-    return sorted(groups.values())
+    # parallelism is an equivalence on non-loops: the class of its least
+    # element a is a and every later b with ab not a basis
+    classes = []
+    placed = set()
+    for a in range(M.n):
+        if a not in placed:
+            cls = [a, *(b for b in range(a + 1, M.n) if (1 << a | 1 << b) not in M.bases)]
+            placed.update(cls)
+            classes.append(cls)
+    return classes
 
 
 def _class_splits(nu: Valuation, classes) -> list[frozenset]:

@@ -36,6 +36,7 @@ from itertools import combinations
 from math import lcm
 
 from .matroid import (
+    DESK_SCALE_COORDS,
     InputError,
     Matroid,
     _colex_subsets,
@@ -263,8 +264,10 @@ def check_valuation_bruteforce(M: Matroid, values) -> bool:
     Reads the integer view (nu*D by colex position, INF off the bases) and
     takes the elements e of B1 - B2 and f of B2 - B1 lowest bit first.  It
     shares no location table with `check_valuation`, so the two checkers
-    stay independent.
+    stay independent.  The pairs cost C(n, r)^2, so C(n, r) is limited to
+    DESK_SCALE_COORDS.
     """
+    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the direct checker")
     _den, v = _integer_view(M, _normalize_values(M, values))
     table = symbol_table(M.n, M.r)
     position = table.position

@@ -9,19 +9,21 @@ import pytest
 from dressian import (
     Matroid,
     ScaleLimitError,
+    Valuation,
     all_sparse_paving_matroids,
     bounds_report,
     cell_dim,
     census_from_matroids,
     contract_valuation,
     count_sparse_paving,
+    dim_upper,
     lower_bound_certificate,
     perturbed_census,
     sparse_paving_census,
     symbol_sets,
     valuation_from_matroid,
 )
-from helpers import random_sparse_paving
+from helpers import random_sparse_paving, random_tree_metric_valuation
 
 
 # frozen 20-significant-digit fixtures (checked below against an independent
@@ -189,6 +191,28 @@ def test_lower_bound_certificate_small():
         _N, c, dim = lower_bound_certificate(n, r)
         assert dim >= c >= 1
         assert dim >= -(-comb(n, r) // n)
+
+
+def test_dim_upper_is_exceeded_when_n_minus_r_is_at_most_2():
+    """cell_dim counts the n-dimensional lineality space, so C(n, r) 3 /
+    (n - r + 3) fails for n - r <= 2: a binary-tree valuation on U(2, 5) has
+    a 7-dimensional cell, and so has its dual nu*(B) = nu(E - B) on U(3, 5),
+    while dim_upper(5, 3) = 6."""
+    nu = random_tree_metric_valuation(5, random.Random(3))
+    full = (1 << 5) - 1
+    dual = Valuation(Matroid.uniform(3, 5), {full ^ b: v for b, v in nu.values.items()})
+    assert cell_dim(nu) == cell_dim(dual) == 7
+    assert dim_upper(5, 3) == 6
+
+
+def test_certificate_within_dim_upper_for_3_le_r_le_n_minus_3():
+    pairs = [(n, r) for n in range(6, 10) for r in range(3, n - 2) if comb(n, r) <= 70]
+    assert pairs == [(6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (8, 5)]
+    dims = {}
+    for n, r in pairs:
+        _N, _c, dims[n, r] = lower_bound_certificate(n, r)
+        assert dims[n, r] <= dim_upper(n, r)
+    assert dims[6, 3] == dim_upper(6, 3) == 10  # tight
 
 
 def test_rank2_census_dims_within_tree_bound():

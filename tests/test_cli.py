@@ -608,6 +608,36 @@ def test_check_scale_guard(files, capsys):
             assert json.loads(captured.out) == {"valid": True}
 
 
+def assert_refused_past_the_cap(capsys, argv, cap):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert f"exceeds {cap}, the limit on" in captured.err
+
+
+@pytest.mark.parametrize("sub,fits,past,cap", [("sp-census", (6, 3), (7, 2), 20),
+                                               ("lower-bound", (8, 4), (9, 3), 70)])
+def test_binomial_guard_at_its_cap_and_one_past_it(capsys, sub, fits, past, cap):
+    (n, r), (n_past, r_past) = fits, past
+    assert comb(n, r) == cap < comb(n_past, r_past)
+    code, out = capture(capsys, [sub, "--n", str(n), "--r", str(r)])
+    assert code == 0 and json.loads(out)["n"] == n
+    assert_refused_past_the_cap(capsys, [sub, "--n", str(n_past), "--r", str(r_past)], cap)
+
+
+def test_subdivision_guard_at_its_cap_and_one_past_it(files, capsys):
+    paths = {}
+    for r, n in [(4, 8), (3, 9)]:  # C(8, 4) = 70, the cap; C(9, 3) = 84
+        M = Matroid.uniform(r, n)
+        paths[r, n] = files["dir"] / f"u{r}_{n}.json"
+        paths[r, n].write_text(Valuation(M, {b: Fraction(0) for b in M.bases}).to_json())
+    for command in ("subdivision", "spread"):
+        code, out = capture(capsys, [command, "--valuation", str(paths[4, 8])])
+        assert code == 0 and json.loads(out)["spread"] == 1
+        assert_refused_past_the_cap(capsys, [command, "--valuation", str(paths[3, 9])], 70)
+
+
 def assert_rejected_quickly(capsys, argv):
     started = time.perf_counter()
     assert run(argv) == 2

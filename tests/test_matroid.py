@@ -1,7 +1,9 @@
 import json
 import random
+import re
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from dressian import (
     r_subset_masks,
     set_to_mask,
 )
-from dressian.matroid import DESK_SCALE_SUBSETS, subsets_up_to
+import dressian.matroid as matroid_module
+from dressian.matroid import DESK_SCALE_SUBSETS, require_listable, subsets_up_to
 from dressian.valuation import symbol_table
 from helpers import CORPUS, random_sparse_paving
 
@@ -163,6 +166,27 @@ def test_subsets_up_to_stops_past_the_cap():
             for cap in (0, 1, 5, 20, 462, 500):
                 expected = comb(n, r) if comb(n, r) <= cap else None
                 assert subsets_up_to(n, r, cap) == expected
+
+
+def test_require_listable_names_the_cap_it_enforces():
+    assert require_listable(8, 4, 70, "the walk") is None  # C(8, 4) = 70, the cap itself
+    with pytest.raises(ScaleLimitError, match=r"^C\(9,3\) = 84 exceeds 70, the limit on the walk$"):
+        require_listable(9, 3, 70, "the walk")
+    # past DESK_SCALE_SUBSETS the count is neither finished nor printed
+    with pytest.raises(ScaleLimitError, match=r"^C\(33, 2\) exceeds 500, the limit on the r-subsets listed$"):
+        require_listable(33, 2, 70, "the walk")
+    for n, r in [(3, 4), (3, -1), (-1, 0)]:  # outside 0 <= r <= n nothing is checked
+        assert require_listable(n, r, 0) is None
+
+
+def test_readme_states_every_limit_with_its_value():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(r"`(DESK_SCALE_[A-Z0-9_]+) = (\d+)`", readme)
+    for name, value in stated:
+        assert getattr(matroid_module, name) == int(value), name
+    defined = {name for name in vars(matroid_module) if name.startswith("DESK_SCALE_")}
+    missing = defined - {name for name, _value in stated}
+    assert defined and not missing, sorted(missing)
 
 
 def test_json_roundtrip():

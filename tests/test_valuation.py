@@ -11,6 +11,7 @@ from dressian import (
     INF,
     Matroid,
     NotAValuationError,
+    ScaleLimitError,
     Valuation,
     ValuationInputError,
     all_sparse_paving_matroids,
@@ -339,3 +340,12 @@ def test_type_log_bound():
         types = {combinatorial_type(random_valuation(M, rnd)) for _ in range(80)}
         _z, _z0, z1 = symbol_sets(M)
         assert len(types) <= 2 ** len(z1)
+
+
+def test_direct_checker_refuses_past_its_cap():
+    # its pair loop costs C(n, r)^2: U(4, 8) has 70 r-subsets, U(3, 9) has 84
+    M = Matroid.uniform(4, 8)
+    assert check_valuation_bruteforce(M, {b: 0 for b in M.bases}) is True
+    M = Matroid.uniform(3, 9)
+    with pytest.raises(ScaleLimitError, match=r"C\(9,3\) = 84 exceeds 70"):
+        check_valuation_bruteforce(M, {b: 0 for b in M.bases})
