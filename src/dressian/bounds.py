@@ -19,7 +19,6 @@ from .matroid import (
     InputError,
     InvariantViolation,
     Matroid,
-    MatroidInputError,
     ScaleLimitError,
     johnson_neighbors,
     modular_stable_matroid,
@@ -217,10 +216,7 @@ def lower_bound_certificate(n: int, r: int):
     require_listable(n, r, DESK_SCALE_COORDS, "the lower-bound certificate")
     best = None
     for k in range(n):
-        try:
-            N = modular_stable_matroid(n, r, k)
-        except MatroidInputError:
-            continue
+        N = modular_stable_matroid(n, r, k)
         c = N.johnson_components().component_count
         if best is None or c > best[1]:
             best = (N, c)
@@ -249,8 +245,11 @@ class CensusRecord:
         self.dims = dims
 
 
-def census_from_matroids(r: int, n: int, source, with_dims: bool = False) -> CensusRecord:
-    """Distinct combinatorial types among {nu_N : N in source}."""
+def census_from_matroids(r: int, n: int, source, with_dims: bool = False,
+                         completeness: str = "lower-bound census (types reachable "
+                                             "from matroid valuations)") -> CensusRecord:
+    """Distinct combinatorial types among {nu_N : N in source}, labelled
+    `completeness`."""
     matroids = list(source)
     count = len(matroids)
     types = set()
@@ -266,7 +265,7 @@ def census_from_matroids(r: int, n: int, source, with_dims: bool = False) -> Cen
         r=r,
         source_size=count,
         distinct_types=len(types),
-        completeness="lower-bound census (types reachable from matroid valuations)",
+        completeness=completeness,
         distinct_is_injective=len(types) == count,
         max_cell_dim=max(dims) if dims else None,
         dims=dims,
@@ -274,9 +273,8 @@ def census_from_matroids(r: int, n: int, source, with_dims: bool = False) -> Cen
 
 
 def sparse_paving_census(r: int, n: int, with_dims: bool = False) -> CensusRecord:
-    rec = census_from_matroids(r, n, all_sparse_paving_matroids(r, n), with_dims)
-    rec.completeness = "complete over sparse paving matroids"
-    return rec
+    return census_from_matroids(r, n, all_sparse_paving_matroids(r, n), with_dims,
+                                "complete over sparse paving matroids")
 
 
 def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
@@ -302,9 +300,6 @@ def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
             M0 = residue_matroid(shift(nu, w))
             seen.setdefault(M0.bases, M0)
     ordered = [seen[k] for k in sorted(seen, key=sorted)]
-    rec = census_from_matroids(r, n, ordered, with_dims)
-    rec.completeness = (
-        "lower-bound census (sparse paving matroids plus residue matroids "
-        "of random shifts)"
-    )
-    return rec
+    return census_from_matroids(
+        r, n, ordered, with_dims,
+        "lower-bound census (sparse paving matroids plus residue matroids of random shifts)")

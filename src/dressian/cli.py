@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import (
+    BoundsReport,
     bounds_report,
     dim_upper,
     lower_bound_certificate,
@@ -28,7 +29,7 @@ from .matroid import (
     Matroid,
     MatroidInputError,
     ScaleLimitError,
-    mask_to_set,
+    subset_key,
 )
 from .rationals import format_rational, parse_rational
 from .subdivision import spread_report, subdivision_cells
@@ -73,10 +74,6 @@ def _parse_element_set(text, n):
     if elems is None or not all(0 <= e < n for e in elems):
         raise MatroidInputError(f"--set {text[:40]!r} is not a list of elements of 0..{n - 1}")
     return elems
-
-
-def _set_key(mask):
-    return ",".join(str(e) for e in mask_to_set(mask))
 
 
 def _emit(args, obj, csv_rows=None, text=None):
@@ -196,7 +193,7 @@ def cmd_subdivision(args):
         "spread": census.spread,
         "exploration_status": census.exploration_status,
         "cells": [
-            [_set_key(b) for b in cell.sorted_bases()]
+            [subset_key(b) for b in cell.sorted_bases()]
             for cell in census.maximal_cells
         ],
     }
@@ -222,17 +219,16 @@ def cmd_lower_bound(args):
     obj = {
         "n": args.n,
         "r": args.r,
-        "nonbases": [_set_key(b) for b in sorted(N.nonbases())],
+        "nonbases": [subset_key(b) for b in sorted(N.nonbases())],
         "component_count": c,
         "cell_dim": dim,
         "dim_upper": str(upper),
     }
-    rows = [
-        ("cell_dim_vs_components", dim, c, "sparse paving component certificate",
-         dim >= c),
-        ("cell_dim_vs_dim_upper", dim, upper,
-         "rank-3 contraction dimension bound", Fraction(dim) <= upper),
-    ]
+    source = BoundsReport.SOURCES
+    rows = [("cell_dim_vs_components", dim, c, source["dim_lower"], dim >= c)]
+    if 3 <= args.r <= args.n - 3:  # where dim_upper bounds a cell's dimension
+        rows.append(("cell_dim_vs_dim_upper", dim, upper, source["dim_upper"],
+                     Fraction(dim) <= upper))
     _emit(args, obj, csv_rows=rows,
           text=f"c(N) = {c}, cell_dim = {dim}, dim_upper = {upper}")
 
@@ -272,7 +268,7 @@ def cmd_smooth(args):
     nu = _load_valuation(args.valuation)
     remainder, peels = smooth_decompose(nu)
     obj = {
-        "peels": [[_set_key(mask), format_rational(lam)] for mask, lam in peels],
+        "peels": [[subset_key(mask), format_rational(lam)] for mask, lam in peels],
         "remainder": remainder.to_json_obj(),
         "remainder_is_zero": all(v == 0 for v in remainder.values.values()),
     }

@@ -162,13 +162,10 @@ class RationalSubspace:
             self._dim = len(self.coords) - integer_matrix_rank(rows)
         return self._dim
 
-    def with_extra_equations(self, extra) -> "RationalSubspace":
-        return RationalSubspace(self.coords, self.equations + list(extra))
-
     def zero_section_dim(self, A) -> int:
         """dim of {x in L : x_a = 0 for a in A}."""
         zero_eqs = [{a: Fraction(1)} for a in A]
-        return self.with_extra_equations(zero_eqs).dim()
+        return RationalSubspace(self.coords, self.equations + zero_eqs).dim()
 
     def projection_dim(self, A) -> int:
         """dim(L_A) via dim(L) = dim(L_A) + dim(L^A)."""

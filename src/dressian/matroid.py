@@ -132,6 +132,8 @@ def set_to_mask(elems) -> int:
 
 
 def mask_to_set(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"negative subset mask {mask}")
     out = []
     e = 0
     while mask:
@@ -140,6 +142,11 @@ def mask_to_set(mask: int) -> tuple[int, ...]:
         mask >>= 1
         e += 1
     return tuple(out)
+
+
+def subset_key(mask: int) -> str:
+    """A subset as documents write it: its elements, ascending, joined by ","."""
+    return ",".join(str(e) for e in mask_to_set(mask))
 
 
 @lru_cache(maxsize=8)
@@ -157,22 +164,8 @@ def r_subset_masks(n: int, r: int) -> list[int]:
 def _nonbases_stable(n: int, r: int, bases: frozenset[int]) -> bool:
     """Every r-subset outside `bases` has all r(n - r) of its Johnson
     neighbours in `bases`: the non-bases are a stable set of J(r, n)."""
-    full = (1 << n) - 1
-    for m in _colex_subsets(n, r):
-        if m in bases:
-            continue
-        d = m
-        while d:
-            ebit = d & -d
-            d ^= ebit
-            rest = m ^ ebit
-            out = full ^ m
-            while out:
-                fbit = out & -out
-                out ^= fbit
-                if rest | fbit not in bases:
-                    return False
-    return True
+    return all(u in bases for m in _colex_subsets(n, r) if m not in bases
+               for u in johnson_neighbors(n, m))
 
 
 def _check_exchange(n: int, r: int, bases: frozenset[int]) -> bool:
@@ -402,13 +395,19 @@ class JohnsonComponentReport:
 
 
 def johnson_neighbors(n: int, mask: int):
-    """Vertices of J(r, n) at distance 1 from mask (|X \\ Y| = 1)."""
-    elems = mask_to_set(mask)
-    for e in elems:
-        rest = mask ^ (1 << e)
-        for f in range(n):
-            if not (mask >> f) & 1:
-                yield rest | (1 << f)
+    """Vertices of J(r, n) at distance 1 from mask (|X \\ Y| = 1): e of mask
+    and f outside it, each taken lowest bit first (``x & -x``)."""
+    outside = ((1 << n) - 1) & ~mask
+    d = mask
+    while d:
+        ebit = d & -d
+        d ^= ebit
+        rest = mask ^ ebit
+        out = outside
+        while out:
+            fbit = out & -out
+            out ^= fbit
+            yield rest | fbit
 
 
 def modular_stable_matroid(n: int, r: int, k: int) -> Matroid:

@@ -307,10 +307,6 @@ def decode_tree(nu: Valuation) -> MetricTree:
     if M.r != 2:
         raise ValuationInputError("tree decoding requires a rank-2 matroid")
     classes = parallel_classes(M)
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for e in cls:
-            class_of[e] = i
     splits = _class_splits(nu, classes)
 
     # laminar clusters: split sides avoiding the class of element 0
@@ -328,11 +324,8 @@ def decode_tree(nu: Valuation) -> MetricTree:
     for ci, members in enumerate(classes):
         host = next((node_of_cluster[c] for c in reversed(clusters) if ci in c), root)
         for e in members:
-            adj[e] = set()
             _link(adj, e, host)
-
-    tree = _solve_lengths(nu, MetricTree(n, adj, {}), class_of)
-    return tree
+    return _solve_lengths(nu, MetricTree(n, adj, {}))
 
 
 def _link(adj, u, v):
@@ -340,7 +333,7 @@ def _link(adj, u, v):
     adj.setdefault(v, set()).add(u)
 
 
-def _solve_lengths(nu: Valuation, skeleton: MetricTree, class_of) -> MetricTree:
+def _solve_lengths(nu: Valuation, skeleton: MetricTree) -> MetricTree:
     edges = []
     for u, nbrs in skeleton.adj.items():
         for v in nbrs:

@@ -12,7 +12,7 @@ Each valuation also carries an integer view, computed once at construction:
 one positive common denominator D and the tuple of integers nu*D indexed by
 colex rank among all r-subsets, with the INF sentinel on the non-bases.
 When D = 1, as for every nu_N and every integer input, the view is the
-numerators themselves and nothing is rescaled.
+numerators themselves.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
@@ -44,6 +44,7 @@ from .matroid import (
     mask_to_set,
     require_listable,
     set_to_mask,
+    subset_key,
 )
 from .rationals import INF, format_rational, parse_rational
 
@@ -95,8 +96,7 @@ class Symbol(namedtuple("Symbol", "s_mask a b c d")):
         return (self.a, self.b, self.c, self.d)
 
     def as_key(self) -> str:
-        s = ",".join(str(e) for e in mask_to_set(self.s_mask))
-        return f"({s}|{self.a}{self.b}.{self.c}{self.d})"
+        return f"({subset_key(self.s_mask)}|{self.a}{self.b}.{self.c}{self.d})"
 
 
 class SymbolTable(namedtuple("SymbolTable", "subsets position locations symbols cross")):
@@ -179,9 +179,10 @@ def _normalize_values(M: Matroid, values) -> dict[int, Fraction]:
     out = {}
     for key, val in values.items():
         m = key if isinstance(key, int) else set_to_mask(key)
+        if isinstance(key, int) and not 0 <= key < 1 << M.n:
+            raise ValuationInputError(f"subset mask {key} out of range for n={M.n}")
         if m not in M.bases:
-            subset = ",".join(str(e) for e in mask_to_set(m))
-            raise ValuationInputError(f"value supplied for non-basis {subset}")
+            raise ValuationInputError(f"value supplied for non-basis {subset_key(m)}")
         out[m] = val if type(val) is Fraction else Fraction(val)
     missing = M.bases - out.keys()
     if missing:
@@ -225,12 +226,10 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
 
 def _integer_view(M: Matroid, vals: dict) -> tuple[int, tuple]:
     """(D, nu*D in colex order with INF off the bases), D > 0 the least
-    common denominator of the values; at D = 1 the numerators, unscaled."""
+    common denominator of the values."""
     den = lcm(*(v.denominator for v in vals.values()))
     get = vals.get
     subsets = symbol_table(M.n, M.r).subsets
-    if den == 1:
-        return 1, tuple(INF if (v := get(m)) is None else v.numerator for m in subsets)
     return den, tuple(INF if (v := get(m)) is None else v.numerator * (den // v.denominator)
                       for m in subsets)
 
@@ -340,10 +339,8 @@ class Valuation(_Frozen):
     def to_json_obj(self) -> dict:
         return {
             "matroid": self.matroid.to_json_obj(),
-            "values": {
-                ",".join(str(e) for e in mask_to_set(m)): format_rational(v)
-                for m, v in sorted(self.values.items())
-            },
+            "values": {subset_key(m): format_rational(v)
+                       for m, v in sorted(self.values.items())},
         }
 
     def to_json(self) -> str:
@@ -425,13 +422,7 @@ def equivalent(nu: Valuation, nu2: Valuation) -> bool:
     """Combinatorial equivalence: equal types over Z1(M)."""
     if nu.matroid != nu2.matroid:
         raise ValuationInputError("valuations have different ambient matroids")
-    v, w = nu.scaled, nu2.scaled
-    for _i, sac, sbd, sad, sbc, is_free in _z_rows(nu.matroid):
-        if is_free and (v[sac] + v[sbd] == v[sad] + v[sbc]) != (
-            w[sac] + w[sbd] == w[sad] + w[sbc]
-        ):
-            return False
-    return True
+    return combinatorial_type(nu) == combinatorial_type(nu2)
 
 
 # ---------------------------------------------------------------------------

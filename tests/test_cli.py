@@ -390,6 +390,11 @@ LOWER_BOUND_STDOUT = {
     + '"cell_dim_vs_components","18","10","sparse paving component certificate","True"\n'
     + '"cell_dim_vs_dim_upper","18","30","rank-3 contraction dimension bound","True"\n',
     (8, 4, "text"): "c(N) = 10, cell_dim = 18, dim_upper = 30\n",
+    # dim_upper bounds a cell's dimension only for 3 <= r <= n - 3
+    (5, 3, "csv"): LOWER_BOUND_CSV_HEADER
+    + '"cell_dim_vs_components","7","2","sparse paving component certificate","True"\n',
+    (4, 3, "csv"): LOWER_BOUND_CSV_HEADER
+    + '"cell_dim_vs_components","4","1","sparse paving component certificate","True"\n',
 }
 
 
@@ -410,6 +415,22 @@ def test_lower_bound_dim_upper_matches_bounds_report(capsys, monkeypatch):
         code, out = capture(capsys, ["lower-bound", "--n", str(n), "--r", str(r)])
         assert code == 0
         assert json.loads(out)["dim_upper"] == str(bounds_report(n, r, min(3, r)).dim_upper), (n, r)
+
+
+def test_lower_bound_csv_compares_with_dim_upper_only_where_it_bounds(capsys, monkeypatch):
+    monkeypatch.setattr("dressian.cli.lower_bound_certificate",
+                        lambda n, r: (Matroid.uniform(r, n), 0, 0))
+    for n in range(3, 12):
+        for r in range(2, n):
+            if comb(n, r) > 70:
+                continue
+            code, out = capture(capsys, ["lower-bound", "--n", str(n), "--r", str(r),
+                                         "--format", "csv"])
+            quantities = [line.split(",")[0] for line in out.splitlines()[1:]]
+            expected = ['"cell_dim_vs_components"']
+            if 3 <= r <= n - 3:
+                expected.append('"cell_dim_vs_dim_upper"')
+            assert (code, quantities) == (0, expected), (n, r)
 
 
 def test_no_command_loads_mpmath(files):
@@ -715,6 +736,9 @@ def _typed_rejections(d):
     values = {"0,1": "0", "0,2": "0", "0,3": "0", "1,2": "0", "1,3": "0", "2,3": "0"}
     nu = write("nu.json", {"matroid": M.to_json_obj(), "values": values})
     huge = write("huge.json", {"matroid": M.to_json_obj(), "values": values | {"0,2": "1e5000"}})
+    two_keys = write("two.json", {"matroid": M.to_json_obj(), "values": values | {"1,0": "0"}})
+    loop = write("loop.json", {"matroid": {"n": 3, "r": 2, "bases": [[0, 1]]},
+                               "values": {"0,1": "0"}})
     rank1 = Matroid.uniform(1, 4)
     r1 = write("r1.json", {"matroid": rank1.to_json_obj(),
                            "values": {str(e): "0" for e in range(4)}})
@@ -747,6 +771,10 @@ def _typed_rejections(d):
         ("contract-negative", ["contract", "--valuation", nu, "--set=-1"]),
         ("contract-huge-element", ["contract", "--valuation", nu, "--set", str(10**30)]),
         ("contract-1e5000", ["contract", "--valuation", huge, "--set", "2"]),
+        ("contract-dependent", ["contract", "--valuation", nu, "--set", "0,1,2"]),
+        ("two-values-for-subset", ["check", "--valuation", two_keys]),
+        ("residue-shift-length", ["residue", "--valuation", nu, "--shift", "0,0"]),
+        ("tree-decode-loop", ["tree-decode", "--valuation", loop]),
         ("smooth-1e5000", ["smooth", "--valuation", huge]),
         ("bounds-n2000", ["bounds", "--n", "2000", "--r", "3"]),
         ("spread-rank1", ["spread", "--valuation", r1]),

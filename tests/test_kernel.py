@@ -393,7 +393,7 @@ def test_two_basis_family_on_a_million_elements_lists_no_subsets(monkeypatch):
     def refuse(n, r):
         raise AssertionError("listed the r-subsets")
 
-    monkeypatch.setattr(matroid_module, "r_subset_masks", refuse)
+    monkeypatch.setattr(matroid_module, "_colex_subsets", refuse)
     n = 10**6
     started = time.perf_counter()
     for family, verdict in [({0b11, 0b101}, True), ({0b11, 0b1100}, False)]:

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -22,7 +23,7 @@ from dressian import (
     set_to_mask,
 )
 import dressian.matroid as matroid_module
-from dressian.matroid import DESK_SCALE_SUBSETS, require_listable, subsets_up_to
+from dressian.matroid import DESK_SCALE_SUBSETS, require_listable, subset_key, subsets_up_to
 from dressian.valuation import symbol_table
 from helpers import CORPUS, random_sparse_paving
 
@@ -36,6 +37,36 @@ def brute_rank(bases, X):
 def test_masks_roundtrip():
     for elems in [(0,), (1, 3), (0, 2, 5), ()]:
         assert mask_to_set(set_to_mask(elems)) == tuple(sorted(elems))
+
+
+def test_negative_mask_is_refused_quickly():
+    started = time.perf_counter()
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError):
+            mask_to_set(mask)
+    assert time.perf_counter() - started < 1
+
+
+def test_subset_key_writes_elements_ascending():
+    assert [subset_key(m) for m in (0, 0b1, 0b101100, 1 << 12)] == ["", "0", "2,3,5", "12"]
+
+
+def test_johnson_neighbors_order():
+    # e ascending over the mask, then f ascending outside it
+    for n in range(1, 8):
+        for mask in range(1 << n):
+            inside = [e for e in range(n) if mask >> e & 1]
+            outside = [f for f in range(n) if not mask >> f & 1]
+            expected = [mask ^ 1 << e | 1 << f for e in inside for f in outside]
+            assert list(johnson_neighbors(n, mask)) == expected, (n, mask)
+
+
+def test_johnson_components_merge_adjacent_nonbases():
+    # bases 03, 13, 23: the non-bases 01, 02, 12 are pairwise adjacent in J(2, 4)
+    M = Matroid(4, 2, frozenset({0b1001, 0b1010, 0b1100}))
+    assert not M.is_sparse_paving()
+    rep = M.johnson_components()
+    assert (rep.nonbasis_count, rep.component_count, rep.components) == (3, 1, [[3, 5, 6]])
 
 
 def test_r_subset_masks_is_colex_sorted():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -136,6 +137,17 @@ def test_missing_and_extra_coordinates_rejected():
     vals[set_to_mask((0, 1, 2))] = Fraction(0)
     with pytest.raises(ValuationInputError):
         Valuation(M, vals)
+
+
+def test_out_of_range_mask_keys_are_refused_quickly():
+    M = Matroid.uniform(2, 4)
+    started = time.perf_counter()
+    for bad in (-1, -(1 << 40), 1 << 4, 1 << 60):
+        vals = {b: Fraction(0) for b in M.bases}
+        vals[bad] = Fraction(0)
+        with pytest.raises(ValuationInputError, match="out of range"):
+            Valuation(M, vals)
+    assert time.perf_counter() - started < 1
 
 
 def test_extension_is_infinite_off_bases():
