@@ -25,8 +25,8 @@ DESK_SCALE_SUBSETS = 500
 # subdivision walk; `dim`, `type` and `equiv` are bound by DESK_SCALE_SUBSETS only.
 DESK_SCALE_COORDS = 70
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
-# Largest n for the subdivision walk: its facet loop costs 2^n |B| per cell (a
-# rank-2 input on 11 elements takes seconds); locate_cell sums over 2^n subsets.
+# Largest n for the subdivision walk: it keeps 2^n (r + 1) basis masks and its
+# facet loop visits 2^n subsets per cell; locate_cell sums over 2^n subsets.
 DESK_SCALE_WALK_N = 10
 # most parallel classes whose rank-2 cells enumerate_rank2_cells lists (660032
 # cells, about 475 MB, at 9); rank2_cell_dims counts them in closed form, unlimited
@@ -127,6 +127,8 @@ def _is_int(x) -> bool:
 def set_to_mask(elems) -> int:
     m = 0
     for e in elems:
+        if e < 0:
+            raise ValueError(f"negative element {e}")
         m |= 1 << e
     return m
 
@@ -226,7 +228,10 @@ def _normalize_bases(n: int, r: int, candidate_bases) -> frozenset[int]:
         raise MatroidInputError(f"bad parameters n={n}, r={r}")
     out = set()
     for b in candidate_bases:
-        m = b if isinstance(b, int) else set_to_mask(b)
+        try:
+            m = b if isinstance(b, int) else set_to_mask(b)
+        except ValueError as exc:
+            raise MatroidInputError(f"basis {b!r}: {exc}") from None
         if m < 0 or m >> n:
             raise MatroidInputError(f"basis {b!r} out of range for n={n}")
         if m.bit_count() != r:
@@ -397,6 +402,8 @@ class JohnsonComponentReport:
 def johnson_neighbors(n: int, mask: int):
     """Vertices of J(r, n) at distance 1 from mask (|X \\ Y| = 1): e of mask
     and f outside it, each taken lowest bit first (``x & -x``)."""
+    if mask < 0:
+        raise ValueError(f"negative subset mask {mask}")
     outside = ((1 << n) - 1) & ~mask
     d = mask
     while d:

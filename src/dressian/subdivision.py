@@ -14,6 +14,12 @@ and lowers the bases beyond it; the least t at which one of them ties gives
 the neighbouring cell together with its gaps.  A facet with no basis beyond
 it lies on the boundary of P_M.
 
+The walk runs on integers.  A cell or face is a bit mask over the indices
+of the sorted bases.  Gaps are (den, gs), gs[i] / den the gap of basis i,
+reduced so that gcd(den, *gs) = 1: equal gap vectors have equal pairs.
+Once per walk, each S gets the masks of the bases with |B ∩ S| = j, highest
+j first; the face of a cell for S is its part of the first that meets it.
+
 The result is labelled exhaustive only after a certificate holds: every
 facet crossed is crossed back from the neighbour reached, the cells cover
 every basis, and every cell's gaps are >= 0 and agree however the cell was
@@ -23,7 +29,7 @@ reached.  A failure raises InvariantViolation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .matroid import (
     DESK_SCALE_COORDS,
@@ -67,22 +73,31 @@ def polytope_dim(M: Matroid) -> int:
     return affine_dim(M.n, M.bases)
 
 
-def _tight(gaps: dict) -> frozenset:
-    return frozenset(b for b, f in gaps.items() if f == 0)
+def _reduced(den: int, gs) -> tuple[int, tuple]:
+    """The gaps gs / den in lowest terms, as (den, gs) with gcd 1."""
+    d = gcd(den, *gs)
+    return den // d, tuple(g // d for g in gs)
 
 
-def _tilt(gaps: dict, S: int, k: int) -> dict | None:
+def _tight(gaps: tuple) -> int:
+    return sum(1 << i for i, g in enumerate(gaps[1]) if g == 0)
+
+
+def _tilt(bases: list, gaps: tuple, S: int, k: int) -> tuple | None:
     """Gaps minus t * (|B ∩ S| - k) at the least t > 0 where a basis with
     |B ∩ S| > k ties; None when no basis has |B ∩ S| > k."""
-    steps = [f / ((b & S).bit_count() - k) for b, f in gaps.items()
-             if (b & S).bit_count() > k]
-    if not steps:
+    den, gs = gaps
+    steps = [(b & S).bit_count() - k for b in bases]
+    p = q = 0  # t = p / q (in units of 1 / den), q = 0 until a step is seen
+    for g, c in zip(gs, steps):
+        if c > 0 and (q == 0 or g * q < p * c):
+            p, q = g, c
+    if q == 0:
         return None
-    t = min(steps)
-    return {b: f - t * ((b & S).bit_count() - k) for b, f in gaps.items()}
+    return _reduced(den * q, [g * q - p * c for g, c in zip(gs, steps)])
 
 
-def _first_gaps(M: Matroid, nu: Valuation, full_dim: int) -> dict:
+def _first_gaps(M: Matroid, nu: Valuation, bases: list, full_dim: int) -> tuple:
     """Gaps of one maximal cell, grown from M0(nu) by at most n tilts.
 
     While the tight matroid T is not full-dimensional, one of its components
@@ -90,18 +105,19 @@ def _first_gaps(M: Matroid, nu: Valuation, full_dim: int) -> dict:
     not on M.  Tilting along S (or along its complement, whichever has a
     basis beyond) adds a tight basis off x(S) = k, raising the dimension.
     """
-    lo = min(nu.values.values())
-    gaps = {b: nu.values[b] - lo for b in M.sorted_bases()}
+    den = nu.denominator
+    nums = [(v := nu.values[b]).numerator * (den // v.denominator) for b in bases]
+    lo = min(nums)
+    gaps = _reduced(den, [g - lo for g in nums])
     full = (1 << M.n) - 1
     while True:
-        tight = _tight(gaps)
-        comps = _components(M.n, tight)
+        tight = [b for b, g in zip(bases, gaps[1]) if g == 0]
+        comps = _components(M.n, set(tight))
         if M.n - len(comps) == full_dim:
             return gaps
-        t0 = min(tight)
         for S in comps:
-            k = (t0 & S).bit_count()
-            tilted = _tilt(gaps, S, k) or _tilt(gaps, full ^ S, M.r - k)
+            k = (tight[0] & S).bit_count()
+            tilted = _tilt(bases, gaps, S, k) or _tilt(bases, gaps, full ^ S, M.r - k)
             if tilted is not None:
                 gaps = tilted
                 break
@@ -110,19 +126,41 @@ def _first_gaps(M: Matroid, nu: Valuation, full_dim: int) -> dict:
                                      "but no tilt raises its dimension")
 
 
-def _facets(n: int, cell: frozenset, full_dim: int) -> dict:
-    """The facets of a full-dimensional cell, as {facet bases: (S, k)}:
-    the facet is the face where |B ∩ S| attains its maximum k on the cell."""
-    out = {}
-    seen = set()
+def _levels(n: int, r: int, bases: list) -> list:
+    """For each S < 2^n - 1, the pairs (j, mask of the indices i with
+    |bases[i] ∩ S| = j) with a nonempty mask, highest j first.  The masks
+    of S are those of S minus its lowest element e, with the bases holding
+    e moved up one level."""
+    holding = [sum(1 << i for i, b in enumerate(bases) if b >> e & 1) for e in range(n)]
+    by_j = [[(1 << len(bases)) - 1] + [0] * r]
     for S in range(1, (1 << n) - 1):
-        k = max((b & S).bit_count() for b in cell)
-        F = frozenset(b for b in cell if (b & S).bit_count() == k)
-        if F in seen:
-            continue
-        seen.add(F)
-        if len(F) >= full_dim and affine_dim(n, F) == full_dim - 1:
-            out[F] = (S, k)
+        low = S & -S
+        h = holding[low.bit_length() - 1]
+        prev = by_j[S ^ low]
+        by_j.append([prev[0] & ~h] + [prev[j] & ~h | prev[j - 1] & h for j in range(1, r + 1)])
+    return [[(j, L) for j, L in reversed(list(enumerate(row))) if L] for row in by_j]
+
+
+def _facets(n: int, bases: list, levels: list, cell: int, full_dim: int) -> dict:
+    """The facets of a full-dimensional cell, as {facet mask: (S, k)}: the
+    facet is the face where |B ∩ S| attains its maximum k on the cell."""
+    faces = {}
+    for S in range(1, len(levels)):
+        for k, level in levels[S]:
+            F = cell & level
+            if F:
+                break
+        if F not in faces:
+            faces[F] = (S, k)
+    out = {}
+    # largest first, so that a face inside a facet found before it, and so of
+    # lower dimension, is passed over without a dimension count
+    for F in sorted(faces, key=int.bit_count, reverse=True):
+        if F.bit_count() < full_dim:
+            break
+        if (all(F & ~G for G in out)
+                and affine_dim(n, {b for i, b in enumerate(bases) if F >> i & 1}) == full_dim - 1):
+            out[F] = faces[F]
     return out
 
 
@@ -142,21 +180,20 @@ class SubdivisionCensus:
         return {cell.bases for cell in self.maximal_cells}
 
 
-def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
-    """Maximal cells of P(nu) by a certified walk across interior facets."""
+def _walk(nu: Valuation) -> tuple[list, dict]:
+    """The sorted bases and the certified {cell mask: gaps} of P(nu)."""
     M = nu.matroid
-    if M.n > DESK_SCALE_WALK_N:
-        raise ScaleLimitError(f"subdivision walk needs n <= {DESK_SCALE_WALK_N}, got n={M.n}")
-    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the subdivision walk")
     full_dim = polytope_dim(M)
-    first = _first_gaps(M, nu, full_dim)
+    bases = M.sorted_bases()
+    levels = _levels(M.n, M.r, bases)
+    first = _first_gaps(M, nu, bases, full_dim)
     cells = {_tight(first): first}
     order = list(cells)
     crossings = {}  # (cell, facet) -> neighbour across the facet
     for cell in order:  # grows while it is walked
         gaps = cells[cell]
-        for F, (S, k) in _facets(M.n, cell, full_dim).items():
-            tilted = _tilt(gaps, S, k)
+        for F, (S, k) in _facets(M.n, bases, levels, cell, full_dim).items():
+            tilted = _tilt(bases, gaps, S, k)
             if tilted is None:
                 continue  # boundary facet
             nb = _tight(tilted)
@@ -169,12 +206,22 @@ def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
     for (cell, F), nb in crossings.items():
         if crossings.get((nb, F)) != cell:
             raise InvariantViolation("a crossed facet is not crossed back")
-    if frozenset().union(*cells) != M.bases:
+    if set().union(*map(mask_to_set, cells)) != set(range(len(bases))):
         raise InvariantViolation("the walked cells do not cover every basis")
-    if any(f < 0 for gaps in cells.values() for f in gaps.values()):
+    if any(g < 0 for _den, gs in cells.values() for g in gs):
         raise InvariantViolation("a cell has a negative gap")
-    found = sorted((Matroid(M.n, M.r, cell) for cell in cells),
-                   key=lambda m: sorted(m.bases))
+    return bases, cells
+
+
+def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
+    """Maximal cells of P(nu) by a certified walk across interior facets."""
+    M = nu.matroid
+    if M.n > DESK_SCALE_WALK_N:
+        raise ScaleLimitError(f"subdivision walk needs n <= {DESK_SCALE_WALK_N}, got n={M.n}")
+    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the subdivision walk")
+    bases, cells = _walk(nu)
+    found = sorted((Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(cell)))
+                    for cell in cells), key=lambda m: sorted(m.bases))
     return SubdivisionCensus(found, len(found), "exhaustive")
 
 

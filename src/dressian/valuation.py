@@ -178,7 +178,10 @@ def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
 def _normalize_values(M: Matroid, values) -> dict[int, Fraction]:
     out = {}
     for key, val in values.items():
-        m = key if isinstance(key, int) else set_to_mask(key)
+        try:
+            m = key if isinstance(key, int) else set_to_mask(key)
+        except ValueError as exc:
+            raise ValuationInputError(f"subset {key!r}: {exc}") from None
         if isinstance(key, int) and not 0 <= key < 1 << M.n:
             raise ValuationInputError(f"subset mask {key} out of range for n={M.n}")
         if m not in M.bases:

@@ -1,7 +1,8 @@
 """The random LP explorer of P(nu), kept as a reference for the facet walk.
 
 This is the cell finder that ``dressian.subdivision`` used before the walk,
-unchanged apart from its imports and without ``spread_report``.
+unchanged apart from its imports, without ``spread_report``, and with
+``polytope_dim`` taken through ``affine_dim``.
 
 Maximal cells are full-dimensional lower faces of the lifted basis-vertex
 hull.  A cell is located exactly by solving the lifted convex-combination
@@ -9,6 +10,11 @@ LP at a rational point p in the polytope: the optimal dual prices expose
 the lower face above p, and for generic p that face is a maximal cell.
 Exploration seeds points near every vertex and then walks segments between
 discovered cells and vertices until a full pass finds nothing new.
+
+It also keeps the facet walk as it was before it ran on integers
+(``walk_cells``): gaps as a {basis: Fraction} map, cells and faces as
+frozensets of bases, every face found by a scan over the bases for each
+subset S, and dimensions from the rank of vertex differences.
 """
 
 from __future__ import annotations
@@ -20,12 +26,17 @@ from fractions import Fraction
 from dressian import Matroid, Valuation, integer_matrix_rank, solve_linear_system
 
 
-def polytope_dim(M: Matroid) -> int:
+def affine_dim(n: int, masks) -> int:
     """Affine dimension of conv{e_B}: rank of the vertex difference matrix."""
-    verts = [[(b >> e) & 1 for e in range(M.n)] for b in M.sorted_bases()]
+    verts = [[(b >> e) & 1 for e in range(n)] for b in sorted(masks)]
     base = verts[0]
-    rows = [[v[i] - base[i] for i in range(M.n)] for v in verts[1:]]
+    rows = [[v[i] - base[i] for i in range(n)] for v in verts[1:]]
     return integer_matrix_rank(rows) if rows else 0
+
+
+def polytope_dim(M: Matroid) -> int:
+    """Affine dimension of the matroid polytope conv{e_B}."""
+    return affine_dim(M.n, M.bases)
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +246,97 @@ def subdivision_cells(
     cells = sorted(found.values(), key=lambda m: sorted(m.bases))
     return SubdivisionCensus(cells, len(cells), status)
 
+
+
+# ---------------------------------------------------------------------------
+# The facet walk on Fractions
+
+
+def components(n: int, bases) -> list[int]:
+    """Connected components, as element masks: e and f share one when some
+    basis B holds e but not f and B - e + f is a basis."""
+    comp = [1 << e for e in range(n)]
+    for b in bases:
+        for e in range(n):
+            for f in range(n):
+                if b >> e & 1 and not b >> f & 1 and (b ^ (1 << e) | (1 << f)) in bases:
+                    merged = comp[e] | comp[f]
+                    for g in range(n):
+                        if merged >> g & 1:
+                            comp[g] = merged
+    return sorted(set(comp))
+
+
+def tight(gaps: dict) -> frozenset:
+    return frozenset(b for b, f in gaps.items() if f == 0)
+
+
+def tilt(gaps: dict, S: int, k: int) -> dict | None:
+    """Gaps minus t * (|B ∩ S| - k) at the least t > 0 where a basis with
+    |B ∩ S| > k ties; None when no basis has |B ∩ S| > k."""
+    steps = [f / ((b & S).bit_count() - k) for b, f in gaps.items()
+             if (b & S).bit_count() > k]
+    if not steps:
+        return None
+    t = min(steps)
+    return {b: f - t * ((b & S).bit_count() - k) for b, f in gaps.items()}
+
+
+def first_gaps(M: Matroid, nu: Valuation, full_dim: int) -> dict:
+    """Gaps of one maximal cell, grown from M0(nu) by tilts along a
+    component of the tight matroid or its complement."""
+    lo = min(nu.values.values())
+    gaps = {b: nu.values[b] - lo for b in M.sorted_bases()}
+    full = (1 << M.n) - 1
+    while True:
+        tight_bases = tight(gaps)
+        comps = components(M.n, tight_bases)
+        if M.n - len(comps) == full_dim:
+            return gaps
+        t0 = min(tight_bases)
+        for S in comps:
+            k = (t0 & S).bit_count()
+            tilted = tilt(gaps, S, k) or tilt(gaps, full ^ S, M.r - k)
+            if tilted is not None:
+                gaps = tilted
+                break
+        else:
+            raise AssertionError("no tilt raises the tight matroid's dimension")
+
+
+def facets(n: int, cell: frozenset, full_dim: int) -> dict:
+    """The facets of a full-dimensional cell, as {facet bases: (S, k)}:
+    the facet is the face where |B ∩ S| attains its maximum k on the cell."""
+    out = {}
+    seen = set()
+    for S in range(1, (1 << n) - 1):
+        k = max((b & S).bit_count() for b in cell)
+        F = frozenset(b for b in cell if (b & S).bit_count() == k)
+        if F in seen:
+            continue
+        seen.add(F)
+        if len(F) >= full_dim and affine_dim(n, F) == full_dim - 1:
+            out[F] = (S, k)
+    return out
+
+
+def walk_cells(nu: Valuation) -> dict:
+    """{tight bases of each maximal cell: its gaps}, by a breadth-first walk
+    across the interior facets from the first cell."""
+    M = nu.matroid
+    full_dim = polytope_dim(M)
+    first = first_gaps(M, nu, full_dim)
+    cells = {tight(first): first}
+    order = list(cells)
+    for cell in order:
+        for F, (S, k) in facets(M.n, cell, full_dim).items():
+            tilted = tilt(cells[cell], S, k)
+            if tilted is None:
+                continue
+            nb = tight(tilted)
+            if nb not in cells:
+                cells[nb] = tilted
+                order.append(nb)
+            elif cells[nb] != tilted:
+                raise AssertionError("a cell reached twice has two gap vectors")
+    return cells

@@ -548,7 +548,7 @@ def test_subdivision_scale_guard(files, capsys):
 def test_broken_subdivision_walk_exits_1(files, capsys, monkeypatch):
     # a walk that sees no facets stops at its first cell, which cannot
     # cover every basis of N3: the certificate must fail loudly
-    monkeypatch.setattr("dressian.subdivision._facets", lambda n, cell, full_dim: {})
+    monkeypatch.setattr("dressian.subdivision._facets", lambda *args: {})
     assert run(["subdivision", "--valuation", files["nu"]]) == 1
     assert capsys.readouterr().err.startswith("invariant violation:")
 

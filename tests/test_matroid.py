@@ -47,6 +47,20 @@ def test_negative_mask_is_refused_quickly():
     assert time.perf_counter() - started < 1
 
 
+def test_johnson_neighbors_refuses_a_negative_mask_quickly():
+    started = time.perf_counter()
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match="negative subset mask"):
+            next(johnson_neighbors(4, mask))
+    assert time.perf_counter() - started < 1
+
+
+def test_negative_element_in_a_basis_is_a_matroid_input_error():
+    for bases in ([(-1, 0), (0, 1)], [(0, 1), (2, -2)]):
+        with pytest.raises(MatroidInputError, match="negative element -"):
+            Matroid(4, 2, bases)
+
+
 def test_subset_key_writes_elements_ascending():
     assert [subset_key(m) for m in (0, 0b1, 0b101100, 1 << 12)] == ["", "0", "2,3,5", "12"]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from dressian import (
     Matroid,
     Valuation,
+    all_sparse_paving_matroids,
     decode_tree,
     integer_matrix_rank,
     locate_cell,
@@ -25,6 +26,8 @@ from helpers import (
     random_valuation,
 )
 from reference_subdivision import subdivision_cells as reference_subdivision_cells
+from reference_subdivision import walk_cells as reference_walk_cells
+from dressian.subdivision import _walk
 
 
 def octahedron_valuation():
@@ -174,3 +177,29 @@ def test_walk_matches_reference_explorer():
         reference = reference_subdivision_cells(nu)
         assert reference.exploration_status == "exhaustive"
         assert subdivision_cells(nu).cell_basis_families() == reference.cell_basis_families()
+
+
+def test_integer_walk_matches_fraction_walk():
+    # the 21 inputs of test_walk_matches_reference_explorer
+    rnd = random.Random(41)
+    corpus = [octahedron_valuation(), valuation_from_matroid(N3),
+              valuation_from_matroid(modular_stable_matroid(6, 3, 1))]
+    corpus += [random_tree_metric_valuation(n, rnd) for n in (4, 4, 5, 5)]
+    for nu in list(corpus):
+        for sign in (-1, 1):
+            e = rnd.randrange(nu.matroid.n)
+            corpus.append(face_valuation(nu, [sign * (f == e) for f in range(nu.matroid.n)]))
+    corpus += [valuation_from_matroid(modular_stable_matroid(6, 3, k)) for k in range(6)]
+    corpus += [valuation_from_matroid(N) for N in all_sparse_paving_matroids(3, 6)]
+    rnd = random.Random(53)
+    corpus += [random_valuation(M, rnd) for M in (Matroid.uniform(3, 6), Matroid.uniform(2, 7))
+               for _ in range(8)]
+    assert len(corpus) == 21 + 6 + 271 + 16
+    for nu in corpus:
+        expected = reference_walk_cells(nu)
+        bases, cells = _walk(nu)
+        walked = {frozenset(bases[i] for i in mask_to_set(cell)):
+                  {b: Fraction(g, den) for b, g in zip(bases, gs)}
+                  for cell, (den, gs) in cells.items()}
+        assert walked == expected  # the same tight sets with the same gaps
+        assert subdivision_cells(nu).cell_basis_families() == set(expected)

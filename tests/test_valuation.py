@@ -150,6 +150,14 @@ def test_out_of_range_mask_keys_are_refused_quickly():
     assert time.perf_counter() - started < 1
 
 
+def test_negative_element_in_a_key_is_a_valuation_input_error():
+    M = Matroid.uniform(2, 4)
+    vals = {tuple(e for e in range(4) if b >> e & 1): 0 for b in M.bases}
+    for bad in ((-1, 0), (0, -3)):
+        with pytest.raises(ValuationInputError, match=f"negative element {min(bad)}"):
+            Valuation(M, {bad: 0, **vals})
+
+
 def test_extension_is_infinite_off_bases():
     nu = valuation_from_matroid(N3)
     assert nu.value((0, 2)) == 0
