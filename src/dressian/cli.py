@@ -159,14 +159,15 @@ def cmd_from_matroid(args):
 def cmd_tree_decode(args):
     nu = _load_valuation(args.valuation)
     T = decode_tree(nu)
+    newick = T.to_newick()
     obj = {
-        "newick": T.to_newick(),
+        "newick": newick,
         "internal_vertices": len(T.internal_vertices()),
         "splits": sorted(
             [sorted(side) for side in sorted(sp, key=sorted)] for sp in T.splits()
         ),
     }
-    _emit(args, obj, text=T.to_newick())
+    _emit(args, obj, text=newick)
 
 
 def cmd_tree_encode(args):

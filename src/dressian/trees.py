@@ -11,6 +11,11 @@ picks, per quartet, the pairing whose valuation sum is strictly LARGER than
 the tied pair.  Stored edge lengths satisfy nu(ab) = sum of lengths on the
 a-b path literally, which makes internal lengths negative; the positive
 "metric" reading is the negation and both are surfaced in reports.
+
+Decoding reads the integer view nu*D and solves no linear system: each
+edge length comes from one four-point formula, in units of 1/(2D).  One
+walk from each leaf gives all path sums, which the decoder checks against
+every basis pair and the encoder returns as values.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ from .matroid import (
     mask_to_set,
     set_to_mask,
 )
-from .linear import solve_linear_system
-from .rationals import format_rational, parse_rational
-from .valuation import Valuation, ValuationInputError
+from .rationals import INF, format_rational, parse_rational
+from .valuation import Valuation, ValuationInputError, symbol_table
 
 
 class TreeInputError(InputError):
@@ -285,11 +289,13 @@ def _class_splits(nu: Valuation, classes) -> list[frozenset]:
     so the classes below that point are i and every k with g(i, k) >= g(i, j).
     Each such cluster with 2 <= |side| <= t - 2 is a split; an internal edge
     of length 0 joins two depths into one, so its cluster does not appear.
+    The test reads the integer view nu*D, which it does not change.
     Sides come out in ascending order of their bitmask over the classes.
     """
     reps = [cls[0] for cls in classes]
     t = len(reps)
-    val = lambda a, b: nu.values[set_to_mask((reps[a], reps[b]))]
+    position, v = symbol_table(nu.matroid.n, 2).position, nu.scaled
+    val = lambda a, b: v[position[1 << reps[a] | 1 << reps[b]]]
     g = {(i, j): val(i, j) - val(0, i) - val(0, j)
          for i in range(1, t) for j in range(1, t) if i != j}
     sides = set()
@@ -325,7 +331,12 @@ def decode_tree(nu: Valuation) -> MetricTree:
         host = next((node_of_cluster[c] for c in reversed(clusters) if ci in c), root)
         for e in members:
             _link(adj, e, host)
-    return _solve_lengths(nu, MetricTree(n, adj, {}))
+    twice = _edge_lengths(nu, classes, adj)
+    sums = _pair_path_sums(adj, twice, n)
+    for m, x in zip(symbol_table(n, 2).subsets, nu.scaled):
+        if x is not INF and sums[m] != 2 * x:
+            raise InvariantViolation("valuation admits no consistent edge lengths")
+    return MetricTree(n, adj, {e: Fraction(x, 2 * nu.denominator) for e, x in twice.items()})
 
 
 def _link(adj, u, v):
@@ -333,25 +344,74 @@ def _link(adj, u, v):
     adj.setdefault(v, set()).add(u)
 
 
-def _solve_lengths(nu: Valuation, skeleton: MetricTree) -> MetricTree:
-    edges = []
-    for u, nbrs in skeleton.adj.items():
-        for v in nbrs:
-            if u < v:
-                edges.append(frozenset((u, v)))
-    equations = []
-    for m, v in nu.values.items():
-        a, b = sorted(e for e in range(skeleton.n) if (m >> e) & 1)
-        p = skeleton.path(a, b)
-        coeffs: dict = {}
-        for x, y in zip(p, p[1:]):
-            edge = frozenset((x, y))
-            coeffs[edge] = coeffs.get(edge, Fraction(0)) + 1
-        equations.append((coeffs, v))
-    sol = solve_linear_system(equations, edges)
-    if sol is None:
-        raise InvariantViolation("valuation admits no consistent edge lengths")
-    return MetricTree(skeleton.n, skeleton.adj, sol)
+def _edge_lengths(nu: Valuation, classes, adj) -> dict:
+    """Each edge length of the skeleton `adj` times 2D, D = nu.denominator,
+    keyed like `MetricTree.lengths`.
+
+    With t >= 3 classes, 2 l(uv) = nu(ab) + nu(a'b') - nu(aa') - nu(bb'):
+    a, a' are leaves of distinct classes beyond two neighbours of u other
+    than v (a = a' = u at a leaf, nu(uu) = 0), and b, b' likewise at v,
+    outside the class of a leaf end.  With t = 2 only sums across the
+    classes are fixed: l(z) = 0 for the last element z of the second class,
+    l(a) = nu(az) on the first, l(b) = nu(a0 b) - l(a0) on the second.
+    """
+    n = nu.matroid.n
+    position, v = symbol_table(n, 2).position, nu.scaled
+
+    def val(a, b):
+        x = 0 if a == b else v[position[1 << a | 1 << b]]
+        if x is INF:
+            raise InvariantViolation(f"edge length needs the non-basis pair {{{a},{b}}}")
+        return x
+
+    if len(classes) == 2:
+        first, second = classes
+        a0, z = first[0], second[-1]
+        ell = {a: val(a, z) for a in first}
+        ell.update((b, val(a0, b) - ell[a0]) for b in second)
+        return {frozenset((e, n)): 2 * ell[e] for e in (*first, *second)}
+    class_of = {e: ci for ci, members in enumerate(classes) for e in members}
+
+    def ends(u, skip, avoid):
+        if u < n:
+            return u, u
+        found = {avoid: None}  # first leaf seen per class
+        for w in adj[u] - {skip}:
+            prev = u
+            while w >= n:  # walk away from u to some leaf
+                prev, w = w, next(x for x in adj[w] if x != prev)
+            found.setdefault(class_of[w], w)
+            if len(found) == 3:
+                return list(found.values())[1:]
+        raise InvariantViolation("a tree vertex reaches fewer than three parallel classes")
+
+    out = {}
+    for u, nbrs in adj.items():
+        for w in nbrs:
+            if u < w:
+                (a, a2), (b, b2) = ends(u, w, class_of.get(u)), ends(w, u, class_of.get(u))
+                out[frozenset((u, w))] = val(a, b) + val(a2, b2) - val(a, a2) - val(b, b2)
+    return out
+
+
+def _pair_path_sums(adj, lengths, n) -> dict:
+    """Path sum between leaves a < b keyed by the mask of {a, b}, from one
+    walk of the tree per leaf; `lengths` maps frozenset({u, v}) to a length."""
+    weights = {u: [(w, lengths[frozenset((u, w))]) for w in nbrs] for u, nbrs in adj.items()}
+    sums = {}
+    for a in range(n):
+        dist = {a: 0}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for w, x in weights[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + x
+                    stack.append(w)
+        if len(dist) < len(adj):
+            raise TreeInputError("tree is not connected")
+        sums.update((1 << a | 1 << b, dist[b]) for b in range(a + 1, n))
+    return sums
 
 
 def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
@@ -360,16 +420,11 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
         raise MatroidInputError("tree valuations are rank-2 only")
     if sorted(v for v in T.adj if v < T.n) != list(range(M.n)):
         raise TreeInputError("tree leaves do not match the ground set")
-    vals = {}
-    for m in M.bases:
-        a, b = (e for e in range(M.n) if (m >> e) & 1)
-        vals[m] = T.path_length(a, b)
+    sums = _pair_path_sums(T.adj, T.lengths, M.n)
+    vals = {m: sums[m] for m in M.bases}
     for a, b in combinations(range(M.n), 2):
-        if set_to_mask((a, b)) not in M.bases:
-            if not (T.adj[a] & T.adj[b]):
-                raise TreeInputError(
-                    f"non-basis pair {{{a},{b}}} lacks a common neighbor"
-                )
+        if set_to_mask((a, b)) not in M.bases and not T.adj[a] & T.adj[b]:
+            raise TreeInputError(f"non-basis pair {{{a},{b}}} lacks a common neighbor")
     return Valuation(M, vals)
 
 

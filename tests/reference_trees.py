@@ -14,11 +14,29 @@ systems the enumerators list, but never builds one.
 `confirmed_class_splits` is the split finder `decode_tree` used before it
 read splits off the distances to class 0: it tests every one of the
 2^(t-1) bipartitions of the t classes against every quartet across it.
+
+`decode_tree` and `tree_to_valuation` are the decoder and encoder used
+before edge lengths had a closed form.  The decoder builds the same
+skeleton from the quartet splits (or from splits it is given), then solves
+one Fraction equation per basis pair, length sum on the path = nu, with
+`solve_linear_system`, which pins free lengths to 0.  The encoder sums the
+lengths along `MetricTree.path` for each basis pair.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from dressian import Matroid, TreeTopology, Valuation, parallel_classes, set_to_mask
+from dressian import (
+    InvariantViolation,
+    Matroid,
+    MetricTree,
+    TreeInputError,
+    TreeTopology,
+    Valuation,
+    parallel_classes,
+    set_to_mask,
+    solve_linear_system,
+)
 
 
 def confirmed_class_splits(nu: Valuation, classes) -> list[frozenset]:
@@ -123,3 +141,69 @@ def rank2_cell_dims(M: Matroid) -> dict[int, int]:
         return memo[allowed]
 
     return {M.n + k: x for k, x in enumerate(counts((1 << len(masks)) - 1))}
+
+
+def decode_tree(nu: Valuation, splits=None) -> MetricTree:
+    """The tree of a rank-2 valuation, lengths by one linear solve.
+
+    `splits` are the class splits as sides avoiding class 0, ascending by
+    bitmask; by default the quartet test finds them."""
+    M = nu.matroid
+    classes = parallel_classes(M)
+    if splits is None:
+        splits = confirmed_class_splits(nu, classes)
+    clusters = sorted(splits, key=len, reverse=True)
+    n = M.n
+    root = n
+    node_of_cluster = {cl: n + 1 + i for i, cl in enumerate(clusters)}
+    adj = {v: set() for v in (root, *node_of_cluster.values())}
+
+    def link(u, v):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    for i, cl in enumerate(clusters):
+        link(node_of_cluster[cl],
+             next((node_of_cluster[c] for c in reversed(clusters[:i]) if cl < c), root))
+    for ci, members in enumerate(classes):
+        host = next((node_of_cluster[c] for c in reversed(clusters) if ci in c), root)
+        for e in members:
+            link(e, host)
+    return solve_lengths(nu, MetricTree(n, adj, {}))
+
+
+def solve_lengths(nu: Valuation, skeleton: MetricTree) -> MetricTree:
+    edges = []
+    for u, nbrs in skeleton.adj.items():
+        for v in nbrs:
+            if u < v:
+                edges.append(frozenset((u, v)))
+    equations = []
+    for m, v in nu.values.items():
+        a, b = sorted(e for e in range(skeleton.n) if (m >> e) & 1)
+        p = skeleton.path(a, b)
+        coeffs: dict = {}
+        for x, y in zip(p, p[1:]):
+            edge = frozenset((x, y))
+            coeffs[edge] = coeffs.get(edge, Fraction(0)) + 1
+        equations.append((coeffs, v))
+    sol = solve_linear_system(equations, edges)
+    if sol is None:
+        raise InvariantViolation("valuation admits no consistent edge lengths")
+    return MetricTree(skeleton.n, skeleton.adj, sol)
+
+
+def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
+    if sorted(v for v in T.adj if v < T.n) != list(range(M.n)):
+        raise TreeInputError("tree leaves do not match the ground set")
+    vals = {}
+    for m in M.bases:
+        a, b = (e for e in range(M.n) if (m >> e) & 1)
+        vals[m] = T.path_length(a, b)
+    for a, b in combinations(range(M.n), 2):
+        if set_to_mask((a, b)) not in M.bases:
+            if not (T.adj[a] & T.adj[b]):
+                raise TreeInputError(
+                    f"non-basis pair {{{a},{b}}} lacks a common neighbor"
+                )
+    return Valuation(M, vals)

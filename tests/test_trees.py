@@ -33,6 +33,8 @@ from helpers import (
 )
 from dressian.trees import _class_splits
 from reference_trees import confirmed_class_splits
+from reference_trees import decode_tree as reference_decode_tree
+from reference_trees import tree_to_valuation as reference_tree_to_valuation
 from reference_trees import enumerate_rank2_cells as reference_rank2_cells
 from reference_trees import rank2_cell_dims as reference_rank2_cell_dims
 
@@ -314,6 +316,48 @@ def test_decode_is_polynomial_in_the_classes():
     assert time.perf_counter() - started < 2
     assert len(T.splits()) == 21  # a binary tree on 24 leaves
     assert tree_to_valuation(T, nu.matroid) == nu
+
+
+def decoder_oracle_corpus():
+    """(nu, splits to hand the reference decoder, or None for its quartet test)."""
+    rnd = random.Random(131)
+    out = []
+    for n in range(3, 13):
+        for _ in range(2):
+            nu = random_tree_metric_valuation(n, rnd)
+            out += [nu, shift(nu, random_shift_vector(n, rnd))]
+    for t in range(2, 10):
+        for extra in (0, 1, 3, 5):
+            out.append(random_class_tree_valuation(t, t + extra, rnd))
+    out += [valuation_from_matroid(N) for N in (N2, N3, N26)]
+    out.append(Valuation(Matroid.uniform(2, 2), {0b11: Fraction(1)}))
+    # two classes of several elements each, interleaved and not
+    for n, first in ((5, (0, 2, 4)), (6, (0, 1)), (6, (0, 3, 4, 5))):
+        bases = frozenset(set_to_mask((a, b)) for a, b in combinations(range(n), 2)
+                          if (a in first) != (b in first))
+        nu = valuation_from_matroid(Matroid(n, 2, bases))
+        out.append(shift(nu, random_shift_vector(n, rnd)))
+    out = [(nu, None) for nu in out]
+    # the quartet test over 2^23 bipartitions takes minutes: this tree's
+    # splits come from the decoder, its lengths and values from the solve
+    nu = random_tree_metric_valuation(24, random.Random(5))
+    splits = sorted((side for sp in decode_tree(nu).splits() for side in sp if 0 not in side),
+                    key=set_to_mask)
+    return out + [(nu, splits)]
+
+
+def test_decode_and_encode_match_the_linear_solve():
+    corpus = decoder_oracle_corpus()
+    assert {len(parallel_classes(nu.matroid)) for nu, _ in corpus} == {*range(2, 13), 24}
+    for nu, splits in corpus:
+        T, R = decode_tree(nu), reference_decode_tree(nu, splits)
+        assert T.adj == R.adj
+        assert T.lengths == R.lengths
+        assert all(type(x) is Fraction for x in T.lengths.values())
+        assert T.to_newick() == R.to_newick()
+        assert tree_to_valuation(T, nu.matroid) == reference_tree_to_valuation(T, nu.matroid) == nu
+    assert decode_tree(Valuation(Matroid.uniform(2, 2), {0b11: Fraction(1)})).to_newick() == (
+        "(0:1,1:0);")
 
 
 def test_decode_matroid_valuation():
