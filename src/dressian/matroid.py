@@ -25,8 +25,8 @@ DESK_SCALE_SUBSETS = 500
 # subdivision walk; `dim`, `type` and `equiv` are bound by DESK_SCALE_SUBSETS only.
 DESK_SCALE_COORDS = 70
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
-# Largest n for the subdivision walk: it keeps 2^n (r + 1) basis masks and its
-# facet loop visits 2^n subsets per cell; locate_cell sums over 2^n subsets.
+# Largest n for the subdivision walk, which locate_cell runs too: it keeps
+# 2^n (r + 1) basis masks and its facet loop visits 2^n subsets per cell.
 DESK_SCALE_WALK_N = 10
 # most parallel classes whose rank-2 cells enumerate_rank2_cells lists (660032
 # cells, about 475 MB, at 9); rank2_cell_dims counts them in closed form, unlimited

@@ -19,6 +19,8 @@ of the sorted bases.  Gaps are (den, gs), gs[i] / den the gap of basis i,
 reduced so that gcd(den, *gs) = 1: equal gap vectors have equal pairs.
 Once per walk, each S gets the masks of the bases with |B ∩ S| = j, highest
 j first; the face of a cell for S is its part of the first that meets it.
+Point location reads the same level masks: rk_C(S) is the j of the first
+level that meets C, and C holds x when x(E) = r and x(S) <= rk_C(S).
 
 The result is labelled exhaustive only after a certificate holds: every
 facet crossed is crossed back from the neighbour reached, the cells cover
@@ -29,7 +31,7 @@ reached.  A failure raises InvariantViolation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .matroid import (
     DESK_SCALE_COORDS,
@@ -40,6 +42,7 @@ from .matroid import (
     mask_to_set,
     require_listable,
 )
+from .rationals import INF
 from .valuation import Valuation, ValuationInputError
 
 
@@ -105,10 +108,9 @@ def _first_gaps(M: Matroid, nu: Valuation, bases: list, full_dim: int) -> tuple:
     not on M.  Tilting along S (or along its complement, whichever has a
     basis beyond) adds a tight basis off x(S) = k, raising the dimension.
     """
-    den = nu.denominator
-    nums = [(v := nu.values[b]).numerator * (den // v.denominator) for b in bases]
+    nums = [v for v in nu.scaled if v is not INF]  # colex order is sorted-basis order
     lo = min(nums)
-    gaps = _reduced(den, [g - lo for g in nums])
+    gaps = _reduced(nu.denominator, [g - lo for g in nums])
     full = (1 << M.n) - 1
     while True:
         tight = [b for b, g in zip(bases, gaps[1]) if g == 0]
@@ -165,24 +167,26 @@ def _facets(n: int, bases: list, levels: list, cell: int, full_dim: int) -> dict
 
 
 class SubdivisionCensus:
-    """The maximal cells (Matroids, sorted by basis family), their count as
-    the spread, and the exploration status, always "exhaustive": the walk
-    is certified."""
+    """The maximal cells (Matroids, sorted by basis family) and their count,
+    the spread; "exhaustive" because the walk is certified or raises."""
 
-    __slots__ = ("maximal_cells", "spread", "exploration_status")
+    __slots__ = ("maximal_cells", "spread")
+    exploration_status = "exhaustive"
 
-    def __init__(self, maximal_cells: list, spread: int, exploration_status: str):
+    def __init__(self, maximal_cells: list):
         self.maximal_cells = maximal_cells
-        self.spread = spread
-        self.exploration_status = exploration_status
+        self.spread = len(maximal_cells)
 
     def cell_basis_families(self) -> set:
         return {cell.bases for cell in self.maximal_cells}
 
 
-def _walk(nu: Valuation) -> tuple[list, dict]:
-    """The sorted bases and the certified {cell mask: gaps} of P(nu)."""
+def _walk(nu: Valuation) -> tuple[list, list, dict]:
+    """The sorted bases, their level masks and the certified {cell mask: gaps}."""
     M = nu.matroid
+    if M.n > DESK_SCALE_WALK_N:
+        raise ScaleLimitError(f"subdivision walk needs n <= {DESK_SCALE_WALK_N}, got n={M.n}")
+    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the subdivision walk")
     full_dim = polytope_dim(M)
     bases = M.sorted_bases()
     levels = _levels(M.n, M.r, bases)
@@ -210,32 +214,15 @@ def _walk(nu: Valuation) -> tuple[list, dict]:
         raise InvariantViolation("the walked cells do not cover every basis")
     if any(g < 0 for _den, gs in cells.values() for g in gs):
         raise InvariantViolation("a cell has a negative gap")
-    return bases, cells
+    return bases, levels, cells
 
 
 def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
     """Maximal cells of P(nu) by a certified walk across interior facets."""
     M = nu.matroid
-    if M.n > DESK_SCALE_WALK_N:
-        raise ScaleLimitError(f"subdivision walk needs n <= {DESK_SCALE_WALK_N}, got n={M.n}")
-    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the subdivision walk")
-    bases, cells = _walk(nu)
-    found = sorted((Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(cell)))
-                    for cell in cells), key=lambda m: sorted(m.bases))
-    return SubdivisionCensus(found, len(found), "exhaustive")
-
-
-def _contains(n: int, r: int, masks, point) -> bool:
-    """Whether the point lies in conv{e_B}: x(E) = r and x(S) <= rk(S)."""
-    if sum(point) != r:
-        return False
-    total = [Fraction(0)] * (1 << n)
-    for S in range(1, 1 << n):
-        low = S & -S
-        total[S] = total[S ^ low] + point[low.bit_length() - 1]
-        if total[S] > max((b & S).bit_count() for b in masks):
-            return False
-    return True
+    bases, _, cells = _walk(nu)
+    found = [Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(cell))) for cell in cells]
+    return SubdivisionCensus(sorted(found, key=lambda m: sorted(m.bases)))
 
 
 def locate_cell(nu: Valuation, point) -> Matroid | None:
@@ -245,14 +232,27 @@ def locate_cell(nu: Valuation, point) -> Matroid | None:
     Returns None if the point is outside the matroid polytope.
     """
     M = nu.matroid
-    p = [Fraction(point[e]) for e in range(M.n)]
-    if not _contains(M.n, M.r, M.bases, p):
+    if len(point) != M.n:
+        raise ValuationInputError(f"point has {len(point)} coordinates, expected n={M.n}")
+    bases, levels, cells = _walk(nu)
+    p = [Fraction(x) for x in point]
+    den = lcm(*(x.denominator for x in p))
+    xs = [x.numerator * (den // x.denominator) for x in p]  # x * den
+    if sum(xs) != M.r * den:
         return None
-    face = M.bases
-    for cell in subdivision_cells(nu).maximal_cells:
-        if _contains(M.n, M.r, cell.bases, p):
-            face &= cell.bases
-    return Matroid(M.n, M.r, face)
+    sums = [0] * len(levels)  # x(S) * den
+    above = set()  # per S, the bases with |B ∩ S| >= x(S); a cell holds x iff it meets each
+    for S in range(1, len(levels)):
+        low = S & -S
+        sums[S] = sums[S ^ low] + xs[low.bit_length() - 1]
+        above.add(sum(L for j, L in levels[S] if j * den >= sums[S]))  # the levels are disjoint
+    if 0 in above:
+        return None  # x(S) > rk(S)
+    face = (1 << len(bases)) - 1
+    for cell in cells:
+        if all(cell & reach for reach in above):
+            face &= cell
+    return Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(face)))
 
 
 def spread_report(nu: Valuation) -> dict:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dressian import Matroid, Valuation, integer_matrix_rank, solve_linear_system
+from dressian import subdivision_cells as walked_cells
 
 
 def affine_dim(n: int, masks) -> int:
@@ -340,3 +341,37 @@ def walk_cells(nu: Valuation) -> dict:
             elif cells[nb] != tilted:
                 raise AssertionError("a cell reached twice has two gap vectors")
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Point location on Fractions, over the walked cells
+
+
+def contains(n: int, r: int, masks, point) -> bool:
+    """Whether the point lies in conv{e_B}: x(E) = r and x(S) <= rk(S)."""
+    if sum(point) != r:
+        return False
+    total = [Fraction(0)] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        total[S] = total[S ^ low] + point[low.bit_length() - 1]
+        if total[S] > max((b & S).bit_count() for b in masks):
+            return False
+    return True
+
+
+def locate_face(nu: Valuation, point) -> Matroid | None:
+    """The face of P(nu) holding a rational point of P_M: the intersection
+    of the maximal cells whose polytope contains it.
+
+    Returns None if the point is outside the matroid polytope.
+    """
+    M = nu.matroid
+    p = [Fraction(point[e]) for e in range(M.n)]
+    if not contains(M.n, M.r, M.bases, p):
+        return None
+    face = M.bases
+    for cell in walked_cells(nu).maximal_cells:
+        if contains(M.n, M.r, cell.bases, p):
+            face &= cell.bases
+    return Matroid(M.n, M.r, face)

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dressian import (
     Matroid,
+    ScaleLimitError,
     Valuation,
+    ValuationInputError,
     all_sparse_paving_matroids,
     decode_tree,
     integer_matrix_rank,
@@ -25,6 +29,7 @@ from helpers import (
     random_tree_metric_valuation,
     random_valuation,
 )
+from reference_subdivision import locate_face as reference_locate_face
 from reference_subdivision import subdivision_cells as reference_subdivision_cells
 from reference_subdivision import walk_cells as reference_walk_cells
 from dressian.subdivision import _walk
@@ -46,6 +51,40 @@ def face_valuation(nu, u):
     face = Matroid(nu.matroid.n, nu.matroid.r,
                    frozenset(b for b, s in score.items() if s == top))
     return Valuation(face, {b: nu.values[b] for b in face.bases})
+
+
+def walk_corpus():
+    """21 inputs: the octahedron, nu_N3, a modular (6,3) and four tree
+    metrics, each with two faces that avoid one element or contain it (so
+    deletions and contractions plus a loop or a coloop, disconnected)."""
+    rnd = random.Random(41)
+    corpus = [octahedron_valuation(), valuation_from_matroid(N3),
+              valuation_from_matroid(modular_stable_matroid(6, 3, 1))]
+    corpus += [random_tree_metric_valuation(n, rnd) for n in (4, 4, 5, 5)]
+    for nu in list(corpus):
+        for sign in (-1, 1):
+            e = rnd.randrange(nu.matroid.n)
+            corpus.append(face_valuation(nu, [sign * (f == e) for f in range(nu.matroid.n)]))
+    return corpus
+
+
+def sample_points(nu, rnd, count):
+    """Centroids of random sets of bases, some moved off them: along
+    x(E) = r, which may leave P_M, or off that hyperplane."""
+    bases = nu.matroid.sorted_bases()
+    n = nu.matroid.n
+    for _ in range(count):
+        chosen = rnd.sample(bases, rnd.choice([1, 2, 3, len(bases) // 2, len(bases)]))
+        x = [Fraction(sum(b >> e & 1 for b in chosen), len(chosen)) for e in range(n)]
+        move = rnd.random()
+        if move < 0.4:
+            e, f = rnd.sample(range(n), 2)
+            step = Fraction(rnd.randint(1, 3), rnd.choice([2, 5, 8]))
+            x[e] += step
+            x[f] -= step
+        elif move < 0.5:
+            x[rnd.randrange(n)] += Fraction(1, 7)
+        yield x
 
 
 def test_polytope_dims():
@@ -153,6 +192,30 @@ def test_locate_cell_rejects_outside_points():
     assert locate_cell(nu, q).bases == square.bases | {set_to_mask((0, 1))}
 
 
+def test_locate_cell_refuses_a_point_of_the_wrong_length():
+    nu = octahedron_valuation()
+    with pytest.raises(ValuationInputError, match="3 coordinates"):
+        locate_cell(nu, [Fraction(1), Fraction(1), Fraction(0)])
+    # a fifth coordinate was dropped once, locating (1, 1, 0, 0)
+    with pytest.raises(ValuationInputError, match="5 coordinates"):
+        locate_cell(nu, [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(5)])
+
+
+def test_walk_guards_hold_for_every_entry_point():
+    # n = 11 > DESK_SCALE_WALK_N, and C(10, 3) = 120 > DESK_SCALE_COORDS = 70
+    for M in (Matroid.uniform(2, 11), Matroid.uniform(3, 10)):
+        nu = Valuation(M, {b: Fraction(0) for b in M.bases})
+        inside = [Fraction(M.r, M.n)] * M.n
+        outside = [Fraction(M.r)] + [Fraction(0)] * (M.n - 1)  # x_0 = r > rk({0}) = 1
+        with pytest.raises(ScaleLimitError):
+            subdivision_cells(nu)
+        with pytest.raises(ScaleLimitError):
+            spread_report(nu)
+        for point in (inside, outside):
+            with pytest.raises(ScaleLimitError):
+                locate_cell(nu, point)
+
+
 def test_repeated_calls_return_identical_output():
     for nu in (octahedron_valuation(), valuation_from_matroid(N3)):
         runs = [subdivision_cells(nu) for _ in range(3)]
@@ -163,32 +226,14 @@ def test_repeated_calls_return_identical_output():
 
 
 def test_walk_matches_reference_explorer():
-    rnd = random.Random(41)
-    corpus = [octahedron_valuation(), valuation_from_matroid(N3),
-              valuation_from_matroid(modular_stable_matroid(6, 3, 1))]
-    corpus += [random_tree_metric_valuation(n, rnd) for n in (4, 4, 5, 5)]
-    for nu in list(corpus):
-        # the faces avoiding one element and containing another: deletions
-        # and contractions plus a loop or a coloop, so disconnected
-        for sign in (-1, 1):
-            e = rnd.randrange(nu.matroid.n)
-            corpus.append(face_valuation(nu, [sign * (f == e) for f in range(nu.matroid.n)]))
-    for nu in corpus:
+    for nu in walk_corpus():
         reference = reference_subdivision_cells(nu)
         assert reference.exploration_status == "exhaustive"
         assert subdivision_cells(nu).cell_basis_families() == reference.cell_basis_families()
 
 
 def test_integer_walk_matches_fraction_walk():
-    # the 21 inputs of test_walk_matches_reference_explorer
-    rnd = random.Random(41)
-    corpus = [octahedron_valuation(), valuation_from_matroid(N3),
-              valuation_from_matroid(modular_stable_matroid(6, 3, 1))]
-    corpus += [random_tree_metric_valuation(n, rnd) for n in (4, 4, 5, 5)]
-    for nu in list(corpus):
-        for sign in (-1, 1):
-            e = rnd.randrange(nu.matroid.n)
-            corpus.append(face_valuation(nu, [sign * (f == e) for f in range(nu.matroid.n)]))
+    corpus = walk_corpus()
     corpus += [valuation_from_matroid(modular_stable_matroid(6, 3, k)) for k in range(6)]
     corpus += [valuation_from_matroid(N) for N in all_sparse_paving_matroids(3, 6)]
     rnd = random.Random(53)
@@ -197,9 +242,28 @@ def test_integer_walk_matches_fraction_walk():
     assert len(corpus) == 21 + 6 + 271 + 16
     for nu in corpus:
         expected = reference_walk_cells(nu)
-        bases, cells = _walk(nu)
+        bases, _, cells = _walk(nu)
         walked = {frozenset(bases[i] for i in mask_to_set(cell)):
                   {b: Fraction(g, den) for b, g in zip(bases, gs)}
                   for cell, (den, gs) in cells.items()}
         assert walked == expected  # the same tight sets with the same gaps
         assert subdivision_cells(nu).cell_basis_families() == set(expected)
+
+
+def test_locate_cell_matches_fraction_reference():
+    rnd = random.Random(67)
+    corpus = walk_corpus()
+    corpus += [random_valuation(M, rnd) for M in CORPUS]
+    corpus += [random_tree_metric_valuation(n, rnd) for n in range(4, 8)]
+    corpus += [valuation_from_matroid(modular_stable_matroid(6, 3, k)) for k in range(6)]
+    located = outside = 0
+    for nu in corpus:
+        for x in sample_points(nu, rnd, 7):
+            face, expected = locate_cell(nu, x), reference_locate_face(nu, x)
+            assert (face is None) == (expected is None)
+            if face is None:
+                outside += 1
+            else:
+                assert face.bases == expected.bases
+            located += 1
+    assert located >= 250 and outside >= 30, (located, outside)
