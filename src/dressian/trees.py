@@ -12,10 +12,11 @@ the tied pair.  Stored edge lengths satisfy nu(ab) = sum of lengths on the
 a-b path literally, which makes internal lengths negative; the positive
 "metric" reading is the negation and both are surfaced in reports.
 
-Decoding reads the integer view nu*D and solves no linear system: each
-edge length comes from one four-point formula, in units of 1/(2D).  One
-walk from each leaf gives all path sums, which the decoder checks against
-every basis pair and the encoder returns as values.
+Decoding reads the integer view nu*D and solves no linear system: one
+matrix g over the classes gives both the splits and every edge length, in
+units of 1/(2D).  One walk from each leaf gives all path sums on integer
+lengths, which the decoder checks against every basis pair and the
+encoder, summing over the lengths' common denominator, returns as values.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .matroid import (
     DESK_SCALE_RANK2_CLASSES,
@@ -54,37 +56,11 @@ class MetricTree:
         self.lengths = lengths  # frozenset({u, v}) -> Fraction
         for u, nbrs in adj.items():
             for v in nbrs:
-                if u not in self.adj.get(v, ()):  # pragma: no cover - guard
+                if u not in self.adj.get(v, ()):
                     raise TreeInputError("adjacency is not symmetric")
 
     def internal_vertices(self):
         return [v for v in self.adj if v >= self.n]
-
-    def path(self, a, b):
-        """Vertex path from a to b (tree: unique)."""
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for v in self.adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    stack.append(v)
-        if b not in prev:
-            raise TreeInputError("tree is not connected")
-        out = [b]
-        while prev[out[-1]] is not None:
-            out.append(prev[out[-1]])
-        return out[::-1]
-
-    def path_length(self, a, b) -> Fraction:
-        p = self.path(a, b)
-        return sum(
-            (self.lengths[frozenset((u, v))] for u, v in zip(p, p[1:])),
-            Fraction(0),
-        )
 
     def splits(self) -> frozenset:
         """Leaf bipartitions induced by internal edges (both sides >= 2).
@@ -281,16 +257,17 @@ def parallel_classes(M: Matroid) -> list[list[int]]:
     return classes
 
 
-def _class_splits(nu: Valuation, classes) -> list[frozenset]:
-    """The splits of the tree on the classes, each as its side avoiding class 0.
+def _class_splits(nu: Valuation, classes) -> tuple[list[frozenset], dict]:
+    """The splits of the tree on the classes, as sides avoiding class 0, and
+    the split matrix g they are read from.
 
     Rooted at class 0, g(i, j) = nu(ij) - nu(0i) - nu(0j) is twice the depth
     of the point where the paths to i and j part (the tree metric is -nu),
     so the classes below that point are i and every k with g(i, k) >= g(i, j).
     Each such cluster with 2 <= |side| <= t - 2 is a split; an internal edge
     of length 0 joins two depths into one, so its cluster does not appear.
-    The test reads the integer view nu*D, which it does not change.
-    Sides come out in ascending order of their bitmask over the classes.
+    g reads the integer view nu*D, keyed (i, j) for distinct classes i, j >= 1,
+    and sides come out in ascending order of their bitmask over the classes.
     """
     reps = [cls[0] for cls in classes]
     t = len(reps)
@@ -303,100 +280,76 @@ def _class_splits(nu: Valuation, classes) -> list[frozenset]:
         side = 1 << i | sum(1 << k for k in range(1, t) if k != i and g[i, k] >= g[i, j])
         if 2 <= side.bit_count() <= t - 2:
             sides.add(side)
-    return [frozenset(k for k in range(1, t) if side >> k & 1) for side in sorted(sides)]
+    return [frozenset(k for k in range(1, t) if side >> k & 1) for side in sorted(sides)], g
 
 
 def decode_tree(nu: Valuation) -> MetricTree:
     """Tree (T, lengths) with nu(ab) equal to the a-b path length for every
-    basis pair; non-basis pairs end up sharing a neighbor."""
+    basis pair; non-basis pairs end up sharing a neighbor.
+
+    Every edge length comes from the split matrix g of ``_class_splits``,
+    kept times 2D (D = nu.denominator) on the integer view.  With t >= 3
+    classes each skeleton vertex x gets G(x), the least g(i, j) over
+    distinct classes i, j below x (over all classes but 0 at the root): a
+    deeper parting point has a larger g, and at least two classes part at
+    x, so G(x) is twice the depth of x below a0 in the tree metric -nu.
+    With a0 and a1 the least elements of classes 0 and 1,
+      - the internal edge from x up to p has length G(p) - G(x);
+      - a leaf e of class k > 0 hanging from x has 2 nu(a0 e) + G(x);
+      - a leaf e of class 0 has 2 nu(e a1) - 2 nu(a0 a1) - G(root).
+    With t = 2 only sums across the classes are fixed; G(root) =
+    -2 nu(a0 z) pins the last element z of class 1 to length 0.  Every
+    pair read here is one element from each of two distinct classes, hence
+    a basis.  The path sums are checked against every basis pair.
+    """
     M = nu.matroid
     if M.r != 2:
         raise ValuationInputError("tree decoding requires a rank-2 matroid")
     classes = parallel_classes(M)
-    splits = _class_splits(nu, classes)
+    splits, g = _class_splits(nu, classes)
+    n = M.n
+    table = symbol_table(n, 2)
+    val = lambda a, b: nu.scaled[table.position[1 << a | 1 << b]]
+    a0, a1 = classes[0][0], classes[1][0]
+    lowest = lambda side: min(g[i, j] for i, j in combinations(side, 2))
 
     # laminar clusters: split sides avoiding the class of element 0
     clusters = sorted(splits, key=len, reverse=True)
-    n = M.n
     root = n
     node_of_cluster = {cl: n + 1 + i for i, cl in enumerate(clusters)}
     adj = {v: set() for v in (root, *node_of_cluster.values())}
+    G = {root: lowest(range(1, len(classes))) if len(classes) > 2
+         else -2 * val(a0, classes[1][-1])}
+    twice = {}
     # the clusters holding a set form a chain, whose smallest member comes
     # last: each cluster hangs from the smallest cluster above it, and each
     # class (hence each leaf) from the smallest cluster holding it
     for i, cl in enumerate(clusters):
-        _link(adj, node_of_cluster[cl],
-              next((node_of_cluster[c] for c in reversed(clusters[:i]) if cl < c), root))
+        x = node_of_cluster[cl]
+        up = next((node_of_cluster[c] for c in reversed(clusters[:i]) if cl < c), root)
+        G[x] = lowest(cl)
+        twice[_link(adj, x, up)] = G[up] - G[x]
     for ci, members in enumerate(classes):
         host = next((node_of_cluster[c] for c in reversed(clusters) if ci in c), root)
         for e in members:
-            _link(adj, e, host)
-    twice = _edge_lengths(nu, classes, adj)
+            twice[_link(adj, e, host)] = (2 * val(a0, e) + G[host] if ci else
+                                          2 * (val(e, a1) - val(a0, a1)) - G[root])
     sums = _pair_path_sums(adj, twice, n)
-    for m, x in zip(symbol_table(n, 2).subsets, nu.scaled):
+    for m, x in zip(table.subsets, nu.scaled):
         if x is not INF and sums[m] != 2 * x:
             raise InvariantViolation("valuation admits no consistent edge lengths")
     return MetricTree(n, adj, {e: Fraction(x, 2 * nu.denominator) for e, x in twice.items()})
 
 
-def _link(adj, u, v):
+def _link(adj, u, v) -> frozenset:
     adj.setdefault(u, set()).add(v)
     adj.setdefault(v, set()).add(u)
-
-
-def _edge_lengths(nu: Valuation, classes, adj) -> dict:
-    """Each edge length of the skeleton `adj` times 2D, D = nu.denominator,
-    keyed like `MetricTree.lengths`.
-
-    With t >= 3 classes, 2 l(uv) = nu(ab) + nu(a'b') - nu(aa') - nu(bb'):
-    a, a' are leaves of distinct classes beyond two neighbours of u other
-    than v (a = a' = u at a leaf, nu(uu) = 0), and b, b' likewise at v,
-    outside the class of a leaf end.  With t = 2 only sums across the
-    classes are fixed: l(z) = 0 for the last element z of the second class,
-    l(a) = nu(az) on the first, l(b) = nu(a0 b) - l(a0) on the second.
-    """
-    n = nu.matroid.n
-    position, v = symbol_table(n, 2).position, nu.scaled
-
-    def val(a, b):
-        x = 0 if a == b else v[position[1 << a | 1 << b]]
-        if x is INF:
-            raise InvariantViolation(f"edge length needs the non-basis pair {{{a},{b}}}")
-        return x
-
-    if len(classes) == 2:
-        first, second = classes
-        a0, z = first[0], second[-1]
-        ell = {a: val(a, z) for a in first}
-        ell.update((b, val(a0, b) - ell[a0]) for b in second)
-        return {frozenset((e, n)): 2 * ell[e] for e in (*first, *second)}
-    class_of = {e: ci for ci, members in enumerate(classes) for e in members}
-
-    def ends(u, skip, avoid):
-        if u < n:
-            return u, u
-        found = {avoid: None}  # first leaf seen per class
-        for w in adj[u] - {skip}:
-            prev = u
-            while w >= n:  # walk away from u to some leaf
-                prev, w = w, next(x for x in adj[w] if x != prev)
-            found.setdefault(class_of[w], w)
-            if len(found) == 3:
-                return list(found.values())[1:]
-        raise InvariantViolation("a tree vertex reaches fewer than three parallel classes")
-
-    out = {}
-    for u, nbrs in adj.items():
-        for w in nbrs:
-            if u < w:
-                (a, a2), (b, b2) = ends(u, w, class_of.get(u)), ends(w, u, class_of.get(u))
-                out[frozenset((u, w))] = val(a, b) + val(a2, b2) - val(a, a2) - val(b, b2)
-    return out
+    return frozenset((u, v))
 
 
 def _pair_path_sums(adj, lengths, n) -> dict:
     """Path sum between leaves a < b keyed by the mask of {a, b}, from one
-    walk of the tree per leaf; `lengths` maps frozenset({u, v}) to a length."""
+    walk of the tree per leaf; `lengths` maps frozenset({u, v}) to an int."""
     weights = {u: [(w, lengths[frozenset((u, w))]) for w in nbrs] for u, nbrs in adj.items()}
     sums = {}
     for a in range(n):
@@ -415,13 +368,16 @@ def _pair_path_sums(adj, lengths, n) -> dict:
 
 
 def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
-    """Path-length valuation of M read off a metric tree with leaf set E."""
+    """Path-length valuation of M read off a metric tree with leaf set E,
+    the lengths summed as integers over their common denominator."""
     if M.r != 2:
         raise MatroidInputError("tree valuations are rank-2 only")
     if sorted(v for v in T.adj if v < T.n) != list(range(M.n)):
         raise TreeInputError("tree leaves do not match the ground set")
-    sums = _pair_path_sums(T.adj, T.lengths, M.n)
-    vals = {m: sums[m] for m in M.bases}
+    den = lcm(*(x.denominator for x in T.lengths.values()))
+    sums = _pair_path_sums(
+        T.adj, {e: x.numerator * (den // x.denominator) for e, x in T.lengths.items()}, M.n)
+    vals = {m: Fraction(sums[m], den) for m in M.bases}
     for a, b in combinations(range(M.n), 2):
         if set_to_mask((a, b)) not in M.bases and not T.adj[a] & T.adj[b]:
             raise TreeInputError(f"non-basis pair {{{a},{b}}} lacks a common neighbor")

@@ -20,7 +20,10 @@ before edge lengths had a closed form.  The decoder builds the same
 skeleton from the quartet splits (or from splits it is given), then solves
 one Fraction equation per basis pair, length sum on the path = nu, with
 `solve_linear_system`, which pins free lengths to 0.  The encoder sums the
-lengths along `MetricTree.path` for each basis pair.
+Fraction lengths along `path` for each basis pair.
+
+`path` and `path_length` are the vertex path between two vertices of a
+`MetricTree` and the sum of its lengths, found by one search per call.
 """
 
 from fractions import Fraction
@@ -37,6 +40,31 @@ from dressian import (
     set_to_mask,
     solve_linear_system,
 )
+
+
+def path(T: MetricTree, a, b) -> list:
+    """Vertex path from a to b (tree: unique)."""
+    prev = {a: None}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        if u == b:
+            break
+        for v in T.adj[u]:
+            if v not in prev:
+                prev[v] = u
+                stack.append(v)
+    if b not in prev:
+        raise TreeInputError("tree is not connected")
+    out = [b]
+    while prev[out[-1]] is not None:
+        out.append(prev[out[-1]])
+    return out[::-1]
+
+
+def path_length(T: MetricTree, a, b) -> Fraction:
+    p = path(T, a, b)
+    return sum((T.lengths[frozenset((u, v))] for u, v in zip(p, p[1:])), Fraction(0))
 
 
 def confirmed_class_splits(nu: Valuation, classes) -> list[frozenset]:
@@ -181,7 +209,7 @@ def solve_lengths(nu: Valuation, skeleton: MetricTree) -> MetricTree:
     equations = []
     for m, v in nu.values.items():
         a, b = sorted(e for e in range(skeleton.n) if (m >> e) & 1)
-        p = skeleton.path(a, b)
+        p = path(skeleton, a, b)
         coeffs: dict = {}
         for x, y in zip(p, p[1:]):
             edge = frozenset((x, y))
@@ -199,7 +227,7 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
     vals = {}
     for m in M.bases:
         a, b = (e for e in range(M.n) if (m >> e) & 1)
-        vals[m] = T.path_length(a, b)
+        vals[m] = path_length(T, a, b)
     for a, b in combinations(range(M.n), 2):
         if set_to_mask((a, b)) not in M.bases:
             if not (T.adj[a] & T.adj[b]):

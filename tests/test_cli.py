@@ -30,7 +30,7 @@ from dressian import (
     valuation_from_matroid,
 )
 from dressian.cli import _build_parser, run
-from dressian.trees import _edge_lengths
+from dressian.trees import _class_splits
 from helpers import N3, N26, random_tree_metric_valuation, random_valuation
 
 
@@ -570,8 +570,13 @@ def test_certificate_below_component_count_exits_1(files, capsys, monkeypatch):
 
 
 def test_inconsistent_edge_lengths_exit_1(files, capsys, monkeypatch):
-    monkeypatch.setattr("dressian.trees._edge_lengths",
-                        lambda *a: {e: x + 1 for e, x in _edge_lengths(*a).items()})
+    # g shifted by one keeps every split but moves the lengths off the values,
+    # so the real path sums and basis-pair check must catch it
+    def shifted(*a):
+        splits, g = _class_splits(*a)
+        return splits, {k: x + 1 for k, x in g.items()}
+
+    monkeypatch.setattr("dressian.trees._class_splits", shifted)
     assert run(["tree-decode", "--valuation", files["nu"]]) == 1
     assert capsys.readouterr().err.startswith("invariant violation:")
     with pytest.raises(InvariantViolation):

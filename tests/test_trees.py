@@ -32,7 +32,7 @@ from helpers import (
     rank2_nonuniform,
 )
 from dressian.trees import _class_splits
-from reference_trees import confirmed_class_splits
+from reference_trees import confirmed_class_splits, path, path_length
 from reference_trees import decode_tree as reference_decode_tree
 from reference_trees import tree_to_valuation as reference_tree_to_valuation
 from reference_trees import enumerate_rank2_cells as reference_rank2_cells
@@ -263,10 +263,11 @@ def test_decode_encode_roundtrip_random():
         assert back == nu
 
 
-def random_class_tree_valuation(t, n, rnd):
+def random_class_tree_valuation(t, n, rnd, zero_share=1 / 3):
     """A rank-2 valuation on n elements in t >= 2 parallel classes: -d for a
-    random tree metric d on the classes, about a third of its internal
-    edges of length 0, plus a shift per element.  Built without the decoder."""
+    random tree metric d on the classes, about `zero_share` of its internal
+    edges of length 0 (all of them at 1: a star), plus a shift per element.
+    Built without the decoder."""
     edges = [(0, 1)]
     for leaf in range(2, t):
         u, v = edges.pop(rnd.randrange(len(edges)))
@@ -275,7 +276,7 @@ def random_class_tree_valuation(t, n, rnd):
     adj = {}
     for u, v in edges:
         internal = u >= t and v >= t
-        ell = Fraction(0) if internal and rnd.random() < 1 / 3 else (
+        ell = Fraction(0) if internal and rnd.random() < zero_share else (
             random_rational(rnd, 1, 5) if internal else random_rational(rnd))
         adj.setdefault(u, {})[v] = adj.setdefault(v, {})[u] = ell
 
@@ -305,7 +306,7 @@ def test_class_splits_match_quartet_oracle():
         nu = random_class_tree_valuation(t, t + rnd.choice([0, 0, 1, 3]), rnd)
         classes = parallel_classes(nu.matroid)
         assert len(classes) == t
-        assert _class_splits(nu, classes) == confirmed_class_splits(nu, classes)
+        assert _class_splits(nu, classes)[0] == confirmed_class_splits(nu, classes)
 
 
 def test_decode_is_polynomial_in_the_classes():
@@ -329,6 +330,12 @@ def decoder_oracle_corpus():
     for t in range(2, 10):
         for extra in (0, 1, 3, 5):
             out.append(random_class_tree_valuation(t, t + extra, rnd))
+    # stars: no splits, every length read off the root alone
+    for t in range(3, 10):
+        out.append(random_class_tree_valuation(t, t + 2, rnd, zero_share=1))
+    # lengths over 2, 3, 5 and 7, so the encoder sums over their lcm 210
+    T = MetricTree.from_newick("((0:1/2,1:-2/3):-3/5,2:5/7,(3:1/3,4:-2/5):-1/7,5:3);")
+    out.append(reference_tree_to_valuation(T, Matroid.uniform(2, 6)))
     out += [valuation_from_matroid(N) for N in (N2, N3, N26)]
     out.append(Valuation(Matroid.uniform(2, 2), {0b11: Fraction(1)}))
     # two classes of several elements each, interleaved and not
@@ -358,6 +365,10 @@ def test_decode_and_encode_match_the_linear_solve():
         assert tree_to_valuation(T, nu.matroid) == reference_tree_to_valuation(T, nu.matroid) == nu
     assert decode_tree(Valuation(Matroid.uniform(2, 2), {0b11: Fraction(1)})).to_newick() == (
         "(0:1,1:0);")
+    assert any({x.denominator for x in decode_tree(nu).lengths.values()} == {2, 3, 5, 7, 1}
+               for nu, _ in corpus)
+    assert sum(not decode_tree(nu).splits() and len(parallel_classes(nu.matroid)) > 3
+               for nu, _ in corpus) >= 6
 
 
 def test_decode_matroid_valuation():
@@ -372,7 +383,7 @@ def test_tree_valuation_rejects_bad_nonbases():
     hit = False
     for seed in range(20):
         T = decode_tree(random_tree_metric_valuation(5, random.Random(seed)))
-        if len(T.path(0, 1)) > 3:
+        if len(path(T, 0, 1)) > 3:
             with pytest.raises(TreeInputError):
                 tree_to_valuation(T, M)
             hit = True
@@ -428,7 +439,7 @@ def test_newick_roundtrip():
         assert back.topology() == T.topology()
         for i in range(5):
             for j in range(i + 1, 5):
-                assert back.path_length(i, j) == T.path_length(i, j)
+                assert path_length(back, i, j) == path_length(T, i, j)
 
 
 def test_four_point_condition_on_decoded_metric():
@@ -448,17 +459,26 @@ def test_newick_parses_deep_nesting_without_recursion():
     text = "(" * depth + "(0:1,1:2,2:3)" + ":1)" * depth + ";"
     T = MetricTree.from_newick(text)
     assert T.n == 3 and len(T.internal_vertices()) == depth + 1
-    assert T.path_length(0, 1) == 3
+    assert path_length(T, 0, 1) == 3
     back = MetricTree.from_newick(T.to_newick())
-    assert back.path_length(1, 2) == 5
+    assert path_length(back, 1, 2) == 5
     with pytest.raises(TreeInputError):
         MetricTree.from_newick(text[: len(text) // 2])
 
 
+def test_asymmetric_or_disconnected_trees_are_input_errors():
+    with pytest.raises(TreeInputError, match="adjacency is not symmetric"):
+        MetricTree(3, {0: {3}, 1: {3}, 2: {3}, 3: {0, 1}}, {})
+    adj = {0: {4}, 1: {4}, 4: {0, 1}, 2: {5}, 3: {5}, 5: {2, 3}}
+    T = MetricTree(4, adj, {frozenset((u, v)): Fraction(1) for u in adj for v in adj[u]})
+    with pytest.raises(TreeInputError, match="tree is not connected"):
+        tree_to_valuation(T, Matroid.uniform(2, 4))
+
+
 def test_newick_accepts_whitespace_and_root_length():
     T = MetricTree.from_newick(" ( 0 : 1 , ( 1:1/2, 2 :2) : 1 ) : 7 ;\n")
-    assert T.n == 3 and T.path_length(1, 2) == Fraction(5, 2)
-    assert T.path_length(0, 1) == Fraction(5, 2)
+    assert T.n == 3 and path_length(T, 1, 2) == Fraction(5, 2)
+    assert path_length(T, 0, 1) == Fraction(5, 2)
 
 
 @pytest.mark.parametrize(
