@@ -1,5 +1,16 @@
 """Exact rational subspaces: symbol equation systems, dimensions, projections.
 
+`cell_dim` is the dimension count of the census and the lower bound.  Its
+rows are x(Sac) + x(Sbd) - x(Sad) - x(Sbc), one per symbol of [nu], and it
+first bounds their rank from both sides on bit masks: below by the rank
+over GF(2) of the rows mod 2, above by the size of their support minus a
+parity lower bound on the rank of the lineality space there (see
+`cell_dim` for the proof).  When
+the bounds meet, that is the rank and nothing is eliminated; this is the
+case for every nu_N of the census.  Otherwise the rows are written out
+densely and ranked by `integer_matrix_rank`.  `_gf2_rank`, an XOR basis
+keyed by lowest set bit, computes both bounds.
+
 `_eliminate` is the one elimination routine.  It is fraction-free, in the
 manner of Bareiss: a pivot step replaces a row by an integer combination
 with the pivot row and divides out the gcd of its entries, so no rational
@@ -12,7 +23,7 @@ pivot is negative; a pivot of 1, the common case on the +-1 rows of
 `cell_dim`, subtracts a multiple of the pivot row over its nonzero columns
 only, in place and with no gcd.  Rank (`integer_matrix_rank`)
 and linear solving (`solve_linear_system`, which clears denominators row by
-row first) both run on it.  `cell_dim` builds its integer rows directly from
+row first) both run on it.  `cell_dim` builds its rows directly from
 the per-(n, r) symbol table and the valuation's integer view (see
 `dressian.valuation`), where non-bases hold the INF sentinel.
 """
@@ -22,7 +33,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matroid import InputError, InvariantViolation, Matroid, _Frozen, _is_int
+from .matroid import (
+    DESK_SCALE_COORDS,
+    InputError,
+    InvariantViolation,
+    Matroid,
+    _Frozen,
+    _is_int,
+    require_listable,
+)
 from .rationals import parse_rational
 from .valuation import CombinatorialType, Valuation, combinatorial_type, symbol_table
 
@@ -119,6 +138,35 @@ def _eliminate(rows, reduced=False) -> list[int]:
             break
     rows[:] = [rows[i] for i in done]
     return pivots
+
+
+def _gf2_rank(masks) -> int:
+    """Rank over GF(2) of rows given as bit masks: an XOR basis keyed by
+    lowest set bit, so each reduction step clears the row's lowest bit."""
+    basis = {}
+    for x in masks:
+        while x:
+            low = x & -x
+            if low not in basis:
+                basis[low] = x
+                break
+            x ^= basis[low]
+    return len(basis)
+
+
+def _hull_rank_bounds(quads, subsets) -> tuple[int, int]:
+    """(lower, upper) bounds on the rank over Q of the rows e(ac) + e(bd) -
+    e(ad) - e(bc), one per quad (ac, bd, ad, bc) of column positions, where
+    subsets[p] is the r-subset mask at position p; see `cell_dim`."""
+    if not quads:
+        return 0, 0
+    masks = [1 << ac | 1 << bd | 1 << ad | 1 << bc for ac, bd, ad, bc in quads]
+    support = 0
+    for m in masks:
+        support |= m
+    base = subsets[(support & -support).bit_length() - 1]
+    moves = [subsets[p] ^ base for p in range(support.bit_length()) if support >> p & 1]
+    return _gf2_rank(masks), support.bit_count() - 1 - _gf2_rank(moves)
 
 
 def integer_matrix_rank(rows) -> int:
@@ -234,28 +282,55 @@ def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:
 
     `ctype` is the combinatorial type of nu, when the caller has it already.
     L([nu]) is cut out of the basis coordinates by x(Sac) + x(Sbd) =
-    x(Sad) + x(Sbc) over the symbols of [nu]; non-basis columns stay zero.
-    A location's three symbols are consecutive, (ab|cd), (ac|bd), (ad|bc);
-    where all three are in [nu], the (ad|bc) row is the (ac|bd) row minus
-    the (ab|cd) row, so it is checked but not handed to the elimination.
+    x(Sad) + x(Sbc) over the symbols of [nu]; non-basis columns stay zero,
+    so the dimension is the number of bases minus rank_Q(A), A the matrix
+    of those rows.  A location's three symbols are consecutive, (ab|cd),
+    (ac|bd), (ad|bc); where all three are in [nu], the (ad|bc) row is the
+    (ac|bd) row minus the (ab|cd) row, so it is checked but left out of A.
+
+    rank_Q(A) is bounded from both sides before any elimination
+    (`_hull_rank_bounds`):
+
+    - below by rank_GF2(A mod 2), each row a mask of four column bits: a
+      minor of A that is odd is a nonzero integer;
+    - above by |Z| - 1 - rank_GF2{B ^ B0 : B in Z}, where Z is the support
+      of A (the OR of the row masks) and B0 one subset in it.  Each row
+      is zero off Z and orthogonal to the n lineality vectors
+      (1[e in B])_B, since every element lies in as many of Sac, Sbd as of
+      Sad, Sbc; so rank_Q(A) <= |Z| - dim span{1_B : B in Z}.  That
+      span holds 1_B0, of coordinate sum r != 0, and the differences
+      1_B - 1_B0, of sum 0, so its dimension is 1 + rank_Q{1_B - 1_B0}
+      >= 1 + rank_GF2{B ^ B0}, the differences mod 2 being B ^ B0.
+
+    Where the two bounds meet they give rank_Q(A) and nothing is
+    eliminated; otherwise the dense rows go to `integer_matrix_rank`.
+    ScaleLimitError when C(n, r) exceeds DESK_SCALE_COORDS.
     """
+    M = nu.matroid
+    require_listable(M.n, M.r, DESK_SCALE_COORDS, "the cell dimension")
     if ctype is None:
         ctype = combinatorial_type(nu)
-    cross = symbol_table(nu.matroid.n, nu.matroid.r).cross
-    v = nu.scaled
+    table = symbol_table(M.n, M.r)
+    cross, v = table.cross, nu.scaled
     full = set(ctype.full_ids)
-    rows = []
+    quads = []
     for i in ctype.full_ids:
-        sac, sbd, sad, sbc = cross[i]
+        sac, sbd, sad, sbc = quad = cross[i]
         if v[sac] + v[sbd] != v[sad] + v[sbc]:
             raise InvariantViolation("valuation must lie in its own cell hull")
         if i % 3 == 2 and i - 1 in full and i - 2 in full:
             continue
+        quads.append(quad)
+    low, high = _hull_rank_bounds(quads, table.subsets)
+    if low == high:
+        return len(M.bases) - low
+    rows = []
+    for sac, sbd, sad, sbc in quads:
         row = [0] * len(v)
         row[sac] = row[sbd] = 1
         row[sad] = row[sbc] = -1
         rows.append(row)
-    return len(nu.matroid.bases) - integer_matrix_rank(rows)
+    return len(M.bases) - integer_matrix_rank(rows)
 
 
 class ExactCover(_Frozen):

@@ -21,8 +21,9 @@ from math import comb
 # reaches 32 elements and rank 3 reaches 15, and the largest symbol table,
 # (32, 2), has 35960 locations.
 DESK_SCALE_SUBSETS = 500
-# Largest C(n, r) for `check` (its direct checker), `lower-bound` and the
-# subdivision walk; `dim`, `type` and `equiv` are bound by DESK_SCALE_SUBSETS only.
+# Largest C(n, r) for `check` (its direct checker), `dim` (cell_dim),
+# `lower-bound` and the subdivision walk; `type` and `equiv` are bound by
+# DESK_SCALE_SUBSETS only.
 DESK_SCALE_COORDS = 70
 DESK_SCALE_CENSUS = 20  # largest C(n, r) for stable-set enumeration
 # Largest n for the subdivision walk, which locate_cell runs too: it keeps

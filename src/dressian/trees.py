@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import lcm
+from operator import itemgetter
 
 from .matroid import (
     DESK_SCALE_RANK2_CLASSES,
@@ -276,10 +277,16 @@ def _class_splits(nu: Valuation, classes) -> tuple[list[frozenset], dict]:
     g = {(i, j): val(i, j) - val(0, i) - val(0, j)
          for i in range(1, t) for j in range(1, t) if i != j}
     sides = set()
-    for i, j in combinations(range(1, t), 2):
-        side = 1 << i | sum(1 << k for k in range(1, t) if k != i and g[i, k] >= g[i, j])
-        if 2 <= side.bit_count() <= t - 2:
-            sides.add(side)
+    for i in range(1, t):
+        # the side of (i, j) is i and a prefix of the row of i sorted by g
+        # descending, through the last k tied with j; it is taken for j > i
+        row = sorted(((g[i, k], k) for k in range(1, t) if k != i), reverse=True)
+        side = 1 << i
+        for _, group in groupby(row, key=itemgetter(0)):
+            tied = [k for _, k in group]
+            side |= sum(1 << k for k in tied)
+            if max(tied) > i and 2 <= side.bit_count() <= t - 2:
+                sides.add(side)
     return [frozenset(k for k in range(1, t) if side >> k & 1) for side in sorted(sides)], g
 
 

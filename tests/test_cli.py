@@ -115,14 +115,14 @@ def test_rank2_census_scale_guard(files, capsys):
         assert f"C({n}, 2) exceeds 500" in captured.err
 
 
-def assert_refused_within_a_second(capsys, argv):
+def assert_refused_within_a_second(capsys, argv, limit="the r-subsets listed"):
     started = time.perf_counter()
     assert run(argv) == 2
     assert time.perf_counter() - started < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
-    assert "the limit on the r-subsets listed" in captured.err
+    assert f"the limit on {limit}" in captured.err
 
 
 def test_subset_scale_guard(files, capsys):
@@ -149,6 +149,21 @@ def test_huge_binomials_are_refused_without_computing_them(files, capsys):
     path.write_text(json.dumps({"matroid": {"n": 20000, "r": 10000, "bases": [basis]},
                                 "values": {",".join(map(str, basis)): "0"}}))
     assert_refused_within_a_second(capsys, ["check", "--valuation", str(path)])
+
+
+def test_dim_scale_guard(files, capsys):
+    """C(12, 2) = 66 coordinates are within DESK_SCALE_COORDS = 70 and
+    C(13, 2) = 78 are not; without the limit `dim` on U(2, 32) ran for 22 s."""
+    rnd = random.Random(7)
+    paths = {}
+    for n in (12, 13):
+        paths[n] = files["dir"] / f"tree_{n}.json"
+        paths[n].write_text(random_tree_metric_valuation(n, rnd).to_json())
+    # a binary tree on 12 leaves: 12 leaf edges and 9 internal ones
+    argv = ["dim", "--valuation", str(paths[12]), "--format", "text"]
+    assert capture(capsys, argv) == (0, "21\n")
+    assert_refused_within_a_second(capsys, ["dim", "--valuation", str(paths[13])],
+                                   "the cell dimension")
 
 
 def test_tree_encode_scale_guard(files, capsys):

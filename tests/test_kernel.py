@@ -33,6 +33,7 @@ from dressian import (
     integer_matrix_rank,
     is_matroid,
     lower_bound_certificate,
+    modular_stable_matroid,
     r_subset_masks,
     set_to_mask,
     shift,
@@ -135,6 +136,12 @@ def test_all_sparse_paving_of_rank_3_on_6_agree_with_reference():
     assert max(dims) == 10
 
 
+def force_elimination(monkeypatch):
+    """Make the rank bounds of `cell_dim` never meet, so that every call
+    hands its rows to `integer_matrix_rank`."""
+    monkeypatch.setattr(linear_module, "_hull_rank_bounds", lambda quads, subsets: (0, 1))
+
+
 def test_cell_dim_hands_two_rows_per_fully_tied_location_to_the_rank(monkeypatch):
     rows = []
     rank = linear_module.integer_matrix_rank
@@ -143,10 +150,98 @@ def test_cell_dim_hands_two_rows_per_fully_tied_location_to_the_rank(monkeypatch
         rows.append(len(matrix))
         return rank(matrix)
 
+    force_elimination(monkeypatch)
     monkeypatch.setattr(linear_module, "integer_matrix_rank", counted)
     dims = [cell_dim(valuation_from_matroid(N)) for N in all_sparse_paving_matroids(3, 6)]
     # one row per symbol of [nu] would be 13050 rows
     assert (sum(rows), sum(dims)) == (10590, 2326)
+
+
+# ---------------------------------------------------------------------------
+# The rank certificate of cell_dim against elimination and the Fraction rank
+
+
+def certificate_corpus():
+    """Random values and shifts on CORPUS, Stiefel valuations with holes
+    from (2,5) to (5,8), every nu_N at (2,5), (2,6), (3,5), (3,6) and
+    (4,6), and the modular nu_N for C(n, r) <= 70."""
+    rnd = random.Random(73)
+    for M in CORPUS:
+        for _ in range(4):
+            nu = random_valuation(M, rnd)
+            yield nu
+            yield shift(nu, random_shift_vector(M.n, rnd))
+    for r, n in [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7), (4, 7), (3, 8), (4, 8), (5, 8)]:
+        for holes in (0, 2, 4):
+            yield stiefel_valuation(r, n, rnd, holes)
+    for r, n in [(2, 5), (2, 6), (3, 5), (3, 6), (4, 6)]:
+        for N in all_sparse_paving_matroids(r, n):
+            yield valuation_from_matroid(N)
+    for n in range(4, 9):
+        for r in range(2, n - 1):
+            if comb(n, r) <= 70:
+                for k in range(n):
+                    yield valuation_from_matroid(modular_stable_matroid(n, r, k))
+
+
+def spied_bounds(monkeypatch):
+    """The (lower, upper) pairs `cell_dim` computes, in call order."""
+    seen = []
+    real = linear_module._hull_rank_bounds
+
+    def spy(quads, subsets):
+        seen.append(real(quads, subsets))
+        return seen[-1]
+
+    monkeypatch.setattr(linear_module, "_hull_rank_bounds", spy)
+    return seen
+
+
+def test_rank_certificate_matches_elimination_and_the_fraction_rank(monkeypatch):
+    valuations = list(certificate_corpus())
+    bounds = spied_bounds(monkeypatch)
+    dims = [cell_dim(nu) for nu in valuations]
+    force_elimination(monkeypatch)
+    assert dims == [cell_dim(nu) for nu in valuations]
+    certified = 0
+    for nu, d, (low, high) in zip(valuations, dims, bounds):
+        rank = len(nu.matroid.bases) - d
+        assert low <= rank <= high
+        certified += low == high
+        # the (3,6) census and larger inputs meet the Fraction oracle elsewhere
+        if comb(nu.matroid.n, nu.matroid.r) <= 21 and (nu.matroid.n, nu.matroid.r) != (6, 3):
+            assert d == ref.cell_dim(nu)
+    assert (len(valuations), certified) == (666, 643)
+
+
+def test_census_cells_are_certified_and_generic_stiefel_cells_eliminated(monkeypatch):
+    ranked = []
+    rank = linear_module.integer_matrix_rank
+
+    def counted(matrix):
+        ranked.append(len(matrix))
+        return rank(matrix)
+
+    monkeypatch.setattr(linear_module, "integer_matrix_rank", counted)
+    bounds = spied_bounds(monkeypatch)
+    sparse_paving_census(3, 6, with_dims=True)
+    assert len(bounds) == 271 and all(low == high for low, high in bounds)
+    assert ranked == []
+    nu = stiefel_valuation(4, 8, random.Random(61))
+    cell_dim(nu)
+    assert len(ranked) == 1
+
+
+def test_rank_bounds_on_hand_checked_rows():
+    table = symbol_table(4, 2)
+    ab_cd, ac_bd, ad_bc = table.cross  # the one location of U(2,4)
+    bounds = linear_module._hull_rank_bounds
+    assert bounds([], table.subsets) == (0, 0)
+    # one row: six coordinates, 4 of them in the support, lineality 1 + 2
+    assert bounds([ab_cd], table.subsets) == (1, 1)
+    # two rows: all six pairs, whose differences span the even sets of F_2^4
+    assert bounds([ab_cd, ac_bd], table.subsets) == (2, 2)
+    assert bounds([ab_cd, ac_bd, ad_bc], table.subsets) == (2, 2)
 
 
 def test_shifts_with_denominators_and_negative_values_agree():
@@ -511,6 +606,7 @@ def captured_matrices(monkeypatch, compute):
 
 
 def test_elimination_matches_the_swap_oracle_on_census_and_desk_matrices(monkeypatch):
+    force_elimination(monkeypatch)
     census = captured_matrices(
         monkeypatch, lambda: sparse_paving_census(3, 6, with_dims=True))
     assert len(census) == 271
