@@ -260,34 +260,41 @@ def parallel_classes(M: Matroid) -> list[list[int]]:
 
 def _class_splits(nu: Valuation, classes) -> tuple[list[frozenset], dict]:
     """The splits of the tree on the classes, as sides avoiding class 0, and
-    the split matrix g they are read from.
+    the cut value of each: the least g(i, j) over distinct i, j in the side.
 
     Rooted at class 0, g(i, j) = nu(ij) - nu(0i) - nu(0j) is twice the depth
     of the point where the paths to i and j part (the tree metric is -nu),
     so the classes below that point are i and every k with g(i, k) >= g(i, j).
     Each such cluster with 2 <= |side| <= t - 2 is a split; an internal edge
     of length 0 joins two depths into one, so its cluster does not appear.
-    g reads the integer view nu*D, keyed (i, j) for distinct classes i, j >= 1,
-    and sides come out in ascending order of their bitmask over the classes.
+    The cut value of the cluster is g(i, j): two of its members k, l have
+    g(k, l) >= min(g(i, k), g(i, l)) >= g(i, j) by the three-point condition.
+    With t >= 3 classes, `cut` also holds the set of all classes but 0, the
+    cluster of the root.  g reads the integer view nu*D, with nu(0i) read
+    once per class, and sides come out in ascending order of their bitmask
+    over the classes.
     """
     reps = [cls[0] for cls in classes]
     t = len(reps)
     position, v = symbol_table(nu.matroid.n, 2).position, nu.scaled
-    val = lambda a, b: v[position[1 << reps[a] | 1 << reps[b]]]
-    g = {(i, j): val(i, j) - val(0, i) - val(0, j)
-         for i in range(1, t) for j in range(1, t) if i != j}
-    sides = set()
+    v0 = [0, *(v[position[1 << reps[0] | 1 << a]] for a in reps[1:])]  # nu(0i), i >= 1
+    every = (1 << t) - 2
+    cut = {}
     for i in range(1, t):
         # the side of (i, j) is i and a prefix of the row of i sorted by g
         # descending, through the last k tied with j; it is taken for j > i
-        row = sorted(((g[i, k], k) for k in range(1, t) if k != i), reverse=True)
+        ai, base = 1 << reps[i], v0[i]
+        row = sorted(((v[position[ai | 1 << reps[k]]] - base - v0[k], k)
+                      for k in range(1, t) if k != i), reverse=True)
         side = 1 << i
-        for _, group in groupby(row, key=itemgetter(0)):
+        for g, group in groupby(row, key=itemgetter(0)):
             tied = [k for _, k in group]
             side |= sum(1 << k for k in tied)
-            if max(tied) > i and 2 <= side.bit_count() <= t - 2:
-                sides.add(side)
-    return [frozenset(k for k in range(1, t) if side >> k & 1) for side in sorted(sides)], g
+            if max(tied) > i and 2 <= side.bit_count() <= t - 2 or side == every:
+                cut[side] = g
+    clusters = {side: frozenset(k for k in range(1, t) if side >> k & 1) for side in sorted(cut)}
+    return ([cl for side, cl in clusters.items() if side != every],
+            {cl: cut[side] for side, cl in clusters.items()})
 
 
 def decode_tree(nu: Valuation) -> MetricTree:
@@ -297,9 +304,10 @@ def decode_tree(nu: Valuation) -> MetricTree:
     Every edge length comes from the split matrix g of ``_class_splits``,
     kept times 2D (D = nu.denominator) on the integer view.  With t >= 3
     classes each skeleton vertex x gets G(x), the least g(i, j) over
-    distinct classes i, j below x (over all classes but 0 at the root): a
-    deeper parting point has a larger g, and at least two classes part at
-    x, so G(x) is twice the depth of x below a0 in the tree metric -nu.
+    distinct classes i, j below x (over all classes but 0 at the root), the
+    cut value ``_class_splits`` returns for that cluster: a deeper parting
+    point has a larger g, and at least two classes part at x, so G(x) is
+    twice the depth of x below a0 in the tree metric -nu.
     With a0 and a1 the least elements of classes 0 and 1,
       - the internal edge from x up to p has length G(p) - G(x);
       - a leaf e of class k > 0 hanging from x has 2 nu(a0 e) + G(x);
@@ -313,19 +321,18 @@ def decode_tree(nu: Valuation) -> MetricTree:
     if M.r != 2:
         raise ValuationInputError("tree decoding requires a rank-2 matroid")
     classes = parallel_classes(M)
-    splits, g = _class_splits(nu, classes)
+    splits, cut = _class_splits(nu, classes)
     n = M.n
     table = symbol_table(n, 2)
     val = lambda a, b: nu.scaled[table.position[1 << a | 1 << b]]
     a0, a1 = classes[0][0], classes[1][0]
-    lowest = lambda side: min(g[i, j] for i, j in combinations(side, 2))
 
     # laminar clusters: split sides avoiding the class of element 0
     clusters = sorted(splits, key=len, reverse=True)
     root = n
     node_of_cluster = {cl: n + 1 + i for i, cl in enumerate(clusters)}
     adj = {v: set() for v in (root, *node_of_cluster.values())}
-    G = {root: lowest(range(1, len(classes))) if len(classes) > 2
+    G = {root: cut[frozenset(range(1, len(classes)))] if len(classes) > 2
          else -2 * val(a0, classes[1][-1])}
     twice = {}
     # the clusters holding a set form a chain, whose smallest member comes
@@ -334,7 +341,7 @@ def decode_tree(nu: Valuation) -> MetricTree:
     for i, cl in enumerate(clusters):
         x = node_of_cluster[cl]
         up = next((node_of_cluster[c] for c in reversed(clusters[:i]) if cl < c), root)
-        G[x] = lowest(cl)
+        G[x] = cut[cl]
         twice[_link(adj, x, up)] = G[up] - G[x]
     for ci, members in enumerate(classes):
         host = next((node_of_cluster[c] for c in reversed(clusters) if ci in c), root)
@@ -376,7 +383,8 @@ def _pair_path_sums(adj, lengths, n) -> dict:
 
 def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
     """Path-length valuation of M read off a metric tree with leaf set E,
-    the lengths summed as integers over their common denominator."""
+    the lengths summed as integers over their common denominator, which
+    with the sums is the valuation's integer view."""
     if M.r != 2:
         raise MatroidInputError("tree valuations are rank-2 only")
     if sorted(v for v in T.adj if v < T.n) != list(range(M.n)):
@@ -384,11 +392,11 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
     den = lcm(*(x.denominator for x in T.lengths.values()))
     sums = _pair_path_sums(
         T.adj, {e: x.numerator * (den // x.denominator) for e, x in T.lengths.items()}, M.n)
-    vals = {m: Fraction(sums[m], den) for m in M.bases}
     for a, b in combinations(range(M.n), 2):
         if set_to_mask((a, b)) not in M.bases and not T.adj[a] & T.adj[b]:
             raise TreeInputError(f"non-basis pair {{{a},{b}}} lacks a common neighbor")
-    return Valuation(M, vals)
+    scaled = tuple(sums[m] if m in M.bases else INF for m in symbol_table(M.n, 2).subsets)
+    return Valuation._from_scaled(M, den, scaled)
 
 
 # ---------------------------------------------------------------------------

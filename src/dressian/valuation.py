@@ -3,16 +3,14 @@
 All values are exact rationals; the extension off the basis family to the
 full r-subset lattice is by the INF sentinel and is never materialized.
 
-Values are held as `Fraction`s: a value given as a `Fraction` is kept as it
-is, anything else is converted once, and `valuation_from_matroid` takes its
-values from one shared tuple Fraction(0), ..., Fraction(r), so building a
-valuation rebuilds no Fraction.
-
-Each valuation also carries an integer view, computed once at construction:
-one positive common denominator D and the tuple of integers nu*D indexed by
-colex rank among all r-subsets, with the INF sentinel on the non-bases.
-When D = 1, as for every nu_N and every integer input, the view is the
-numerators themselves.
+A valuation holds its integer view: one positive denominator D and the
+tuple of integers nu*D indexed by colex rank among all r-subsets, with the
+INF sentinel on the non-bases.  D and the entries share no common factor,
+so equal value maps have equal views.  Every constructor in the library
+builds the view in integers and goes through `Valuation._from_scaled`;
+only the public `Valuation(matroid, values)` reads a value map, and keeps
+it.  The Fraction map `values` is otherwise derived from the view the
+first time it is read, and then kept.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
@@ -23,7 +21,8 @@ brute-force checker reads the same integer view, but walks the exchange
 inequality over all pairs of r-subsets, taking elements lowest bit first
 and looking values up by colex position, without the location tables, so
 that it stays an independent second check.  Outputs that report values
-(JSON, spread, shifts, peels) read the Fraction map `values`.
+(JSON, spread, separating shifts) read the Fraction map `values`; spike
+heights come back as Fractions over D.
 """
 
 from __future__ import annotations
@@ -33,11 +32,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .matroid import (
     DESK_SCALE_COORDS,
     InputError,
+    InvariantViolation,
     Matroid,
     _colex_subsets,
     _Frozen,
@@ -184,13 +184,21 @@ def _normalize_values(M: Matroid, values) -> dict[int, Fraction]:
             raise ValuationInputError(f"subset {key!r}: {exc}") from None
         if isinstance(key, int) and not 0 <= key < 1 << M.n:
             raise ValuationInputError(f"subset mask {key} out of range for n={M.n}")
+        out[m] = val
+    # the support first: an extension map with INF off the bases is refused
+    # for its non-bases, not for the INF
+    _require_bases(M, out)
+    return {m: val if type(val) is Fraction else Fraction(val) for m, val in out.items()}
+
+
+def _require_bases(M: Matroid, vals: dict) -> None:
+    """ValuationInputError unless the masks keying vals are the bases of M."""
+    for m in vals:
         if m not in M.bases:
             raise ValuationInputError(f"value supplied for non-basis {subset_key(m)}")
-        out[m] = val if type(val) is Fraction else Fraction(val)
-    missing = M.bases - out.keys()
+    missing = M.bases - vals.keys()
     if missing:
         raise ValuationInputError(f"missing values for {len(missing)} bases")
-    return out
 
 
 def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
@@ -299,30 +307,83 @@ def check_valuation_bruteforce(M: Matroid, values) -> bool:
 
 
 class Valuation(_Frozen):
-    """An exact-rational valuation of a matroid; immutable, checked on build."""
+    """An exact-rational valuation of a matroid; immutable, checked on build.
+
+    It holds the integer view (`denominator`, `scaled`); `values` is the
+    Fraction map, derived from the view on first read unless the value map
+    was given.
+    """
 
     # `scaled` is the integer view: values * denominator by colex rank, INF
-    # off the bases
-    __slots__ = ("matroid", "values", "denominator", "scaled")
+    # off the bases; `_values` is the Fraction map, or None until `values`
+    # is first read
+    __slots__ = ("matroid", "denominator", "scaled", "_values")
 
     def __init__(self, matroid: Matroid, values: dict):
         vals = _normalize_values(matroid, values)
-        den, scaled = _integer_view(matroid, vals)
+        # the least common denominator already leaves no common factor
+        self._hold(matroid, *_integer_view(matroid, vals), vals)
+
+    @classmethod
+    def _from_scaled(cls, matroid: Matroid, denominator: int, scaled: tuple) -> "Valuation":
+        """The valuation with values scaled[i] / denominator on the r-subset of
+        colex rank i: ints on the bases, INF off them.  A malformed view is a
+        library fault and raises InvariantViolation; a well-formed one is
+        divided by the gcd of the denominator and the entries, and raises
+        NotAValuationError if it breaks the three-term condition."""
+        subsets = symbol_table(matroid.n, matroid.r).subsets
+        if type(denominator) is not int or denominator <= 0:
+            raise InvariantViolation(f"integer view with denominator {denominator!r}")
+        if len(scaled) != len(subsets):
+            raise InvariantViolation(
+                f"integer view has {len(scaled)} entries for {len(subsets)} r-subsets")
+        bases = matroid.bases
+        for m, x in zip(subsets, scaled):
+            if type(x) is int:
+                if m not in bases:
+                    raise InvariantViolation(f"integer view is finite on non-basis {subset_key(m)}")
+            elif x is not INF:
+                raise InvariantViolation(f"integer view holds {x!r} at {subset_key(m)}")
+            elif m in bases:
+                raise InvariantViolation(f"integer view is INF on basis {subset_key(m)}")
+        if denominator != 1:
+            common = gcd(denominator, *(x for x in scaled if x is not INF))
+            if common != 1:
+                denominator //= common
+                scaled = tuple(x if x is INF else x // common for x in scaled)
+        nu = cls.__new__(cls)
+        nu._hold(matroid, denominator, tuple(scaled), None)
+        return nu
+
+    def _hold(self, matroid: Matroid, denominator: int, scaled: tuple, values) -> None:
         object.__setattr__(self, "matroid", matroid)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "_values", values)
         if not _three_term_holds(matroid, scaled):
             raise NotAValuationError("value map violates the three-term condition")
+
+    @property
+    def values(self) -> dict[int, Fraction]:
+        """basis mask -> Fraction value, in colex order when derived."""
+        vals = self._values
+        if vals is None:
+            den = self.denominator
+            subsets = symbol_table(self.matroid.n, self.matroid.r).subsets
+            vals = {m: Fraction(x, den) for m, x in zip(subsets, self.scaled) if x is not INF}
+            object.__setattr__(self, "_values", vals)
+        return vals
 
     def __repr__(self):
         return f"Valuation(matroid={self.matroid!r}, values={self.values!r})"
 
     def __eq__(self, other):
+        # one view per value map, so equal views are equal values
         return (
             isinstance(other, Valuation)
             and self.matroid == other.matroid
-            and self.values == other.values
+            and self.denominator == other.denominator
+            and self.scaled == other.scaled
         )
 
     def __hash__(self):
@@ -351,7 +412,11 @@ class Valuation(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj: dict, matroid_loader=None) -> "Valuation":
-        return cls(*parse_valuation_document(obj, matroid_loader))
+        # the document's masks are in range and its values Fractions: only
+        # the support is left to check
+        M, vals = parse_valuation_document(obj, matroid_loader)
+        _require_bases(M, vals)
+        return cls._from_scaled(M, *_integer_view(M, vals))
 
     @classmethod
     def from_json(cls, text: str, matroid_loader=None) -> "Valuation":
@@ -433,53 +498,52 @@ def equivalent(nu: Valuation, nu2: Valuation) -> bool:
 
 
 def shift(nu: Valuation, w) -> Valuation:
-    """nu^w(B) = nu(B) + sum_{e in B} w(e)."""
+    """nu^w(B) = nu(B) + sum_{e in B} w(e), summed on the integer view over
+    the lcm of nu's denominator and those of w."""
     wv = [Fraction(x) for x in w]
     if len(wv) != nu.matroid.n:
         raise ValuationInputError("shift vector has wrong length")
-    vals = {
-        m: v + sum(wv[e] for e in mask_to_set(m)) for m, v in nu.values.items()
-    }
-    return Valuation(nu.matroid, vals)
+    den = lcm(nu.denominator, *(x.denominator for x in wv))
+    up = den // nu.denominator
+    wd = [x.numerator * (den // x.denominator) for x in wv]
+    subsets = symbol_table(nu.matroid.n, nu.matroid.r).subsets
+    scaled = tuple(x if x is INF else x * up + sum(wd[e] for e in mask_to_set(m))
+                   for m, x in zip(subsets, nu.scaled))
+    return Valuation._from_scaled(nu.matroid, den, scaled)
 
 
 def residue_matroid(nu: Valuation, w=None) -> Matroid:
     """M0(nu^w): the matroid of minimizers of the shifted valuation."""
     shifted = nu if w is None else shift(nu, w)
-    lo = min(shifted.values.values())
-    bases = frozenset(m for m, v in shifted.values.items() if v == lo)
-    return Matroid(nu.matroid.n, nu.matroid.r, bases)
+    v = shifted.scaled
+    lo = min(x for x in v if x is not INF)
+    subsets = symbol_table(nu.matroid.n, nu.matroid.r).subsets
+    return Matroid(nu.matroid.n, nu.matroid.r, frozenset(m for m, x in zip(subsets, v) if x == lo))
 
 
 def contract_valuation(nu: Valuation, S) -> tuple[Valuation, list[int]]:
     """nu/S on M/S, defined by (nu/S)(B) = nu(B ∪ S); S must be independent.
 
-    Returns (valuation, element_map) with the minor's relabeling map.
+    Returns (valuation, element_map) with the minor's relabeling map.  The
+    minor's view re-indexes nu's: B is a basis of M/S exactly when B ∪ S is
+    one of M, so INF lands on the minor's non-bases.
     """
     sm = S if isinstance(S, int) else set_to_mask(S)
     minor, keep = nu.matroid.minor(contract_set=sm)
-    new_to_old = {new: old for new, old in enumerate(keep)}
-    vals = {}
-    for b in minor.bases:
-        old = set_to_mask(new_to_old[e] for e in mask_to_set(b)) | sm
-        vals[b] = nu.values[old]
-    return Valuation(minor, vals), keep
+    position, v = symbol_table(nu.matroid.n, nu.matroid.r).position, nu.scaled
+    scaled = tuple(v[position[set_to_mask(keep[e] for e in mask_to_set(b)) | sm]]
+                   for b in symbol_table(minor.n, minor.r).subsets)
+    return Valuation._from_scaled(minor, nu.denominator, scaled), keep
 
 
 def valuation_from_matroid(N: Matroid) -> Valuation:
-    """nu_N(X) = r - rank_N(X) on the uniform ambient U(r, n); the rank is
-    computed on the non-bases of N only, since it is r on the bases."""
+    """nu_N(X) = r - rank_N(X) on the uniform ambient U(r, n), as integer
+    levels over denominator 1; the rank is computed on the non-bases of N
+    only, since it is r on the bases."""
     ambient = Matroid.uniform(N.r, N.n)
-    level = _integers_up_to(N.r)
-    vals = {m: level[0] if m in N.bases else level[N.r - N.rank_of(m)]
-            for m in ambient.bases}
-    return Valuation(ambient, vals)
-
-
-@lru_cache(maxsize=8)
-def _integers_up_to(r: int) -> tuple:
-    """Fraction(0), ..., Fraction(r): the values nu_N takes at rank r."""
-    return tuple(Fraction(k) for k in range(r + 1))
+    r, bases = N.r, N.bases
+    levels = tuple(0 if m in bases else r - N.rank_of(m) for m in _colex_subsets(N.n, r))
+    return Valuation._from_scaled(ambient, 1, levels)
 
 
 def separating_shift(nu: Valuation, sym: Symbol) -> list[Fraction]:
@@ -523,39 +587,43 @@ def smooth_decompose(nu: Valuation):
 
     Repeatedly subtracts the maximal positive spike lambda*1_B (bases in
     colex order) while the remainder stays a valuation; returns the smooth
-    remainder and the peel list [(basis mask, lambda)].
+    remainder and the peel list [(basis mask, lambda)].  The peeling runs on
+    the integer view, whose denominator the remainder keeps.
     """
     M = nu.matroid
     if not M.is_uniform():
         raise ValuationInputError("spike peeling is defined on uniform matroids only")
-    vals = dict(nu.values)
+    table = symbol_table(M.n, M.r)
+    v = list(nu.scaled)
     peels = []
     changed = True
     while changed:
         changed = False
-        for b in sorted(vals):
-            lam = _max_spike_height(M, vals, b)
+        for i, b in enumerate(table.subsets):
+            lam = _max_spike_height(M, table.position, v, b)
             if lam > 0:
-                vals[b] -= lam
-                peels.append((b, lam))
+                v[i] -= lam
+                peels.append((b, Fraction(lam, nu.denominator)))
                 changed = True
-    return Valuation(M, vals), peels
+    return Valuation._from_scaled(M, nu.denominator, tuple(v)), peels
 
 
-def _max_spike_height(M: Matroid, vals: dict, b: int) -> Fraction:
-    """Largest lambda with vals - lambda*1_b still a valuation (uniform M)."""
-    n = M.n
-    rest = [e for e in range(n) if not (b >> e) & 1]
+def _max_spike_height(M: Matroid, position: dict, v: list, b: int) -> int:
+    """Largest lambda with v - lambda*1_b still a valuation (uniform M), for
+    the integer view v indexed by colex position."""
+    rest = [e for e in range(M.n) if not (b >> e) & 1]
+    at = lambda m: v[position[m]]
+    vb = at(b)
     best = None
     for x, y in combinations(mask_to_set(b), 2):
         s_mask = b ^ (1 << x) ^ (1 << y)
         for c, d in combinations(rest, 2):
-            p0 = vals[b] + vals[s_mask | 1 << c | 1 << d]
-            p1 = vals[s_mask | 1 << x | 1 << c] + vals[s_mask | 1 << y | 1 << d]
-            p2 = vals[s_mask | 1 << x | 1 << d] + vals[s_mask | 1 << y | 1 << c]
-            slack = p0 - p1 if p1 == p2 else Fraction(0)
+            p0 = vb + at(s_mask | 1 << c | 1 << d)
+            p1 = at(s_mask | 1 << x | 1 << c) + at(s_mask | 1 << y | 1 << d)
+            p2 = at(s_mask | 1 << x | 1 << d) + at(s_mask | 1 << y | 1 << c)
+            slack = p0 - p1 if p1 == p2 else 0
             if best is None or slack < best:
                 best = slack
             if best == 0:
-                return Fraction(0)
-    return best if best is not None else Fraction(0)
+                return 0
+    return best if best is not None else 0

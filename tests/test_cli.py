@@ -585,11 +585,11 @@ def test_certificate_below_component_count_exits_1(files, capsys, monkeypatch):
 
 
 def test_inconsistent_edge_lengths_exit_1(files, capsys, monkeypatch):
-    # g shifted by one keeps every split but moves the lengths off the values,
-    # so the real path sums and basis-pair check must catch it
+    # cut values shifted by one keep every split but move the lengths off
+    # the values, so the real path sums and basis-pair check must catch it
     def shifted(*a):
-        splits, g = _class_splits(*a)
-        return splits, {k: x + 1 for k, x in g.items()}
+        splits, cut = _class_splits(*a)
+        return splits, {k: x + 1 for k, x in cut.items()}
 
     monkeypatch.setattr("dressian.trees._class_splits", shifted)
     assert run(["tree-decode", "--valuation", files["nu"]]) == 1

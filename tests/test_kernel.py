@@ -11,7 +11,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -50,32 +50,8 @@ from helpers import (
     random_rational,
     random_shift_vector,
     random_valuation,
+    stiefel_valuation,
 )
-
-
-def stiefel_valuation(r, n, rnd, holes=0):
-    """Tropical maximal minors of a random r x n rational matrix.
-
-    nu(B) is the least sum of entries over bijections from the rows to B;
-    `holes` entries are INF (the tropical zero), and a subset whose every
-    bijection meets one is a non-basis.  Lifting to Puiseux series with
-    generic leading coefficients realizes nu, so it is a valuation of the
-    transversal matroid of its finite support.
-    """
-    A = [[random_rational(rnd, -6, 6, den=3) for _ in range(n)] for _ in range(r)]
-    cells = [(i, j) for i in range(r) for j in range(n)]
-    for i, j in rnd.sample(cells, holes):
-        A[i][j] = INF
-    vals = {}
-    for b in combinations(range(n), r):
-        sums = [
-            sum(A[i][b[p[i]]] for i in range(r))
-            for p in permutations(range(r))
-            if all(A[i][b[p[i]]] is not INF for i in range(r))
-        ]
-        if sums:
-            vals[set_to_mask(b)] = min(sums)
-    return Valuation(Matroid(n, r, frozenset(vals)), vals)
 
 
 def assert_kernels_agree(nu):

@@ -371,6 +371,24 @@ def test_decode_and_encode_match_the_linear_solve():
                for nu, _ in corpus) >= 6
 
 
+def test_cut_values_are_the_least_g_over_each_cluster():
+    # the all-pairs min that decode_tree took per cluster before the cut values
+    checked = 0
+    for nu, _ in decoder_oracle_corpus():
+        classes = parallel_classes(nu.matroid)
+        t = len(classes)
+        val = lambda i, j: nu.values[set_to_mask((classes[i][0], classes[j][0]))]
+        g = {(i, j): val(i, j) - val(0, i) - val(0, j)
+             for i, j in combinations(range(1, t), 2)}
+        sides, cut = _class_splits(nu, classes)
+        every = frozenset(range(1, t))
+        assert set(cut) == set(sides) | ({every} if t > 2 else set())
+        for cluster, x in cut.items():
+            assert x == min(g[i, j] for i, j in combinations(sorted(cluster), 2)) * nu.denominator
+            checked += 1
+    assert checked > 200
+
+
 def test_decode_matroid_valuation():
     T = decode_tree(valuation_from_matroid(N3))
     assert len(T.internal_vertices()) == 3
