@@ -22,10 +22,15 @@ rows are put in pivot order at the end.  A pivot row is negated when its
 pivot is negative; a pivot of 1, the common case on the +-1 rows of
 `cell_dim`, subtracts a multiple of the pivot row over its nonzero columns
 only, in place and with no gcd.  Rank (`integer_matrix_rank`)
-and linear solving (`solve_linear_system`, which clears denominators row by
-row first) both run on it.  `cell_dim` builds its rows directly from
-the per-(n, r) symbol table and the valuation's integer view (see
-`dressian.valuation`), where non-bases hold the INF sentinel.
+and linear solving (`solve_linear_system`) both run on it.
+
+Every system here is held as integer rows over its coordinate order;
+`_integer_row` clears an equation's denominators once, where it enters.  A
+`RationalSubspace` ranks its rows, or their columns outside a block, and
+`subspace_from_symbols` and `cell_dim` write +-1 rows directly, `cell_dim`
+from the per-(n, r) symbol table and the valuation's integer view (see
+`dressian.valuation`), where non-bases hold the INF sentinel.  A `Fraction`
+is built only where a public function takes or returns rationals.
 """
 
 from __future__ import annotations
@@ -74,18 +79,14 @@ def _namer(coords):
     return named
 
 
-def _integer_rows(coords, equations):
-    """Sparse rational rows -> dense integer rows over the coord order."""
-    index = {c: i for i, c in enumerate(coords)}
-    out = []
-    for eq in equations:
-        denom = lcm(*(v.denominator for v in eq.values()))
-        row = [0] * len(coords)
-        for c, v in eq.items():
-            if c in index:
-                row[index[c]] = v.numerator * (denom // v.denominator)
-        out.append(row)
-    return out
+def _integer_row(entries, width) -> list[int]:
+    """A column -> rational map (ints or Fractions) as a dense integer row of
+    the given width, scaled by the lcm of its denominators."""
+    denom = lcm(*(v.denominator for v in entries.values()))
+    row = [0] * width
+    for col, v in entries.items():
+        row[col] = v.numerator * (denom // v.denominator)
+    return row
 
 
 def _eliminate(rows, reduced=False) -> list[int]:
@@ -175,18 +176,21 @@ def integer_matrix_rank(rows) -> int:
 
 
 class RationalSubspace:
-    """Solution space of rational linear equations over an ordered coord set."""
+    """Solution space of rational linear equations over an ordered coord set,
+    held as one integer row per equation over the coord order."""
 
-    __slots__ = ("coords", "equations", "_dim")
+    __slots__ = ("coords", "rows", "_dim")
 
     def __init__(self, coords, equations: list):
         self.coords = tuple(coords)
-        self.equations = equations  # list of dict coord -> Fraction
-        cs = set(self.coords)
-        for eq in equations:
-            bad = set(eq) - cs
+        index = {c: i for i, c in enumerate(self.coords)}
+        self.rows = []
+        for eq in equations:  # each a map coord -> rational
+            bad = set(eq) - index.keys()
             if bad:
                 raise CoverInputError(f"equation touches unknown coordinates {bad}")
+            self.rows.append(_integer_row({index[c]: v for c, v in eq.items()},
+                                          len(self.coords)))
         self._dim = None
 
     @classmethod
@@ -206,32 +210,28 @@ class RationalSubspace:
 
     def dim(self) -> int:
         if self._dim is None:
-            rows = _integer_rows(self.coords, self.equations)
-            self._dim = len(self.coords) - integer_matrix_rank(rows)
+            self._dim = len(self.coords) - integer_matrix_rank(self.rows)
         return self._dim
 
     def zero_section_dim(self, A) -> int:
-        """dim of {x in L : x_a = 0 for a in A}."""
-        zero_eqs = [{a: Fraction(1)} for a in A]
-        return RationalSubspace(self.coords, self.equations + zero_eqs).dim()
+        """dim of {x in L : x_a = 0 for a in A}: the coordinates outside A
+        minus the rank of the rows on their columns."""
+        A = set(A)
+        bad = A - set(self.coords)
+        if bad:
+            raise CoverInputError(f"projection coordinates {bad} not in ambient")
+        keep = [j for j, c in enumerate(self.coords) if c not in A]
+        return len(keep) - integer_matrix_rank([[row[j] for j in keep] for row in self.rows])
 
     def projection_dim(self, A) -> int:
         """dim(L_A) via dim(L) = dim(L_A) + dim(L^A)."""
-        A = list(A)
-        bad = set(A) - set(self.coords)
-        if bad:
-            raise CoverInputError(f"projection coordinates {bad} not in ambient")
         return self.dim() - self.zero_section_dim(A)
 
     def contains(self, vector) -> bool:
         """Membership of a coord->value map (absent coords read as 0)."""
-        for eq in self.equations:
-            total = Fraction(0)
-            for c, coef in eq.items():
-                total += coef * Fraction(vector.get(c, 0))
-            if total != 0:
-                return False
-        return True
+        x = _integer_row({j: Fraction(vector.get(c, 0)) for j, c in enumerate(self.coords)},
+                         len(self.coords))
+        return not any(sum(a * b for a, b in zip(row, x)) for row in self.rows)
 
 
 def solve_linear_system(equations, variables):
@@ -243,13 +243,11 @@ def solve_linear_system(equations, variables):
     variables = list(variables)
     index = {v: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    eqs = []
+    rows = []
     for coeffs, rhs in equations:
-        eq = {nvars: Fraction(rhs)}  # the right-hand side is the last column
-        for v, c in coeffs.items():
-            eq[index[v]] = eq.get(index[v], 0) + Fraction(c)
-        eqs.append(eq)
-    rows = _integer_rows(range(nvars + 1), eqs)
+        eq = {index[v]: Fraction(c) for v, c in coeffs.items()}
+        eq[nvars] = Fraction(rhs)  # the right-hand side is the last column
+        rows.append(_integer_row(eq, nvars + 1))
     pivots = _eliminate(rows, reduced=True)
     if pivots and pivots[-1] == nvars:  # a row 0 = rhs != 0
         return None
@@ -261,20 +259,11 @@ def solve_linear_system(equations, variables):
 
 def subspace_from_symbols(M: Matroid, symbols) -> RationalSubspace:
     """L(Z): symbol equalities plus zero on non-bases, expressed over the
-    basis coordinates (the zero-forced coordinates are eliminated up front)."""
-    coords = tuple(M.sorted_bases())
-    one = Fraction(1)
-    equations = []
-    for sym in symbols:
-        sac, sbd, sad, sbc = sym.cross_sets()
-        eq = {}
-        for m, coef in ((sac, one), (sbd, one), (sad, -one), (sbc, -one)):
-            if m in M.bases:
-                eq[m] = eq.get(m, Fraction(0)) + coef
-        eq = {m: v for m, v in eq.items() if v != 0}
-        if eq:
-            equations.append(eq)
-    return RationalSubspace(coords, equations)
+    basis coordinates (the zero-forced coordinates are eliminated up front).
+    The four sets of a symbol are distinct, so each row is +-1 on its bases."""
+    return RationalSubspace(M.sorted_bases(), [
+        {m: coef for m, coef in zip(sym.cross_sets(), (1, 1, -1, -1)) if m in M.bases}
+        for sym in symbols])
 
 
 def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:

@@ -102,7 +102,7 @@ def combinatorial_type(nu):
 
 
 def fraction_rank(rows):
-    rows = [list(row) for row in rows]
+    rows = [[Fraction(x) for x in row] for row in rows]  # exact also on int rows
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):

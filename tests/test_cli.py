@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import importlib
 import io
 import json
 import os
@@ -447,6 +448,22 @@ def test_lower_bound_csv_compares_with_dim_upper_only_where_it_bounds(capsys, mo
             if 3 <= r <= n - 3:
                 expected.append('"cell_dim_vs_dim_upper"')
             assert (code, quantities) == (0, expected), (n, r)
+
+
+def test_installed_entry_point_exits_with_the_run_code(monkeypatch, capsys):
+    # [project.scripts] read with a regex: tomllib is not in Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', section.group(1), re.M))
+    module, name = scripts["dressian"].split(":")
+    main = getattr(importlib.import_module(module), name)
+    expected = capture(capsys, ["bounds", "--n", "6", "--r", "3"])[1]
+    for argv, code, out in ((["bounds", "--n", "6", "--r", "3"], 0, expected),
+                            (["bounds", "--n"], 2, "")):
+        monkeypatch.setattr(sys, "argv", ["dressian", *argv])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert (stop.value.code, capsys.readouterr().out) == (code, out)
 
 
 def test_no_command_loads_mpmath(files):

@@ -614,7 +614,7 @@ def test_elimination_matches_the_swap_oracle_on_random_systems():
         eqs = [{j: random_rational(rnd, -3, 3, den=rnd.randint(1, 5))
                 for j in range(ncols) if rnd.random() < 0.6}
                for _ in range(rnd.randint(1, 8))]
-        matrices.append(linear_module._integer_rows(range(ncols), eqs))
+        matrices.append([linear_module._integer_row(eq, ncols) for eq in eqs])
     for rows in matrices:
         assert_eliminations_agree(rows, False)
         assert_eliminations_agree(rows, True)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dressian.linear as linear_module
+import reference_kernel as ref
 from dressian import (
     CoverInputError,
     ExactCover,
@@ -18,7 +20,9 @@ from dressian import (
     symbol_sets,
     valuation_from_matroid,
 )
-from helpers import N1, N2, N3, U25, random_valuation
+from helpers import (
+    CORPUS, N1, N2, N3, U25, U36, random_rational, random_valuation, stiefel_valuation,
+)
 
 
 def fraction_rank(rows):
@@ -193,3 +197,96 @@ def test_subspace_membership():
     assert L.contains({"a": Fraction(2), "b": Fraction(2)})
     assert not L.contains({"a": Fraction(2), "b": Fraction(1)})
     assert L.dim() == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer rows of a subspace against Fraction rows and the Fraction rank
+
+
+def rational_subspace_case(rnd):
+    """Coordinates of three kinds, rational equations with denominators 1..5,
+    and a point x0 that most of the equations vanish on."""
+    kinds = (lambda i: i, lambda i: f"c{i}", lambda i: (i, -i))
+    coords = tuple(rnd.choice(kinds)(i) for i in range(rnd.randint(1, 9)))
+    x0 = {c: random_rational(rnd, -3, 3, den=rnd.randint(1, 5)) for c in coords}
+    eqs = []
+    for _ in range(rnd.randint(0, len(coords) + 1)):
+        eq = {c: random_rational(rnd, -3, 3, den=rnd.randint(1, 5))
+              for c in coords if rnd.random() < 0.6}
+        pivot = next((c for c in eq if x0[c]), None)
+        if pivot is not None and rnd.random() < 0.7:
+            eq[pivot] -= sum(a * x0[c] for c, a in eq.items()) / x0[pivot]
+        eqs.append(eq)
+    return coords, eqs, x0
+
+
+def test_subspace_rows_match_the_fraction_rank():
+    rnd = random.Random(73)
+    verdicts = set()
+    for _ in range(300):
+        coords, eqs, x0 = rational_subspace_case(rnd)
+        L = RationalSubspace(coords, eqs)
+        rows = [[eq.get(c, Fraction(0)) for c in coords] for eq in eqs]
+        assert L.dim() == len(coords) - ref.fraction_rank(rows)
+        A = [c for c in coords if rnd.random() < 0.5]
+        units = [[Fraction(c == a) for c in coords] for a in A]
+        zero = len(coords) - ref.fraction_rank(rows + units)
+        assert L.zero_section_dim(A) == zero
+        assert L.projection_dim(A) == L.dim() - zero
+        x1 = dict(x0)
+        x1[rnd.choice(coords)] += 1
+        for x in (x0, x1):
+            expected = all(sum(a * x[c] for c, a in eq.items()) == 0 for eq in eqs)
+            # zero coordinates may be left out, and keys that are not
+            # coordinates are ignored
+            vector = {c: v for c, v in x.items() if v or rnd.random() < 0.5}
+            vector["not a coordinate"] = Fraction(7, 3)
+            assert L.contains(vector) is expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_symbol_subspaces_match_the_fraction_rank():
+    for M in CORPUS:
+        coords = M.sorted_bases()
+        z, z0, _z1 = symbol_sets(M)
+        for symbols in (z0, z):
+            rows = []
+            for sym in symbols:
+                row = [Fraction(0)] * len(coords)
+                sac, sbd, sad, sbc = sym.cross_sets()
+                for m, coef in ((sac, 1), (sbd, 1), (sad, -1), (sbc, -1)):
+                    if m in M.bases:
+                        row[coords.index(m)] += coef
+                rows.append(row)
+            expected = len(coords) - ref.fraction_rank(rows)
+            assert subspace_from_symbols(M, symbols).dim() == expected
+
+
+def test_subspace_ranks_and_cell_dim_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built in dressian.linear")
+
+    z, _z0, _z1 = symbol_sets(U36)
+    nu = stiefel_valuation(3, 6, random.Random(83))
+    expected = ref.cell_dim(nu)
+    ranked = []
+    real_rank = linear_module.integer_matrix_rank
+    monkeypatch.setattr(linear_module, "integer_matrix_rank",
+                        lambda rows: ranked.append(len(rows)) or real_rank(rows))
+    monkeypatch.setattr(linear_module, "Fraction", refuse)
+    L = RationalSubspace(("a", "b", "c", "d"), [{"a": 1, "b": -1}, {"b": 2, "c": 3}])
+    assert (L.dim(), L.zero_section_dim(["a"]), L.projection_dim(["a", "c"])) == (2, 1, 1)
+    assert subspace_from_symbols(U36, z).dim() == 6  # the lineality space
+    ranked.clear()
+    assert cell_dim(nu) == expected
+    assert ranked  # the parity bounds differ, so the rows were eliminated
+
+
+def test_unknown_block_coordinates_are_cover_input_errors():
+    L = RationalSubspace((0, 1, "a"), [{0: Fraction(1), "a": Fraction(-1)}])
+    for A in ([2], ["0"], [(0, 1), 0]):
+        with pytest.raises(CoverInputError, match="not in ambient"):
+            L.zero_section_dim(A)
+        with pytest.raises(CoverInputError, match="not in ambient"):
+            L.projection_dim(A)
