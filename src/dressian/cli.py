@@ -14,15 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import (
-    BoundsReport,
-    bounds_report,
-    dim_upper,
-    lower_bound_certificate,
-    perturbed_census,
-    sparse_paving_census,
-)
-from .linear import ExactCover, RationalSubspace, cell_dim, exact_cover_check
+# named by module, not imported by name: a library module runs on first
+# attribute access, so each subcommand runs only the modules it touches
+from . import bounds, linear, subdivision, trees, valuation
 from .matroid import (
     InputError,
     InvariantViolation,
@@ -32,20 +26,6 @@ from .matroid import (
     subset_key,
 )
 from .rationals import format_rational, parse_rational
-from .subdivision import spread_report, subdivision_cells
-from .trees import MetricTree, TreeInputError, decode_tree, rank2_cell_dims, tree_to_valuation
-from .valuation import (
-    Valuation,
-    check_valuation,
-    check_valuation_bruteforce,
-    combinatorial_type,
-    contract_valuation,
-    equivalent,
-    parse_valuation_document,
-    residue_matroid,
-    smooth_decompose,
-    valuation_from_matroid,
-)
 
 INPUT_ERRORS = (InputError, OSError)  # exit 2; any other exception but InvariantViolation is a bug
 
@@ -62,8 +42,8 @@ def _load_matroid(path) -> Matroid:
     return Matroid.from_json_obj(_load_json(path))
 
 
-def _load_valuation(path) -> Valuation:
-    return Valuation.from_json_obj(_load_json(path), matroid_loader=_load_matroid)
+def _load_valuation(path) -> valuation.Valuation:
+    return valuation.Valuation.from_json_obj(_load_json(path), matroid_loader=_load_matroid)
 
 
 def _parse_element_set(text, n):
@@ -101,11 +81,11 @@ def _emit(args, obj, csv_rows=None, text=None):
 
 
 def cmd_check(args):
-    M, vals = parse_valuation_document(_load_json(args.valuation), _load_matroid)
+    M, vals = valuation.parse_valuation_document(_load_json(args.valuation), _load_matroid)
     # the direct checker goes first: it refuses C(n, r) > DESK_SCALE_COORDS
     # before any symbol table is built
-    slow = check_valuation_bruteforce(M, vals)
-    fast = check_valuation(M, vals)
+    slow = valuation.check_valuation_bruteforce(M, vals)
+    fast = valuation.check_valuation(M, vals)
     if fast != slow:
         raise InvariantViolation("three-term and direct checkers disagree")
     _emit(args, {"valid": fast}, text=f"valid: {fast}")
@@ -113,7 +93,7 @@ def cmd_check(args):
 
 def cmd_type(args):
     nu = _load_valuation(args.valuation)
-    t = combinatorial_type(nu)
+    t = valuation.combinatorial_type(nu)
     obj = {
         "type_size": t.size,
         "z1_size": t.z1_size,
@@ -125,20 +105,20 @@ def cmd_type(args):
 def cmd_equiv(args):
     nu = _load_valuation(args.valuation)
     mu = _load_valuation(args.other)
-    eq = equivalent(nu, mu)
+    eq = valuation.equivalent(nu, mu)
     _emit(args, {"equivalent": eq}, text=f"equivalent: {eq}")
 
 
 def cmd_dim(args):
     nu = _load_valuation(args.valuation)
-    d = cell_dim(nu)
+    d = linear.cell_dim(nu)
     _emit(args, {"dim": d}, text=str(d))
 
 
 def cmd_contract(args):
     nu = _load_valuation(args.valuation)
     S = _parse_element_set(args.set, nu.matroid.n)
-    contracted, keep = contract_valuation(nu, S)
+    contracted, keep = valuation.contract_valuation(nu, S)
     obj = {"valuation": contracted.to_json_obj(), "kept_elements": keep}
     _emit(args, obj)
 
@@ -146,19 +126,19 @@ def cmd_contract(args):
 def cmd_residue(args):
     nu = _load_valuation(args.valuation)
     w = [parse_rational(tok) for tok in args.shift.split(",")] if args.shift else None
-    M0 = residue_matroid(nu, w)
+    M0 = valuation.residue_matroid(nu, w)
     _emit(args, M0.to_json_obj())
 
 
 def cmd_from_matroid(args):
     N = _load_matroid(args.matroid)
-    nu = valuation_from_matroid(N)
+    nu = valuation.valuation_from_matroid(N)
     _emit(args, nu.to_json_obj())
 
 
 def cmd_tree_decode(args):
     nu = _load_valuation(args.valuation)
-    T = decode_tree(nu)
+    T = trees.decode_tree(nu)
     newick = T.to_newick()
     obj = {
         "newick": newick,
@@ -173,15 +153,15 @@ def cmd_tree_decode(args):
 def cmd_tree_encode(args):
     with open(args.tree) as fh:
         try:
-            T = MetricTree.from_newick(fh.read(), n=args.n)
+            T = trees.MetricTree.from_newick(fh.read(), n=args.n)
         except UnicodeDecodeError as exc:
-            raise TreeInputError(f"{args.tree}: {exc}") from None
-    nu = tree_to_valuation(T, Matroid.uniform(2, T.n))
+            raise trees.TreeInputError(f"{args.tree}: {exc}") from None
+    nu = trees.tree_to_valuation(T, Matroid.uniform(2, T.n))
     _emit(args, nu.to_json_obj())
 
 
 def cmd_rank2_census(args):
-    dims = rank2_cell_dims(Matroid.uniform(2, args.n))
+    dims = trees.rank2_cell_dims(Matroid.uniform(2, args.n))
     cells = sum(dims.values())
     obj = {"n": args.n, "cells": cells, "dims": {str(k): v for k, v in dims.items()}}
     _emit(args, obj, text=f"cells: {cells}")
@@ -189,7 +169,7 @@ def cmd_rank2_census(args):
 
 def cmd_subdivision(args):
     nu = _load_valuation(args.valuation)
-    census = subdivision_cells(nu)
+    census = subdivision.subdivision_cells(nu)
     obj = {
         "spread": census.spread,
         "exploration_status": census.exploration_status,
@@ -203,11 +183,11 @@ def cmd_subdivision(args):
 
 def cmd_spread(args):
     nu = _load_valuation(args.valuation)
-    _emit(args, spread_report(nu))
+    _emit(args, subdivision.spread_report(nu))
 
 
 def cmd_bounds(args):
-    rep = bounds_report(args.n, args.r, args.t)
+    rep = bounds.bounds_report(args.n, args.r, args.t)
     rows = [(q, "", v, s, "") for q, v, s in rep.rows()]
     _emit(args, rep.to_json_obj(), csv_rows=rows)
 
@@ -215,8 +195,8 @@ def cmd_bounds(args):
 def cmd_lower_bound(args):
     if not 2 <= args.r < args.n:  # the rank-t contraction bound needs t >= 2
         raise ScaleLimitError(f"lower-bound needs 2 <= r < n, got r={args.r}, n={args.n}")
-    N, c, dim = lower_bound_certificate(args.n, args.r)
-    upper = dim_upper(args.n, args.r)
+    N, c, dim = bounds.lower_bound_certificate(args.n, args.r)
+    upper = bounds.dim_upper(args.n, args.r)
     obj = {
         "n": args.n,
         "r": args.r,
@@ -225,7 +205,7 @@ def cmd_lower_bound(args):
         "cell_dim": dim,
         "dim_upper": str(upper),
     }
-    source = BoundsReport.SOURCES
+    source = bounds.BoundsReport.SOURCES
     rows = [("cell_dim_vs_components", dim, c, source["dim_lower"], dim >= c)]
     if 3 <= args.r <= args.n - 3:  # where dim_upper bounds a cell's dimension
         rows.append(("cell_dim_vs_dim_upper", dim, upper, source["dim_upper"],
@@ -236,10 +216,10 @@ def cmd_lower_bound(args):
 
 def cmd_sp_census(args):
     if args.perturbed:
-        rec = perturbed_census(args.r, args.n, samples=args.samples,
-                               seed=args.seed, with_dims=args.with_dims)
+        rec = bounds.perturbed_census(args.r, args.n, samples=args.samples,
+                                      seed=args.seed, with_dims=args.with_dims)
     else:
-        rec = sparse_paving_census(args.r, args.n, with_dims=args.with_dims)
+        rec = bounds.sparse_paving_census(args.r, args.n, with_dims=args.with_dims)
     obj = {
         "n": rec.n,
         "r": rec.r,
@@ -254,9 +234,9 @@ def cmd_sp_census(args):
 
 
 def cmd_cover_check(args):
-    L = RationalSubspace.from_json_obj(_load_json(args.subspace))
-    cover = ExactCover.from_json_obj(_load_json(args.cover), L)
-    lhs, rhs, holds = exact_cover_check(L, cover)
+    L = linear.RationalSubspace.from_json_obj(_load_json(args.subspace))
+    cover = linear.ExactCover.from_json_obj(_load_json(args.cover), L)
+    lhs, rhs, holds = linear.exact_cover_check(L, cover)
     if not holds:
         raise InvariantViolation(
             f"cover inequality failed: {lhs} > {format_rational(rhs)}"
@@ -267,7 +247,7 @@ def cmd_cover_check(args):
 
 def cmd_smooth(args):
     nu = _load_valuation(args.valuation)
-    remainder, peels = smooth_decompose(nu)
+    remainder, peels = valuation.smooth_decompose(nu)
     obj = {
         "peels": [[subset_key(mask), format_rational(lam)] for mask, lam in peels],
         "remainder": remainder.to_json_obj(),

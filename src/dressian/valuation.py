@@ -41,6 +41,7 @@ from .matroid import (
     Matroid,
     _colex_subsets,
     _Frozen,
+    johnson_neighbors,
     mask_to_set,
     require_listable,
     set_to_mask,
@@ -538,12 +539,20 @@ def contract_valuation(nu: Valuation, S) -> tuple[Valuation, list[int]]:
 
 def valuation_from_matroid(N: Matroid) -> Valuation:
     """nu_N(X) = r - rank_N(X) on the uniform ambient U(r, n), as integer
-    levels over denominator 1; the rank is computed on the non-bases of N
-    only, since it is r on the bases."""
+    levels over denominator 1.  The rank is r on the bases and r - 1 on a
+    non-basis one exchange away from a basis (every non-basis of a sparse
+    paving N); `rank_of` is asked only about the other non-bases."""
     ambient = Matroid.uniform(N.r, N.n)
-    r, bases = N.r, N.bases
-    levels = tuple(0 if m in bases else r - N.rank_of(m) for m in _colex_subsets(N.n, r))
-    return Valuation._from_scaled(ambient, 1, levels)
+    n, r, bases = N.n, N.r, N.bases
+
+    def level(m):
+        if m in bases:
+            return 0
+        if any(y in bases for y in johnson_neighbors(n, m)):
+            return 1
+        return r - N.rank_of(m)
+
+    return Valuation._from_scaled(ambient, 1, tuple(map(level, _colex_subsets(n, r))))
 
 
 def separating_shift(nu: Valuation, sym: Symbol) -> list[Fraction]:

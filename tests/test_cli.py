@@ -424,7 +424,7 @@ def test_lower_bound_stdout_is_pinned(capsys, n, r, fmt):
 def test_lower_bound_dim_upper_matches_bounds_report(capsys, monkeypatch):
     # dim_upper does not depend on the certificate; a stand-in keeps the
     # r = n - 1 cases up to n = 70 from running 70-coordinate eliminations
-    monkeypatch.setattr("dressian.cli.lower_bound_certificate",
+    monkeypatch.setattr("dressian.bounds.lower_bound_certificate",
                         lambda n, r: (Matroid.uniform(r, n), 0, 0))
     cases = [(n, r) for n in range(3, 71) for r in range(2, n) if comb(n, r) <= 70]
     assert len(cases) == 91
@@ -435,7 +435,7 @@ def test_lower_bound_dim_upper_matches_bounds_report(capsys, monkeypatch):
 
 
 def test_lower_bound_csv_compares_with_dim_upper_only_where_it_bounds(capsys, monkeypatch):
-    monkeypatch.setattr("dressian.cli.lower_bound_certificate",
+    monkeypatch.setattr("dressian.bounds.lower_bound_certificate",
                         lambda n, r: (Matroid.uniform(r, n), 0, 0))
     for n in range(3, 12):
         for r in range(2, n):
@@ -506,6 +506,45 @@ def test_cli_import_loads_no_code_generators():
     loaded = set(proc.stdout.split())
     assert "dressian.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "mpmath"}, sorted(loaded)
+
+
+LIBRARY = ("matroid", "rationals", "valuation", "linear", "subdivision", "trees", "bounds")
+
+
+def _modules_run_after(commands):
+    """In a fresh interpreter, import dressian.cli and run each command;
+    the library modules whose bodies have run.  A module registered but not
+    yet run is a lazy module, not a plain `types.ModuleType`; one missing
+    from sys.modules fails the script."""
+    script = (
+        "import contextlib, io, sys, types\n"
+        "import dressian.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert dressian.cli.run(argv) == 0, argv\n"
+        f"mods = [sys.modules['dressian.' + m] for m in {LIBRARY!r}]\n"
+        f"print(' '.join(m for m, mod in zip({LIBRARY!r}, mods)\n"
+        "               if type(mod) is types.ModuleType))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_command_runs_only_the_modules_it_needs(files):
+    # every library module is registered at import (the benchmark's tracer
+    # reads them from sys.modules), but runs only when first used
+    assert _modules_run_after([]) == {"matroid", "rationals"}
+    assert not _modules_run_after([["rank2-census", "--n", "5"]]) & {
+        "bounds", "linear", "subdivision"}
+    assert not _modules_run_after([["subdivision", "--valuation", files["nu"]]]) & {
+        "bounds", "linear", "trees"}
+    for argv in (["sp-census", "--n", "5", "--r", "2"], ["lower-bound", "--n", "6", "--r", "3"]):
+        assert not _modules_run_after([argv]) & {"trees", "subdivision"}, argv
 
 
 def test_cover_check(files, capsys, tmp_path):
@@ -845,7 +884,7 @@ def test_internal_value_error_is_not_bad_input(files, capsys, monkeypatch):
     def broken(nu, ctype=None):
         raise ValueError("an internal bug")
 
-    monkeypatch.setattr("dressian.cli.cell_dim", broken)
+    monkeypatch.setattr("dressian.linear.cell_dim", broken)
     with pytest.raises(ValueError, match="an internal bug"):
         run(["dim", "--valuation", files["nu"]])  # propagates: no exit 2
 

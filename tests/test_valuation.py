@@ -276,6 +276,55 @@ def test_valuation_from_matroid_matches_the_constructor(name):
         assert nu.scaled == tuple(N.r - N.rank_of(m) for m in r_subset_masks(N.n, N.r))
 
 
+def _vector_matroid(vectors):
+    """The matroid of integer vectors in Q^r: the r-subsets with a nonzero
+    determinant, by cofactor expansion."""
+    def det(rows):
+        return 1 if not rows else sum((-1) ** j * rows[0][j] * det([row[:j] + row[j + 1:]
+                                                                   for row in rows[1:]])
+                                      for j in range(len(rows)) if rows[0][j])
+    r = len(vectors[0])
+    return Matroid(len(vectors), r, [B for B in itertools.combinations(range(len(vectors)), r)
+                                     if det([vectors[e] for e in B])])
+
+
+# matroids that are not sparse paving: non-bases of rank below r - 1, whose
+# Johnson neighbours are all non-bases, and Johnson-adjacent non-bases
+NOT_SPARSE_PAVING = {
+    "two loops": [(0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    "parallel triple": [(1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    "four-point line": [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1), (1, 1, 1)],
+    "rank 2, loop and parallel pair": [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+    "rank 4, loop and parallel pair": [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0),
+                                       (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)],
+}
+
+
+def test_valuation_from_matroid_levels_match_rank_of(monkeypatch):
+    """The levels read off Johnson neighbours against r - rank_of on every
+    r-subset; `rank_of` is asked only about the non-bases of rank below
+    r - 1, so never on a sparse paving N."""
+    rnd = random.Random(23)
+    sparse = list(CORPUS) + [modular_stable_matroid(n, r, k) for n, r in [(6, 3), (7, 3), (7, 4)]
+                             for k in range(n)]
+    sparse += [random_sparse_paving(r, n, rnd) for r in (2, 3, 4) for n in range(r + 2, 8)
+               for _ in range(6)]
+    other = [_vector_matroid(vectors) for vectors in NOT_SPARSE_PAVING.values()]
+    levels = {}
+    for N in sparse + other:
+        levels[N] = tuple(N.r - N.rank_of(m) for m in r_subset_masks(N.n, N.r))
+    assert sum(max(levels[N]) >= 2 for N in other) == 3
+    calls = []
+    rank_of = Matroid.rank_of
+    monkeypatch.setattr(Matroid, "rank_of", lambda N, X: calls.append(X) or rank_of(N, X))
+    for N in sparse + other:
+        calls.clear()
+        nu = valuation_from_matroid(N)
+        assert (nu.denominator, nu.scaled) == (1, levels[N]), N
+        # a non-basis of rank r - 1 always has a basis among its neighbours
+        assert len(calls) == sum(level >= 2 for level in levels[N]), N
+
+
 def test_values_of_any_type_become_fractions():
     M = Matroid.uniform(2, 4)
     # the shift of 0 by w = (0, 1/2, 1/4, 1), in colex order 01, 02, 12, 03, 13, 23
