@@ -1,16 +1,22 @@
 """Valuated matroids, Dressian cell machinery, and exact bound reports.
 
-The seven library modules are registered at import through
+`matroid` and `rationals`, which every other module imports, run at import.
+The other five library modules are registered through
 `importlib.util.LazyLoader`: each is in `sys.modules` and is an attribute
-of the package at once, but its body runs on first attribute access.  A
-CLI call thus runs only the modules its subcommand touches.  The public
-names below are served from their defining modules by `__getattr__`.
-`cli` is not registered: `python -m dressian.cli` (runpy) warns when the
-module it is about to run is already in `sys.modules`.
+of the package at once, but its body runs on first attribute access.
+Library modules reach one another by module (`valuation.symbol_table`),
+never by `from .valuation import ...`, so a lazy module is first reached
+by attribute access, which raises any error its body raises.  A CLI call
+thus runs only the modules its subcommand touches.  The public names
+below are served from their defining modules by `__getattr__`.  `cli` is
+not registered: `python -m dressian.cli` (runpy) warns when the module it
+is about to run is already in `sys.modules`.
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
+
+from . import matroid, rationals
 
 _EXPORTS = {name: module for module, names in {
     "bounds": ("BoundsReport", "CensusRecord", "all_sparse_paving_matroids",
@@ -37,7 +43,7 @@ _EXPORTS = {name: module for module, names in {
 }.items() for name in names}
 _MODULES = sorted(set(_EXPORTS.values()))
 
-for _module in _MODULES:
+for _module in sorted(set(_MODULES) - {"matroid", "rationals"}):
     _spec = find_spec(f"{__name__}.{_module}")
     _spec.loader = LazyLoader(_spec.loader)
     globals()[_module] = sys.modules[_spec.name] = module_from_spec(_spec)

@@ -11,7 +11,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from .linear import cell_dim
+from . import linear, valuation
 from .matroid import (
     DESK_SCALE_BOUNDS_N,
     DESK_SCALE_CENSUS,
@@ -25,7 +25,6 @@ from .matroid import (
     r_subset_masks,
     require_listable,
 )
-from .valuation import combinatorial_type, residue_matroid, shift, valuation_from_matroid
 
 LOG_DIGITS = 20
 _WORK_DIGITS = 40  # well beyond the LOG_DIGITS reported
@@ -221,7 +220,7 @@ def lower_bound_certificate(n: int, r: int):
         if best is None or c > best[1]:
             best = (N, c)
     N, c = best
-    dim = cell_dim(valuation_from_matroid(N))
+    dim = linear.cell_dim(valuation.valuation_from_matroid(N))
     if dim < c:
         raise InvariantViolation(
             f"cell dimension {dim} is below the component count {c}"
@@ -255,11 +254,11 @@ def census_from_matroids(r: int, n: int, source, with_dims: bool = False,
     types = set()
     dims = []
     for N in matroids:
-        nu = valuation_from_matroid(N)
-        t = combinatorial_type(nu)
+        nu = valuation.valuation_from_matroid(N)
+        t = valuation.combinatorial_type(nu)
         types.add(t)
         if with_dims:
-            dims.append(cell_dim(nu, t))
+            dims.append(linear.cell_dim(nu, t))
     return CensusRecord(
         n=n,
         r=r,
@@ -294,10 +293,10 @@ def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
     seen = {}
     for N in all_sparse_paving_matroids(r, n):
         seen.setdefault(N.bases, N)
-        nu = valuation_from_matroid(N)
+        nu = valuation.valuation_from_matroid(N)
         for _ in range(samples):
             w = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
-            M0 = residue_matroid(shift(nu, w))
+            M0 = valuation.residue_matroid(valuation.shift(nu, w))
             seen.setdefault(M0.bases, M0)
     ordered = [seen[k] for k in sorted(seen, key=sorted)]
     return census_from_matroids(

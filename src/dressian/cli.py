@@ -260,61 +260,70 @@ def cmd_smooth(args):
 # argument plumbing
 
 
+_VALUATION = {"--valuation": {"required": True}}
+_N_R = {"--n": {"type": int, "required": True}, "--r": {"type": int, "required": True}}
+
+# name -> (handler, whether --format offers csv, {flag: add_argument keywords});
+# subparsers and their options are added in this order
+COMMANDS = {
+    "check": (cmd_check, False, _VALUATION),
+    "type": (cmd_type, False, _VALUATION),
+    "equiv": (cmd_equiv, False, {**_VALUATION, "--other": {"required": True}}),
+    "dim": (cmd_dim, False, _VALUATION),
+    "contract": (cmd_contract, False, {**_VALUATION, "--set": {"required": True}}),
+    "residue": (cmd_residue, False, {**_VALUATION, "--shift": {"default": None}}),
+    "from-matroid": (cmd_from_matroid, False, {"--matroid": {"required": True}}),
+    "tree-decode": (cmd_tree_decode, False, _VALUATION),
+    "tree-encode": (cmd_tree_encode, False,
+                    {"--tree": {"required": True}, "--n": {"type": int, "default": None}}),
+    "rank2-census": (cmd_rank2_census, False, {"--n": {"type": int, "required": True}}),
+    "subdivision": (cmd_subdivision, False, _VALUATION),
+    "spread": (cmd_spread, False, _VALUATION),
+    "bounds": (cmd_bounds, True,
+               {**_N_R, "--t": {"type": int, "default": None}}),  # None: min(3, r)
+    "lower-bound": (cmd_lower_bound, True, _N_R),
+    "sp-census": (cmd_sp_census, False,
+                  {**_N_R,
+                   "--with-dims": {"action": "store_true"},
+                   "--perturbed": {"action": "store_true"},
+                   "--samples": {"type": int, "default": 20},
+                   "--seed": {"type": int, "default": 0}}),
+    "cover-check": (cmd_cover_check, False,
+                    {"--subspace": {"required": True}, "--cover": {"required": True}}),
+    "smooth": (cmd_smooth, False, _VALUATION),
+}
+
+
 @functools.cache
-def _build_parser():
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _build_parser(name=None):
+    """The argument parser, built once per process and name; parsing leaves
+    it unchanged.  Given a subcommand name it holds only that subparser, and
+    its usage line names every subcommand as the full parser's does."""
     p = argparse.ArgumentParser(
         prog="dressian",
         description="valuated matroids, cell machinery, and bound reports",
     )
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, csv=False, **arguments):
-        sp = sub.add_parser(name)
+    # the metavar only where the choices are cut: on the full parser it
+    # would also rename "argument subcommand" in its error messages
+    metavar = {} if name is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = p.add_subparsers(dest="subcommand", required=True, **metavar)
+    for each in COMMANDS if name is None else [name]:
+        fn, csv, arguments = COMMANDS[each]
+        sp = sub.add_parser(each)
         for flag, kw in arguments.items():
             sp.add_argument(flag, **kw)
         formats = ["json", "csv", "text"] if csv else ["json", "text"]
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=fn)
-        return sp
-
-    val = {"--valuation": {"required": True}}
-    add("check", cmd_check, **val)
-    add("type", cmd_type, **val)
-    add("equiv", cmd_equiv, **val, **{"--other": {"required": True}})
-    add("dim", cmd_dim, **val)
-    add("contract", cmd_contract, **val, **{"--set": {"required": True}})
-    add("residue", cmd_residue, **val, **{"--shift": {"default": None}})
-    add("from-matroid", cmd_from_matroid, **{"--matroid": {"required": True}})
-    add("tree-decode", cmd_tree_decode, **val)
-    add("tree-encode", cmd_tree_encode,
-        **{"--tree": {"required": True}, "--n": {"type": int, "default": None}})
-    add("rank2-census", cmd_rank2_census, **{"--n": {"type": int, "required": True}})
-    add("subdivision", cmd_subdivision, **val)
-    add("spread", cmd_spread, **val)
-    add("bounds", cmd_bounds, csv=True,
-        **{"--n": {"type": int, "required": True},
-           "--r": {"type": int, "required": True},
-           "--t": {"type": int, "default": None}})  # None: min(3, r)
-    add("lower-bound", cmd_lower_bound, csv=True,
-        **{"--n": {"type": int, "required": True},
-           "--r": {"type": int, "required": True}})
-    add("sp-census", cmd_sp_census,
-        **{"--n": {"type": int, "required": True},
-           "--r": {"type": int, "required": True},
-           "--with-dims": {"action": "store_true"},
-           "--perturbed": {"action": "store_true"},
-           "--samples": {"type": int, "default": 20},
-           "--seed": {"type": int, "default": 0}})
-    add("cover-check", cmd_cover_check,
-        **{"--subspace": {"required": True}, "--cover": {"required": True}})
-    add("smooth", cmd_smooth, **val)
     return p
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand first builds that subparser alone;
+    # anything else (help, no or unknown subcommand) gets the full parser
+    parser = _build_parser(argv[0]) if argv and argv[0] in COMMANDS else _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import valuation
 from .matroid import (
     DESK_SCALE_COORDS,
     InputError,
@@ -48,7 +49,6 @@ from .matroid import (
     require_listable,
 )
 from .rationals import parse_rational
-from .valuation import CombinatorialType, Valuation, combinatorial_type, symbol_table
 
 
 class CoverInputError(InputError):
@@ -266,7 +266,7 @@ def subspace_from_symbols(M: Matroid, symbols) -> RationalSubspace:
         for sym in symbols])
 
 
-def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:
+def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None = None) -> int:
     """Dimension of the linear hull L([nu]) of the cell containing nu.
 
     `ctype` is the combinatorial type of nu, when the caller has it already.
@@ -298,8 +298,8 @@ def cell_dim(nu: Valuation, ctype: CombinatorialType | None = None) -> int:
     M = nu.matroid
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the cell dimension")
     if ctype is None:
-        ctype = combinatorial_type(nu)
-    table = symbol_table(M.n, M.r)
+        ctype = valuation.combinatorial_type(nu)
+    table = valuation.symbol_table(M.n, M.r)
     cross, v = table.cross, nu.scaled
     full = set(ctype.full_ids)
     quads = []

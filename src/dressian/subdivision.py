@@ -33,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from . import valuation
 from .matroid import (
     DESK_SCALE_COORDS,
     DESK_SCALE_WALK_N,
@@ -43,7 +44,6 @@ from .matroid import (
     require_listable,
 )
 from .rationals import INF
-from .valuation import Valuation, ValuationInputError
 
 
 def _components(n: int, masks) -> list[int]:
@@ -100,7 +100,7 @@ def _tilt(bases: list, gaps: tuple, S: int, k: int) -> tuple | None:
     return _reduced(den * q, [g * q - p * c for g, c in zip(gs, steps)])
 
 
-def _first_gaps(M: Matroid, nu: Valuation, bases: list, full_dim: int) -> tuple:
+def _first_gaps(M: Matroid, nu: valuation.Valuation, bases: list, full_dim: int) -> tuple:
     """Gaps of one maximal cell, grown from M0(nu) by at most n tilts.
 
     While the tight matroid T is not full-dimensional, one of its components
@@ -181,7 +181,7 @@ class SubdivisionCensus:
         return {cell.bases for cell in self.maximal_cells}
 
 
-def _walk(nu: Valuation) -> tuple[list, list, dict]:
+def _walk(nu: valuation.Valuation) -> tuple[list, list, dict]:
     """The sorted bases, their level masks and the certified {cell mask: gaps}."""
     M = nu.matroid
     if M.n > DESK_SCALE_WALK_N:
@@ -217,7 +217,7 @@ def _walk(nu: Valuation) -> tuple[list, list, dict]:
     return bases, levels, cells
 
 
-def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
+def subdivision_cells(nu: valuation.Valuation) -> SubdivisionCensus:
     """Maximal cells of P(nu) by a certified walk across interior facets."""
     M = nu.matroid
     bases, _, cells = _walk(nu)
@@ -225,7 +225,7 @@ def subdivision_cells(nu: Valuation) -> SubdivisionCensus:
     return SubdivisionCensus(sorted(found, key=lambda m: sorted(m.bases)))
 
 
-def locate_cell(nu: Valuation, point) -> Matroid | None:
+def locate_cell(nu: valuation.Valuation, point) -> Matroid | None:
     """The face of P(nu) holding a rational point of P_M: the intersection
     of the maximal cells whose polytope contains it.
 
@@ -233,7 +233,7 @@ def locate_cell(nu: Valuation, point) -> Matroid | None:
     """
     M = nu.matroid
     if len(point) != M.n:
-        raise ValuationInputError(f"point has {len(point)} coordinates, expected n={M.n}")
+        raise valuation.ValuationInputError(f"point has {len(point)} coordinates, expected n={M.n}")
     bases, levels, cells = _walk(nu)
     p = [Fraction(x) for x in point]
     den = lcm(*(x.denominator for x in p))
@@ -255,11 +255,11 @@ def locate_cell(nu: Valuation, point) -> Matroid | None:
     return Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(face)))
 
 
-def spread_report(nu: Valuation) -> dict:
+def spread_report(nu: valuation.Valuation) -> dict:
     """Measured spread against both readings of the binomial spread bound."""
     n, r = nu.matroid.n, nu.matroid.r
     if r < 2:
-        raise ValuationInputError(f"the spread bounds need rank 2 or more, got {r}")
+        raise valuation.ValuationInputError(f"the spread bounds need rank 2 or more, got {r}")
     census = subdivision_cells(nu)
     low = comb(n - 2, r - 2)
     high = comb(n - 2, r - 1)

@@ -27,6 +27,7 @@ from itertools import combinations, groupby
 from math import lcm
 from operator import itemgetter
 
+from . import valuation
 from .matroid import (
     DESK_SCALE_RANK2_CLASSES,
     InputError,
@@ -39,7 +40,6 @@ from .matroid import (
     set_to_mask,
 )
 from .rationals import INF, format_rational, parse_rational
-from .valuation import Valuation, ValuationInputError, symbol_table
 
 
 class TreeInputError(InputError):
@@ -258,7 +258,7 @@ def parallel_classes(M: Matroid) -> list[list[int]]:
     return classes
 
 
-def _class_splits(nu: Valuation, classes) -> tuple[list[frozenset], dict]:
+def _class_splits(nu: valuation.Valuation, classes) -> tuple[list[frozenset], dict]:
     """The splits of the tree on the classes, as sides avoiding class 0, and
     the cut value of each: the least g(i, j) over distinct i, j in the side.
 
@@ -276,7 +276,7 @@ def _class_splits(nu: Valuation, classes) -> tuple[list[frozenset], dict]:
     """
     reps = [cls[0] for cls in classes]
     t = len(reps)
-    position, v = symbol_table(nu.matroid.n, 2).position, nu.scaled
+    position, v = valuation.symbol_table(nu.matroid.n, 2).position, nu.scaled
     v0 = [0, *(v[position[1 << reps[0] | 1 << a]] for a in reps[1:])]  # nu(0i), i >= 1
     every = (1 << t) - 2
     cut = {}
@@ -297,7 +297,7 @@ def _class_splits(nu: Valuation, classes) -> tuple[list[frozenset], dict]:
             {cl: cut[side] for side, cl in clusters.items()})
 
 
-def decode_tree(nu: Valuation) -> MetricTree:
+def decode_tree(nu: valuation.Valuation) -> MetricTree:
     """Tree (T, lengths) with nu(ab) equal to the a-b path length for every
     basis pair; non-basis pairs end up sharing a neighbor.
 
@@ -319,11 +319,11 @@ def decode_tree(nu: Valuation) -> MetricTree:
     """
     M = nu.matroid
     if M.r != 2:
-        raise ValuationInputError("tree decoding requires a rank-2 matroid")
+        raise valuation.ValuationInputError("tree decoding requires a rank-2 matroid")
     classes = parallel_classes(M)
     splits, cut = _class_splits(nu, classes)
     n = M.n
-    table = symbol_table(n, 2)
+    table = valuation.symbol_table(n, 2)
     val = lambda a, b: nu.scaled[table.position[1 << a | 1 << b]]
     a0, a1 = classes[0][0], classes[1][0]
 
@@ -381,7 +381,7 @@ def _pair_path_sums(adj, lengths, n) -> dict:
     return sums
 
 
-def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
+def tree_to_valuation(T: MetricTree, M: Matroid) -> valuation.Valuation:
     """Path-length valuation of M read off a metric tree with leaf set E,
     the lengths summed as integers over their common denominator, which
     with the sums is the valuation's integer view."""
@@ -395,8 +395,8 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> Valuation:
     for a, b in combinations(range(M.n), 2):
         if set_to_mask((a, b)) not in M.bases and not T.adj[a] & T.adj[b]:
             raise TreeInputError(f"non-basis pair {{{a},{b}}} lacks a common neighbor")
-    scaled = tuple(sums[m] if m in M.bases else INF for m in symbol_table(M.n, 2).subsets)
-    return Valuation._from_scaled(M, den, scaled)
+    scaled = tuple(sums[m] if m in M.bases else INF for m in valuation.symbol_table(M.n, 2).subsets)
+    return valuation.Valuation._from_scaled(M, den, scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -30,7 +32,7 @@ from dressian import (
     set_to_mask,
     valuation_from_matroid,
 )
-from dressian.cli import _build_parser, run
+from dressian.cli import COMMANDS, _build_parser, run
 from dressian.trees import _class_splits
 from helpers import N3, N26, random_tree_metric_valuation, random_valuation
 
@@ -509,6 +511,14 @@ def test_cli_import_loads_no_code_generators():
 
 
 LIBRARY = ("matroid", "rationals", "valuation", "linear", "subdivision", "trees", "bounds")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(args, src=SRC, **env):
+    """`python *args` in a fresh interpreter that imports dressian from `src`."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=60)
 
 
 def _modules_run_after(commands):
@@ -526,25 +536,130 @@ def _modules_run_after(commands):
         f"print(' '.join(m for m, mod in zip({LIBRARY!r}, mods)\n"
         "               if type(mod) is types.ModuleType))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = _fresh(["-c", script])
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def _calls(files):
+    """One valid argv per subcommand variant, with the library modules a
+    fresh call of it runs (the README's Start-up table)."""
+    d = files["dir"]
+    (d / "tree.nwk").write_text(decode_tree(valuation_from_matroid(N3)).to_newick())
+    (d / "sub.json").write_text(json.dumps({"coords": [0, 1, 2, 3],
+                                            "equations": [{"0": "1", "1": "-1"}]}))
+    (d / "cov.json").write_text(json.dumps({"ground": [0, 1, 2, 3], "k": 2,
+                                            "blocks": [[0, 1], [2, 3], [0, 2], [1, 3]]}))
+    base = {"matroid", "rationals"}
+    val = base | {"valuation"}
+    nu = ["--valuation", files["nu"]]
+    return [
+        (["check", *nu], val),
+        (["type", *nu], val),
+        (["equiv", *nu, "--other", files["nu"]], val),
+        (["dim", "--valuation", files["zero"]], val | {"linear"}),
+        (["contract", *nu, "--set", "0,1"], val),
+        (["residue", *nu], val),
+        (["from-matroid", "--matroid", files["mat"]], val),
+        (["tree-decode", *nu], val | {"trees"}),
+        (["tree-encode", "--tree", str(d / "tree.nwk"), "--n", "5"], val | {"trees"}),
+        (["rank2-census", "--n", "5"], base | {"trees"}),
+        (["subdivision", *nu], val | {"subdivision"}),
+        (["spread", *nu], val | {"subdivision"}),
+        (["bounds", "--n", "6", "--r", "3"], base | {"bounds"}),
+        (["lower-bound", "--n", "6", "--r", "3"], val | {"linear", "bounds"}),
+        (["sp-census", "--n", "5", "--r", "2"], val | {"bounds"}),
+        (["sp-census", "--n", "5", "--r", "2", "--with-dims"], val | {"linear", "bounds"}),
+        (["cover-check", "--subspace", str(d / "sub.json"), "--cover", str(d / "cov.json")],
+         base | {"linear"}),
+        (["smooth", *nu], val),
+    ]
 
 
 def test_each_command_runs_only_the_modules_it_needs(files):
     # every library module is registered at import (the benchmark's tracer
     # reads them from sys.modules), but runs only when first used
     assert _modules_run_after([]) == {"matroid", "rationals"}
-    assert not _modules_run_after([["rank2-census", "--n", "5"]]) & {
-        "bounds", "linear", "subdivision"}
-    assert not _modules_run_after([["subdivision", "--valuation", files["nu"]]]) & {
-        "bounds", "linear", "trees"}
-    for argv in (["sp-census", "--n", "5", "--r", "2"], ["lower-bound", "--n", "6", "--r", "3"]):
-        assert not _modules_run_after([argv]) & {"trees", "subdivision"}, argv
+    calls = _calls(files)
+    assert {argv[0] for argv, _ in calls} == set(COMMANDS)
+    for argv, modules in calls:
+        assert _modules_run_after([argv]) == modules, argv
+
+
+def _stdout_of_each(argvs, src):
+    """(exit code, stdout) of each argv, run in turn by one fresh interpreter."""
+    script = (
+        "import contextlib, io, json, dressian.cli\n"
+        "outs = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = dressian.cli.run(argv)\n"
+        "    outs.append([code, out.getvalue()])\n"
+        "print(json.dumps(outs))\n"
+    )
+    proc = _fresh(["-c", script], src)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(x) for x in json.loads(proc.stdout)]
+
+
+@pytest.mark.parametrize("module,tail,error", [
+    *((m, 'raise RuntimeError("sentinel")\n', "RuntimeError: sentinel") for m in LIBRARY),
+    ("valuation", "def broken(:\n", "SyntaxError"),
+])
+def test_an_error_in_a_module_body_reaches_every_command_that_runs_it(
+        files, tmp_path, module, tail, error):
+    # a copy of src/ whose one module fails as it runs: each command that
+    # runs the module fails with that module's own error, the rest print
+    # what they print with the module intact
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "dressian" / f"{module}.py", "a") as fh:
+        fh.write(tail)
+    calls = _calls(files)
+    broken = [argv for argv, modules in calls if module in modules]
+    intact = [argv for argv, modules in calls if module not in modules]
+    assert broken
+    if intact:
+        expected = _stdout_of_each(intact, SRC)
+        assert all(code == 0 for code, _out in expected)
+        assert _stdout_of_each(intact, src) == expected
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        procs = list(pool.map(lambda argv: _fresh(["-m", "dressian.cli", *argv], src), broken))
+    for argv, proc in zip(broken, procs):
+        assert proc.returncode != 0 and proc.stdout == "", argv
+        assert error in proc.stderr and "cannot import name" not in proc.stderr, argv
+
+
+def _parse(parser, argv):
+    """(exit code or None, parsed fields or None, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return None, vars(parser.parse_args(argv)), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+
+
+def test_one_subparser_parses_as_the_full_parser(files, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _build_parser()
+    for argv, _ in _calls(files):
+        name = argv[0]
+        one = _build_parser(name)
+        assert list(_subparsers(one)) == [name] and one is _build_parser(name)
+        for case in (argv, [name, "-h"], [name], [name, "--bogus"], [*argv, "extra"],
+                     [name, "--n", "x"], [*argv, "--format", "xml"]):
+            assert _parse(one, case) == _parse(full, case), case
+
+
+def test_fresh_cli_prints_what_the_full_parser_prints(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([], ["-h"], ["--help"], ["bogus"], ["rank2-cen", "--n", "5"], ["--", "check"],
+                 ["--format", "json", "check"], ["check", "--bogus"], ["rank2-census", "--n", "x"],
+                 ["bounds", "--n", "6", "--r", "3", "extra"]):
+        code, _fields, out, err = _parse(_build_parser(), argv)
+        proc = _fresh(["-m", "dressian.cli", *argv], COLUMNS="80")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
 def test_cover_check(files, capsys, tmp_path):
@@ -629,13 +744,13 @@ def test_point_outside_its_own_cell_hull_exits_1(files, capsys, monkeypatch):
     # every symbol of the zero valuation's type is an equality, but not of nu_N3's
     M = Matroid.uniform(2, 5)
     zero_type = combinatorial_type(Valuation(M, {b: Fraction(0) for b in M.bases}))
-    monkeypatch.setattr("dressian.linear.combinatorial_type", lambda nu: zero_type)
+    monkeypatch.setattr("dressian.valuation.combinatorial_type", lambda nu: zero_type)
     assert run(["dim", "--valuation", files["nu"]]) == 1
     assert capsys.readouterr().err.startswith("invariant violation:")
 
 
 def test_certificate_below_component_count_exits_1(files, capsys, monkeypatch):
-    monkeypatch.setattr("dressian.bounds.cell_dim", lambda nu: 0)
+    monkeypatch.setattr("dressian.linear.cell_dim", lambda nu: 0)
     assert run(["lower-bound", "--n", "6", "--r", "3"]) == 1
     assert capsys.readouterr().err.startswith("invariant violation:")
 
@@ -889,8 +1004,8 @@ def test_internal_value_error_is_not_bad_input(files, capsys, monkeypatch):
         run(["dim", "--valuation", files["nu"]])  # propagates: no exit 2
 
 
-def _subparsers():
-    action = next(a for a in _build_parser()._actions
+def _subparsers(parser=None):
+    action = next(a for a in (parser or _build_parser())._actions
                   if isinstance(a, argparse._SubParsersAction))
     return action.choices
 
