@@ -53,6 +53,8 @@ def _parse_element_set(text, n):
         elems = None
     if elems is None or not all(0 <= e < n for e in elems):
         raise MatroidInputError(f"--set {text[:40]!r} is not a list of elements of 0..{n - 1}")
+    if len(set(elems)) != len(elems):
+        raise MatroidInputError(f"--set {text[:40]!r} repeats an element")
     return elems
 
 

@@ -130,20 +130,21 @@ def set_to_mask(elems) -> int:
     for e in elems:
         if e < 0:
             raise ValueError(f"negative element {e}")
+        if m >> e & 1:
+            raise ValueError(f"repeated element {e}")
         m |= 1 << e
     return m
 
 
 def mask_to_set(mask: int) -> tuple[int, ...]:
+    """The elements of mask, ascending, taken lowest bit first (``m & -m``)."""
     if mask < 0:
         raise ValueError(f"negative subset mask {mask}")
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -373,7 +374,7 @@ class Matroid(_Frozen):
                 isinstance(b, list) and all(_is_int(e) and 0 <= e < n for e in b)
                 for b in bases)):
             raise MatroidInputError(f'"bases" must be a list of lists of elements 0..{n - 1}')
-        return cls(n, r, frozenset(set_to_mask(b) for b in bases))
+        return cls(n, r, bases)  # in range: `_normalize_bases` refuses a repeat
 
     @classmethod
     def from_json(cls, text: str) -> "Matroid":

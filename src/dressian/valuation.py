@@ -6,11 +6,10 @@ full r-subset lattice is by the INF sentinel and is never materialized.
 A valuation holds its integer view: one positive denominator D and the
 tuple of integers nu*D indexed by colex rank among all r-subsets, with the
 INF sentinel on the non-bases.  D and the entries share no common factor,
-so equal value maps have equal views.  Every constructor in the library
-builds the view in integers and goes through `Valuation._from_scaled`;
-only the public `Valuation(matroid, values)` reads a value map, and keeps
-it.  The Fraction map `values` is otherwise derived from the view the
-first time it is read, and then kept.
+so equal value maps have equal views.  `_integer_view` is the one reader of
+value maps, for `Valuation(matroid, values)` and both checkers; the other
+constructors build the view in integers.  `Valuation._hold` checks, reduces
+and stores every view; `values` is derived from it on first read, then kept.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
@@ -41,6 +40,7 @@ from .matroid import (
     Matroid,
     _colex_subsets,
     _Frozen,
+    _is_int,
     johnson_neighbors,
     mask_to_set,
     require_listable,
@@ -176,34 +176,8 @@ def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
 # Valuations
 
 
-def _normalize_values(M: Matroid, values) -> dict[int, Fraction]:
-    out = {}
-    for key, val in values.items():
-        try:
-            m = key if isinstance(key, int) else set_to_mask(key)
-        except ValueError as exc:
-            raise ValuationInputError(f"subset {key!r}: {exc}") from None
-        if isinstance(key, int) and not 0 <= key < 1 << M.n:
-            raise ValuationInputError(f"subset mask {key} out of range for n={M.n}")
-        out[m] = val
-    # the support first: an extension map with INF off the bases is refused
-    # for its non-bases, not for the INF
-    _require_bases(M, out)
-    return {m: val if type(val) is Fraction else Fraction(val) for m, val in out.items()}
-
-
-def _require_bases(M: Matroid, vals: dict) -> None:
-    """ValuationInputError unless the masks keying vals are the bases of M."""
-    for m in vals:
-        if m not in M.bases:
-            raise ValuationInputError(f"value supplied for non-basis {subset_key(m)}")
-    missing = M.bases - vals.keys()
-    if missing:
-        raise ValuationInputError(f"missing values for {len(missing)} bases")
-
-
 def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
-    """The matroid and value table of a valuation document, unchecked.
+    """A valuation document's matroid and {mask: Fraction} table, support unchecked.
 
     The document is {"matroid": matroid document or file reference,
     "values": {"i,j,...": "p/q"}}; anything else raises ValuationInputError.
@@ -229,6 +203,8 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
             raise ValuationInputError(f"bad value entry {key!r}: {text!r}") from None
         if not all(0 <= e < M.n for e in elems):
             raise ValuationInputError(f"subset {key} is out of range for n={M.n}")
+        if len(set(elems)) < len(elems):
+            raise ValuationInputError(f"subset {key} repeats an element")
         mask = set_to_mask(elems)
         if mask in vals:
             raise ValuationInputError(f"two values for subset {key}")
@@ -236,14 +212,41 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
     return M, vals
 
 
-def _integer_view(M: Matroid, vals: dict) -> tuple[int, tuple]:
-    """(D, nu*D in colex order with INF off the bases), D > 0 the least
-    common denominator of the values."""
+def _integer_view(M: Matroid, values) -> tuple[int, tuple]:
+    """The one reader of value maps: (D, nu*D in colex order with INF off
+    the bases), D > 0 the least common denominator.  Keys are int masks or
+    collections of elements, each checked against n before its bit is set;
+    values are anything `Fraction` takes, read on bases only.  The first bad
+    key, repeated subset, non-basis or bad value, then any missing basis,
+    raises ValuationInputError."""
+    n, bases = M.n, M.bases
+    vals = {}
+    for key, val in values.items():
+        if isinstance(key, int):
+            if not 0 <= key < 1 << n:
+                raise ValuationInputError(f"subset mask {key} out of range for n={n}")
+            m = key
+        else:
+            try:
+                for e in key:
+                    if not (_is_int(e) and e < n):
+                        raise ValueError(f"element {e!r} is not in 0..{n - 1}")
+                m = set_to_mask(key)
+            except (TypeError, ValueError) as exc:
+                raise ValuationInputError(f"subset {key!r}: {exc}") from None
+        if m in vals:
+            raise ValuationInputError(f"two values for subset {subset_key(m)}")
+        if m not in bases:
+            raise ValuationInputError(f"value supplied for non-basis {subset_key(m)}")
+        try:
+            vals[m] = val if type(val) is Fraction else Fraction(val)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValuationInputError(f"bad value {val!r} for subset {subset_key(m)}") from None
+    if len(vals) < len(bases):
+        raise ValuationInputError(f"missing values for {len(bases) - len(vals)} bases")
     den = lcm(*(v.denominator for v in vals.values()))
-    get = vals.get
-    subsets = symbol_table(M.n, M.r).subsets
-    return den, tuple(INF if (v := get(m)) is None else v.numerator * (den // v.denominator)
-                      for m in subsets)
+    return den, tuple(INF if (v := vals.get(m)) is None else v.numerator * (den // v.denominator)
+                      for m in symbol_table(n, M.r).subsets)
 
 
 def _three_term_holds(M: Matroid, v) -> bool:
@@ -264,8 +267,7 @@ def _three_term_holds(M: Matroid, v) -> bool:
 def check_valuation(M: Matroid, values) -> bool:
     """Three-term test: at every location the minimum of the three pairing
     sums of the extension is infinite or attained at least twice."""
-    _den, scaled = _integer_view(M, _normalize_values(M, values))
-    return _three_term_holds(M, scaled)
+    return _three_term_holds(M, _integer_view(M, values)[1])
 
 
 def check_valuation_bruteforce(M: Matroid, values) -> bool:
@@ -279,7 +281,7 @@ def check_valuation_bruteforce(M: Matroid, values) -> bool:
     DESK_SCALE_COORDS.
     """
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the direct checker")
-    _den, v = _integer_view(M, _normalize_values(M, values))
+    v = _integer_view(M, values)[1]
     table = symbol_table(M.n, M.r)
     position = table.position
     # a pair with an infinite side has lhs = INF and holds vacuously
@@ -310,28 +312,27 @@ def check_valuation_bruteforce(M: Matroid, values) -> bool:
 class Valuation(_Frozen):
     """An exact-rational valuation of a matroid; immutable, checked on build.
 
-    It holds the integer view (`denominator`, `scaled`); `values` is the
-    Fraction map, derived from the view on first read unless the value map
-    was given.
+    `scaled` is the integer view: values * `denominator` by colex rank, INF
+    off the bases.  `values` is the Fraction map, derived from the view on
+    first read and kept in `_values`.
     """
 
-    # `scaled` is the integer view: values * denominator by colex rank, INF
-    # off the bases; `_values` is the Fraction map, or None until `values`
-    # is first read
     __slots__ = ("matroid", "denominator", "scaled", "_values")
 
     def __init__(self, matroid: Matroid, values: dict):
-        vals = _normalize_values(matroid, values)
-        # the least common denominator already leaves no common factor
-        self._hold(matroid, *_integer_view(matroid, vals), vals)
+        self._hold(matroid, *_integer_view(matroid, values))
 
     @classmethod
     def _from_scaled(cls, matroid: Matroid, denominator: int, scaled: tuple) -> "Valuation":
-        """The valuation with values scaled[i] / denominator on the r-subset of
-        colex rank i: ints on the bases, INF off them.  A malformed view is a
-        library fault and raises InvariantViolation; a well-formed one is
-        divided by the gcd of the denominator and the entries, and raises
-        NotAValuationError if it breaks the three-term condition."""
+        """The valuation whose integer view is (denominator, scaled); see `_hold`."""
+        nu = cls.__new__(cls)
+        nu._hold(matroid, denominator, scaled)
+        return nu
+
+    def _hold(self, matroid: Matroid, denominator: int, scaled: tuple) -> None:
+        """The one store of a valuation.  A malformed view is a library fault
+        (InvariantViolation); a well-formed one is divided by the gcd of the
+        denominator and the entries, then three-term checked."""
         subsets = symbol_table(matroid.n, matroid.r).subsets
         if type(denominator) is not int or denominator <= 0:
             raise InvariantViolation(f"integer view with denominator {denominator!r}")
@@ -340,37 +341,29 @@ class Valuation(_Frozen):
                 f"integer view has {len(scaled)} entries for {len(subsets)} r-subsets")
         bases = matroid.bases
         for m, x in zip(subsets, scaled):
-            if type(x) is int:
-                if m not in bases:
-                    raise InvariantViolation(f"integer view is finite on non-basis {subset_key(m)}")
-            elif x is not INF:
+            if type(x) is not int and x is not INF:
                 raise InvariantViolation(f"integer view holds {x!r} at {subset_key(m)}")
-            elif m in bases:
-                raise InvariantViolation(f"integer view is INF on basis {subset_key(m)}")
+            if (x is INF) is (m in bases):  # finite exactly on the bases
+                where = "INF on basis" if x is INF else "finite on non-basis"
+                raise InvariantViolation(f"integer view is {where} {subset_key(m)}")
         if denominator != 1:
             common = gcd(denominator, *(x for x in scaled if x is not INF))
             if common != 1:
                 denominator //= common
                 scaled = tuple(x if x is INF else x // common for x in scaled)
-        nu = cls.__new__(cls)
-        nu._hold(matroid, denominator, tuple(scaled), None)
-        return nu
-
-    def _hold(self, matroid: Matroid, denominator: int, scaled: tuple, values) -> None:
         object.__setattr__(self, "matroid", matroid)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "scaled", tuple(scaled))
+        object.__setattr__(self, "_values", None)
         if not _three_term_holds(matroid, scaled):
             raise NotAValuationError("value map violates the three-term condition")
 
     @property
     def values(self) -> dict[int, Fraction]:
-        """basis mask -> Fraction value, in colex order when derived."""
+        """basis mask -> Fraction value, in colex order."""
         vals = self._values
         if vals is None:
-            den = self.denominator
-            subsets = symbol_table(self.matroid.n, self.matroid.r).subsets
+            den, subsets = self.denominator, symbol_table(self.matroid.n, self.matroid.r).subsets
             vals = {m: Fraction(x, den) for m, x in zip(subsets, self.scaled) if x is not INF}
             object.__setattr__(self, "_values", vals)
         return vals
@@ -388,7 +381,7 @@ class Valuation(_Frozen):
         )
 
     def __hash__(self):
-        return hash((self.matroid, tuple(sorted(self.values.items()))))
+        return hash((self.matroid, tuple(self.values.items())))  # colex = sorted
 
     def value(self, mask):
         """The extension: the stored rational on bases, INF elsewhere."""
@@ -404,8 +397,7 @@ class Valuation(_Frozen):
     def to_json_obj(self) -> dict:
         return {
             "matroid": self.matroid.to_json_obj(),
-            "values": {subset_key(m): format_rational(v)
-                       for m, v in sorted(self.values.items())},
+            "values": {subset_key(m): format_rational(v) for m, v in self.values.items()},
         }
 
     def to_json(self) -> str:
@@ -413,11 +405,7 @@ class Valuation(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj: dict, matroid_loader=None) -> "Valuation":
-        # the document's masks are in range and its values Fractions: only
-        # the support is left to check
-        M, vals = parse_valuation_document(obj, matroid_loader)
-        _require_bases(M, vals)
-        return cls._from_scaled(M, *_integer_view(M, vals))
+        return cls(*parse_valuation_document(obj, matroid_loader))
 
     @classmethod
     def from_json(cls, text: str, matroid_loader=None) -> "Valuation":

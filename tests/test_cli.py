@@ -722,6 +722,31 @@ def test_mistyped_matroid_fields_exit_2(files, capsys, command):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_repeated_elements_exit_2(files, capsys):
+    matroid = Matroid.uniform(2, 4).to_json_obj()
+    values = {"0,1": "0", "0,2": "0", "0,3": "0", "1,2": "0", "1,3": "0", "2,3": "0"}
+    d = files["dir"]
+    (d / "repeat_matroid.json").write_text(
+        json.dumps({"n": 3, "r": 2, "bases": [[0, 1], [0, 2], [1, 1, 2]]}))
+    (d / "repeat_key.json").write_text(json.dumps(
+        {"matroid": matroid, "values": {**values, "1,0,0": "0"}}))
+    (d / "repeat_basis.json").write_text(json.dumps(
+        {"matroid": matroid | {"bases": [[0, 1], [0, 2], [0, 0, 3]]}, "values": values}))
+    cases = [
+        (["from-matroid", "--matroid", str(d / "repeat_matroid.json")],
+         "basis [1, 1, 2]: repeated element 1"),
+        (["check", "--valuation", str(d / "repeat_key.json")], "subset 1,0,0 repeats an element"),
+        (["check", "--valuation", str(d / "repeat_basis.json")],
+         "basis [0, 0, 3]: repeated element 0"),
+        (["contract", "--valuation", files["zero"], "--set", "0,0"],
+         "--set '0,0' repeats an element"),
+    ]
+    for argv, message in cases:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
 def test_subdivision_scale_guard(files, capsys):
     M = Matroid.uniform(1, 12)
     path = files["dir"] / "u1_12.json"

@@ -1,14 +1,19 @@
 """Every library constructor builds a valuation's integer view directly and
-goes through `Valuation._from_scaled`.  Each result is checked against the
+goes through `Valuation._from_scaled`; the public `Valuation(M, values)` and
+the JSON loader read a value map with `_integer_view`, and every road stores
+through `Valuation._hold`.  Each result is checked against the
 public `Valuation(M, values)` and the dataclass record of
 `reference_records.py` on a value map computed here in Fractions, the way
 the constructors computed it before: equal, hashed alike, printed alike, and
 with the same denominator, integer view and Fraction map."""
 
+import ast
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +23,12 @@ from dressian import (
     INF,
     InvariantViolation,
     Matroid,
+    MatroidInputError,
     MetricTree,
     NotAValuationError,
     Valuation,
     ValuationInputError,
+    all_sparse_paving_matroids,
     contract_valuation,
     decode_tree,
     mask_to_set,
@@ -278,3 +285,113 @@ def test_the_census_builds_no_fraction_in_the_valuation_module(monkeypatch):
     assert (rec.source_size, rec.distinct_types, rec.max_cell_dim) == (271, 271, 10)
     with pytest.raises(AssertionError, match="census path"):
         valuation_from_matroid(N3).values
+
+
+# -- one road into a Valuation --------------------------------------------------
+
+
+def test_every_library_constructor_is_a_known_road():
+    # the roads below are every caller of `_from_scaled` in the package
+    src = Path(valuation_module.__file__).parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "_from_scaled"
+                    for n in ast.walk(fn)):
+                callers.add(fn.name)
+    assert callers == {"shift", "contract_valuation", "valuation_from_matroid",
+                       "smooth_decompose", "tree_to_valuation"}
+
+
+def test_every_road_stores_through_one_hold(monkeypatch):
+    nu = valuation_from_matroid(N3)
+    nu_u = shift(valuation_from_matroid(random_sparse_paving(2, 4, random.Random(5))),
+                 [0, Fraction(1, 2), 0, 0])
+    T = MetricTree.from_newick("((0:1/2,1:1/2):-1,2:1/2,3:3/2);")
+    roads = {
+        "public": lambda: Valuation(U24, {m: Fraction(k, 3) for k, m in enumerate(U24.bases)}),
+        "from_json_obj": lambda: Valuation.from_json_obj(nu.to_json_obj()),
+        "valuation_from_matroid": lambda: valuation_from_matroid(N3),
+        "shift": lambda: shift(nu, [1, Fraction(1, 2), 0, 0, 0]),
+        "contract_valuation": lambda: contract_valuation(nu, (2,))[0],
+        "smooth_decompose": lambda: smooth_decompose(nu_u)[0],
+        "tree_to_valuation": lambda: tree_to_valuation(T, U24),
+    }
+    hold = Valuation._hold
+    calls = []
+
+    def spy(self, *args):
+        calls.append(args)
+        hold(self, *args)
+
+    monkeypatch.setattr(Valuation, "_hold", spy)
+    for road, build in roads.items():
+        calls.clear()
+        built = build()
+        assert len(calls) == 1, road
+        assert built._values is None, road
+
+
+def test_the_public_constructor_rebuilds_every_view():
+    sources = [valuation_from_matroid(M) for M in CORPUS]
+    rnd = random.Random(11)
+    sources += [random_valuation(M, rnd) for M in CORPUS for _ in range(3)]
+    sources += [valuation_from_matroid(N) for N in all_sparse_paving_matroids(3, 6)]
+    assert len(sources) == len(CORPUS) * 4 + 271
+    for nu in sources:
+        again = Valuation(nu.matroid, nu.values)
+        assert (again.denominator, again.scaled) == (nu.denominator, nu.scaled)
+
+
+def test_values_come_out_in_colex_order_whatever_the_input_order():
+    values = {m: Fraction(1) if m == 0b1100 else Fraction(0) for m in sorted(U24.bases)[::-1]}
+    nu = Valuation(U24, values)
+    assert list(nu.values) == sorted(U24.bases)
+    assert nu._values is not None and nu.values == values
+
+
+U24_KEYS = {tuple(mask_to_set(m)): 0 for m in sorted(U24.bases)}
+MALFORMED = [
+    # (label, matroid, value map, message)
+    ("string key", U24, {**U24_KEYS, "01": 0}, "subset '01': element '0' is not in 0..3"),
+    ("two keys, one subset", U24, {**U24_KEYS, (1, 0): 1}, "two values for subset 0,1"),
+    ("mask and tuple", U24, {**U24_KEYS, 0b11: 1}, "two values for subset 0,1"),
+    ("None value", U24, {**U24_KEYS, (0, 1): None}, "bad value None for subset 0,1"),
+    ("INF value", U24, {**U24_KEYS, (0, 1): INF}, "bad value INF for subset 0,1"),
+    ("text value", U24, {**U24_KEYS, (0, 1): "x"}, "bad value 'x' for subset 0,1"),
+    ("NaN value", U24, {**U24_KEYS, (0, 1): float("nan")}, "bad value nan for subset 0,1"),
+    ("repeated element", U24, {(0, 0, 1): 0, **U24_KEYS}, r"subset \(0, 0, 1\): repeated element 0"),
+    ("far element", U24, {(0, 10**6): 1, **U24_KEYS},
+     r"subset \(0, 1000000\): element 1000000 is not in 0..3"),
+    ("farther element", U24, {(0, 10**10): 1, **U24_KEYS},
+     r"subset \(0, 10000000000\): element 10000000000 is not in 0..3"),
+    ("non-basis", N3, {**{m: 0 for m in N3.bases}, 0b11: 0}, "value supplied for non-basis 0,1"),
+    ("missing basis", N3, dict(list({m: 0 for m in N3.bases}.items())[1:]),
+     "missing values for 1 bases"),
+]
+
+
+@pytest.mark.parametrize("label, M, values, message", MALFORMED,
+                         ids=[row[0] for row in MALFORMED])
+def test_every_reader_refuses_a_malformed_map_alike(label, M, values, message):
+    started = time.perf_counter()
+    for read in (Valuation, valuation_module.check_valuation,
+                 valuation_module.check_valuation_bruteforce):
+        with pytest.raises(ValuationInputError, match=f"^{message}$"):
+            read(M, values)
+    assert time.perf_counter() - started < 1, label
+
+
+def test_a_far_mask_is_listed_by_its_set_bits():
+    started = time.perf_counter()
+    assert mask_to_set(1 << 10**6 | 1 << 3 | 1) == (0, 3, 10**6)
+    assert mask_to_set(1 << 10**7) == (10**7,)
+    assert time.perf_counter() - started < 1
+
+
+def test_a_repeated_element_is_refused():
+    with pytest.raises(ValueError, match="repeated element 0"):
+        set_to_mask((0, 1, 0))
+    with pytest.raises(MatroidInputError, match="repeated element 0"):
+        Matroid(3, 2, [(0, 0, 1), (0, 1), (0, 2), (1, 2)])
