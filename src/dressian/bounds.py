@@ -188,24 +188,26 @@ def all_stable_sets(r: int, n: int):
     return out
 
 
-def all_sparse_paving_matroids(r: int, n: int) -> list[Matroid]:
-    """Every sparse paving matroid of rank r on n elements, by stable set."""
+def _census_stable_sets(r: int, n: int) -> tuple[frozenset, list]:
+    """(every r-subset, the stable sets of J(r, n) that leave a basis): one
+    stable set per sparse paving matroid of rank r on n elements."""
     if n < 0 or r < 0:
         raise ScaleLimitError(f"need n, r >= 0, got r={r}, n={n}")
     require_listable(n, r, DESK_SCALE_CENSUS, "the census")
     full = frozenset(r_subset_masks(n, r))
-    out = []
-    for stable in all_stable_sets(r, n):
-        bases = full - set(stable)
-        if not bases:
-            continue
-        M = Matroid(n, r, bases)  # raises if stability did not suffice
-        out.append(M)
-    return out
+    return full, [stable for stable in all_stable_sets(r, n) if len(stable) < len(full)]
+
+
+def all_sparse_paving_matroids(r: int, n: int) -> list[Matroid]:
+    """Every sparse paving matroid of rank r on n elements, by stable set
+    (`Matroid` raises if stability did not suffice)."""
+    full, stable_sets = _census_stable_sets(r, n)
+    return [Matroid(n, r, full - set(stable)) for stable in stable_sets]
 
 
 def count_sparse_paving(r: int, n: int) -> int:
-    return len(all_sparse_paving_matroids(r, n))
+    """The number of sparse paving matroids of rank r on n elements, none built."""
+    return len(_census_stable_sets(r, n)[1])
 
 
 def lower_bound_certificate(n: int, r: int):

@@ -12,7 +12,6 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 
 # named by module, not imported by name: a library module runs on first
 # attribute access, so each subcommand runs only the modules it touches
@@ -21,11 +20,11 @@ from .matroid import (
     InputError,
     InvariantViolation,
     Matroid,
-    MatroidInputError,
     ScaleLimitError,
+    parse_subset_key,
     subset_key,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 INPUT_ERRORS = (InputError, OSError)  # exit 2; any other exception but InvariantViolation is a bug
 
@@ -44,18 +43,6 @@ def _load_matroid(path) -> Matroid:
 
 def _load_valuation(path) -> valuation.Valuation:
     return valuation.Valuation.from_json_obj(_load_json(path), matroid_loader=_load_matroid)
-
-
-def _parse_element_set(text, n):
-    try:
-        elems = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        elems = None
-    if elems is None or not all(0 <= e < n for e in elems):
-        raise MatroidInputError(f"--set {text[:40]!r} is not a list of elements of 0..{n - 1}")
-    if len(set(elems)) != len(elems):
-        raise MatroidInputError(f"--set {text[:40]!r} repeats an element")
-    return elems
 
 
 def _emit(args, obj, csv_rows=None, text=None):
@@ -119,7 +106,7 @@ def cmd_dim(args):
 
 def cmd_contract(args):
     nu = _load_valuation(args.valuation)
-    S = _parse_element_set(args.set, nu.matroid.n)
+    S = parse_subset_key(args.set, nu.matroid.n, what="--set")
     contracted, keep = valuation.contract_valuation(nu, S)
     obj = {"valuation": contracted.to_json_obj(), "kept_elements": keep}
     _emit(args, obj)
@@ -127,7 +114,7 @@ def cmd_contract(args):
 
 def cmd_residue(args):
     nu = _load_valuation(args.valuation)
-    w = [parse_rational(tok) for tok in args.shift.split(",")] if args.shift else None
+    w = args.shift.split(",") if args.shift else None  # `shift` reads each entry
     M0 = valuation.residue_matroid(nu, w)
     _emit(args, M0.to_json_obj())
 
@@ -211,7 +198,7 @@ def cmd_lower_bound(args):
     rows = [("cell_dim_vs_components", dim, c, source["dim_lower"], dim >= c)]
     if 3 <= args.r <= args.n - 3:  # where dim_upper bounds a cell's dimension
         rows.append(("cell_dim_vs_dim_upper", dim, upper, source["dim_upper"],
-                     Fraction(dim) <= upper))
+                     dim <= upper))
     _emit(args, obj, csv_rows=rows,
           text=f"c(N) = {c}, cell_dim = {dim}, dim_upper = {upper}")
 

@@ -186,8 +186,7 @@ class RationalSubspace:
         index = {c: i for i, c in enumerate(self.coords)}
         self.rows = []
         for eq in equations:  # each a map coord -> rational
-            bad = set(eq) - index.keys()
-            if bad:
+            if bad := set(eq) - index.keys():
                 raise CoverInputError(f"equation touches unknown coordinates {bad}")
             self.rows.append(_integer_row({index[c]: v for c, v in eq.items()},
                                           len(self.coords)))
@@ -228,9 +227,11 @@ class RationalSubspace:
         return self.dim() - self.zero_section_dim(A)
 
     def contains(self, vector) -> bool:
-        """Membership of a coord->value map (absent coords read as 0)."""
-        x = _integer_row({j: Fraction(vector.get(c, 0)) for j, c in enumerate(self.coords)},
-                         len(self.coords))
+        """Membership of a coord->value map: absent coords read as 0, others are refused."""
+        if bad := set(vector) - set(self.coords):
+            raise CoverInputError(f"point touches unknown coordinates {bad}")
+        x = _integer_row({j: parse_rational(vector[c]) for j, c in enumerate(self.coords)
+                          if c in vector}, len(self.coords))
         return not any(sum(a * b for a, b in zip(row, x)) for row in self.rows)
 
 

@@ -125,12 +125,51 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _shown(x) -> str:
+    try:
+        return repr(x)
+    except ValueError:  # x holds an int past str()'s digit limit
+        return f"<{type(x).__name__} too long to print>"
+
+
+def subset_mask(X, n: int, error=MatroidInputError, what: str = "subset") -> int:
+    """The one reader of a subset of E = {0..n-1} from outside: an int mask
+    0 <= X < 2^n, or a collection of distinct int elements of 0..n-1, each
+    checked before its bit is set.  Anything else raises `error`, which
+    names the bad element, or the mask's bit length, never the mask."""
+    if _is_int(X):
+        if 0 <= X and X.bit_length() <= n:
+            return X
+        raise error(f"{what} mask out of range for n={n}: "
+                    + ("negative" if X < 0 else f"bit length {X.bit_length()}"))
+    m = 0
+    try:
+        for e in X:
+            if not (_is_int(e) and 0 <= e < n):
+                raise error(f"{what} {_shown(X)}: element {_shown(e)} is not in 0..{n - 1}")
+            if m >> e & 1:
+                raise error(f"{what} {_shown(X)}: repeated element {e}")
+            m |= 1 << e
+    except TypeError:
+        raise error(f"{what} {_shown(X)} is neither a mask nor a collection of elements") from None
+    return m
+
+
+def parse_subset_key(key: str, n: int, error=MatroidInputError, what: str = "subset") -> int:
+    """The mask of "i,j,...", the text form of a subset in documents and on
+    the command line ("" is the empty set), read through `subset_mask`."""
+    try:
+        elems = tuple(int(tok) for tok in key.split(",")) if key else ()
+    except ValueError:
+        raise error(f"{what} {key[:40]!r} is not a list of elements i,j,...") from None
+    return subset_mask(elems, n, error, what)
+
+
 def set_to_mask(elems) -> int:
+    """The mask of trusted elements; `subset_mask` reads outside input."""
     m = 0
     for e in elems:
-        if e < 0:
-            raise ValueError(f"negative element {e}")
-        if m >> e & 1:
+        if m >> e & 1:  # a negative e raises ValueError here
             raise ValueError(f"repeated element {e}")
         m |= 1 << e
     return m
@@ -230,12 +269,8 @@ def _normalize_bases(n: int, r: int, candidate_bases) -> frozenset[int]:
         raise MatroidInputError(f"bad parameters n={n}, r={r}")
     out = set()
     for b in candidate_bases:
-        try:
-            m = b if isinstance(b, int) else set_to_mask(b)
-        except ValueError as exc:
-            raise MatroidInputError(f"basis {b!r}: {exc}") from None
-        if m < 0 or m >> n:
-            raise MatroidInputError(f"basis {b!r} out of range for n={n}")
+        # the census builds masks by the thousand, so an in-range mask is taken here
+        m = b if type(b) is int and 0 <= b and not b >> n else subset_mask(b, n, what="basis")
         if m.bit_count() != r:
             raise MatroidInputError(f"basis {b!r} does not have {r} elements")
         out.add(m)
@@ -272,13 +307,11 @@ class Matroid(_Frozen):
 
     def rank_of(self, X) -> int:
         """Rank of a subset: max |X ∩ B| over bases B."""
-        xm = X if isinstance(X, int) else set_to_mask(X)
-        if xm < 0 or xm >> self.n:
-            raise MatroidInputError(f"subset {X!r} out of range")
+        xm = subset_mask(X, self.n)
         return max((xm & b).bit_count() for b in self.bases)
 
     def is_independent(self, X) -> bool:
-        xm = X if isinstance(X, int) else set_to_mask(X)
+        xm = subset_mask(X, self.n)
         return self.rank_of(xm) == xm.bit_count()
 
     def is_uniform(self) -> bool:
@@ -296,12 +329,10 @@ class Matroid(_Frozen):
         Returns (minor, element_map) where element_map[i] is the original
         name of new element i.
         """
-        cm = contract_set if isinstance(contract_set, int) else set_to_mask(contract_set)
-        dm = delete_set if isinstance(delete_set, int) else set_to_mask(delete_set)
+        cm = subset_mask(contract_set, self.n, what="contract set")
+        dm = subset_mask(delete_set, self.n, what="delete set")
         if cm & dm:
             raise MatroidInputError("contract and delete sets intersect")
-        if (cm | dm) >> self.n:
-            raise MatroidInputError("contract/delete elements out of range")
         if not self.is_independent(cm):
             raise MatroidInputError("contract set is dependent")
         # contraction: bases containing cm, minus cm
@@ -311,9 +342,7 @@ class Matroid(_Frozen):
         new_bases = {b & ~dm for b in contracted if (b & ~dm).bit_count() == best}
         keep = [e for e in range(self.n) if not ((cm | dm) >> e) & 1]
         old_to_new = {old: new for new, old in enumerate(keep)}
-        relabeled = set()
-        for b in new_bases:
-            relabeled.add(set_to_mask(old_to_new[e] for e in mask_to_set(b)))
+        relabeled = {set_to_mask(old_to_new[e] for e in mask_to_set(b)) for b in new_bases}
         if not relabeled:
             raise MatroidInputError("minor has empty basis family")
         return Matroid(len(keep), best, frozenset(relabeled)), keep
@@ -370,11 +399,9 @@ class Matroid(_Frozen):
             raise MatroidInputError(f"bad matroid document: {exc}")
         if not (_is_int(n) and _is_int(r)):
             raise MatroidInputError('"n" and "r" must be integers')
-        if not (isinstance(bases, list) and all(
-                isinstance(b, list) and all(_is_int(e) and 0 <= e < n for e in b)
-                for b in bases)):
-            raise MatroidInputError(f'"bases" must be a list of lists of elements 0..{n - 1}')
-        return cls(n, r, bases)  # in range: `_normalize_bases` refuses a repeat
+        if not (isinstance(bases, list) and all(isinstance(b, list) for b in bases)):
+            raise MatroidInputError('"bases" must be a list of lists of elements')
+        return cls(n, r, bases)  # `_normalize_bases` reads each list with `subset_mask`
 
     @classmethod
     def from_json(cls, text: str) -> "Matroid":

@@ -5,10 +5,10 @@ dominates every finite value.  INF's own operators are the one place where
 infinity arithmetic lives: `x + INF` and `x < INF` reach them by reflection,
 so valuation checks add and compare with plain `+` and `<`.
 
-`parse_rational` accepts what `Fraction` accepts, but rejects scientific
-notation whose exponent exceeds `MAX_EXPONENT` in absolute value:
-`Fraction` expands the power of ten eagerly, so `1e10000000` alone would
-take seconds.
+`parse_rational`, the one reader of rationals from outside, takes what
+`Fraction` takes but text whose scientific exponent exceeds `MAX_EXPONENT`
+in absolute value: `Fraction` expands it eagerly, so `1e10000000` alone
+would take seconds.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
 
 
 class RationalInputError(InputError):
-    """Text that is not an accepted rational."""
+    """A value that is not an accepted rational."""
 
 
 class _Infinity:
@@ -66,20 +66,23 @@ class _Infinity:
 INF = _Infinity()
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, a decimal or scientific notation into an
-    exact Fraction; anything else raises RationalInputError."""
-    text = text.strip()
-    m = _EXPONENT.search(text)
-    if m:
-        digits = m.group(1).replace("_", "").lstrip("0")
+def parse_rational(value) -> Fraction:
+    """An exact Fraction from outside input: a Fraction as it is, text "p/q",
+    an integer, a decimal or scientific notation read exactly, and any other
+    value through `Fraction`.  Anything refused raises RationalInputError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        value = value.strip()
+        m = _EXPONENT.search(value)
+        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise RationalInputError(
-                f"exponent in {text[:40]!r} exceeds {MAX_EXPONENT} in absolute value")
+                f"exponent in {value[:40]!r} exceeds {MAX_EXPONENT} in absolute value")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RationalInputError(f"bad rational {text[:40]!r}: {exc}") from None
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise RationalInputError(f"bad rational {value!r:.42}: {exc}") from None
 
 
 def format_rational(q: Fraction) -> str:

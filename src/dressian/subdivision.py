@@ -30,7 +30,6 @@ reached.  A failure raises InvariantViolation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 from . import valuation
@@ -43,7 +42,7 @@ from .matroid import (
     mask_to_set,
     require_listable,
 )
-from .rationals import INF
+from .rationals import INF, parse_rational
 
 
 def _components(n: int, masks) -> list[int]:
@@ -235,7 +234,7 @@ def locate_cell(nu: valuation.Valuation, point) -> Matroid | None:
     if len(point) != M.n:
         raise valuation.ValuationInputError(f"point has {len(point)} coordinates, expected n={M.n}")
     bases, levels, cells = _walk(nu)
-    p = [Fraction(x) for x in point]
+    p = [parse_rational(x) for x in point]
     den = lcm(*(x.denominator for x in p))
     xs = [x.numerator * (den // x.denominator) for x in p]  # x * den
     if sum(xs) != M.r * den:

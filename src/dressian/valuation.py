@@ -40,14 +40,15 @@ from .matroid import (
     Matroid,
     _colex_subsets,
     _Frozen,
-    _is_int,
     johnson_neighbors,
     mask_to_set,
+    parse_subset_key,
     require_listable,
     set_to_mask,
     subset_key,
+    subset_mask,
 )
-from .rationals import INF, format_rational, parse_rational
+from .rationals import INF, RationalInputError, format_rational, parse_rational
 
 
 class ValuationInputError(InputError):
@@ -195,52 +196,32 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
         M = Matroid.from_json_obj(mat)
     vals = {}
     for key, text in values.items():
-        try:
-            # "" is the empty set, the one basis of a rank-0 matroid
-            elems = [int(tok) for tok in key.split(",")] if key else []
-            value = parse_rational(str(text))
-        except ValueError:
-            raise ValuationInputError(f"bad value entry {key!r}: {text!r}") from None
-        if not all(0 <= e < M.n for e in elems):
-            raise ValuationInputError(f"subset {key} is out of range for n={M.n}")
-        if len(set(elems)) < len(elems):
-            raise ValuationInputError(f"subset {key} repeats an element")
-        mask = set_to_mask(elems)
+        mask = parse_subset_key(key, M.n, ValuationInputError)
         if mask in vals:
             raise ValuationInputError(f"two values for subset {key}")
-        vals[mask] = value
+        try:
+            vals[mask] = parse_rational(str(text))  # str: a JSON float reads as its decimal
+        except RationalInputError as exc:
+            raise ValuationInputError(f"subset {key}: {exc}") from None
     return M, vals
 
 
 def _integer_view(M: Matroid, values) -> tuple[int, tuple]:
-    """The one reader of value maps: (D, nu*D in colex order with INF off
-    the bases), D > 0 the least common denominator.  Keys are int masks or
-    collections of elements, each checked against n before its bit is set;
-    values are anything `Fraction` takes, read on bases only.  The first bad
-    key, repeated subset, non-basis or bad value, then any missing basis,
-    raises ValuationInputError."""
+    """The one reader of value maps: (D, nu*D in colex order, INF off the
+    bases), D > 0 the least common denominator.  Keys go through `subset_mask`
+    and values on bases through `parse_rational`.  The first bad key, repeat,
+    non-basis or bad value, then any missing basis, raises ValuationInputError."""
     n, bases = M.n, M.bases
     vals = {}
     for key, val in values.items():
-        if isinstance(key, int):
-            if not 0 <= key < 1 << n:
-                raise ValuationInputError(f"subset mask {key} out of range for n={n}")
-            m = key
-        else:
-            try:
-                for e in key:
-                    if not (_is_int(e) and e < n):
-                        raise ValueError(f"element {e!r} is not in 0..{n - 1}")
-                m = set_to_mask(key)
-            except (TypeError, ValueError) as exc:
-                raise ValuationInputError(f"subset {key!r}: {exc}") from None
+        m = subset_mask(key, n, ValuationInputError)
         if m in vals:
             raise ValuationInputError(f"two values for subset {subset_key(m)}")
         if m not in bases:
             raise ValuationInputError(f"value supplied for non-basis {subset_key(m)}")
         try:
-            vals[m] = val if type(val) is Fraction else Fraction(val)
-        except (TypeError, ValueError, ArithmeticError):
+            vals[m] = parse_rational(val)
+        except RationalInputError:
             raise ValuationInputError(f"bad value {val!r} for subset {subset_key(m)}") from None
     if len(vals) < len(bases):
         raise ValuationInputError(f"missing values for {len(bases) - len(vals)} bases")
@@ -384,9 +365,8 @@ class Valuation(_Frozen):
         return hash((self.matroid, tuple(self.values.items())))  # colex = sorted
 
     def value(self, mask):
-        """The extension: the stored rational on bases, INF elsewhere."""
-        m = mask if isinstance(mask, int) else set_to_mask(mask)
-        return self.values.get(m, INF)
+        """The extension: the stored rational on bases, INF on the other subsets of E."""
+        return self.values.get(subset_mask(mask, self.matroid.n, ValuationInputError), INF)
 
     def spread_of_values(self) -> Fraction:
         vals = list(self.values.values())
@@ -489,7 +469,7 @@ def equivalent(nu: Valuation, nu2: Valuation) -> bool:
 def shift(nu: Valuation, w) -> Valuation:
     """nu^w(B) = nu(B) + sum_{e in B} w(e), summed on the integer view over
     the lcm of nu's denominator and those of w."""
-    wv = [Fraction(x) for x in w]
+    wv = [parse_rational(x) for x in w]
     if len(wv) != nu.matroid.n:
         raise ValuationInputError("shift vector has wrong length")
     den = lcm(nu.denominator, *(x.denominator for x in wv))
@@ -517,7 +497,7 @@ def contract_valuation(nu: Valuation, S) -> tuple[Valuation, list[int]]:
     minor's view re-indexes nu's: B is a basis of M/S exactly when B ∪ S is
     one of M, so INF lands on the minor's non-bases.
     """
-    sm = S if isinstance(S, int) else set_to_mask(S)
+    sm = subset_mask(S, nu.matroid.n, ValuationInputError)
     minor, keep = nu.matroid.minor(contract_set=sm)
     position, v = symbol_table(nu.matroid.n, nu.matroid.r).position, nu.scaled
     scaled = tuple(v[position[set_to_mask(keep[e] for e in mask_to_set(b)) | sm]]

@@ -735,11 +735,12 @@ def test_repeated_elements_exit_2(files, capsys):
     cases = [
         (["from-matroid", "--matroid", str(d / "repeat_matroid.json")],
          "basis [1, 1, 2]: repeated element 1"),
-        (["check", "--valuation", str(d / "repeat_key.json")], "subset 1,0,0 repeats an element"),
+        (["check", "--valuation", str(d / "repeat_key.json")],
+         "subset (1, 0, 0): repeated element 0"),
         (["check", "--valuation", str(d / "repeat_basis.json")],
          "basis [0, 0, 3]: repeated element 0"),
         (["contract", "--valuation", files["zero"], "--set", "0,0"],
-         "--set '0,0' repeats an element"),
+         "--set (0, 0): repeated element 0"),
     ]
     for argv, message in cases:
         assert run(argv) == 2, argv

@@ -237,11 +237,12 @@ def test_subspace_rows_match_the_fraction_rank():
         x1[rnd.choice(coords)] += 1
         for x in (x0, x1):
             expected = all(sum(a * x[c] for c, a in eq.items()) == 0 for eq in eqs)
-            # zero coordinates may be left out, and keys that are not
-            # coordinates are ignored
+            # zero coordinates may be left out, and a key that is not a
+            # coordinate is refused
             vector = {c: v for c, v in x.items() if v or rnd.random() < 0.5}
-            vector["not a coordinate"] = Fraction(7, 3)
             assert L.contains(vector) is expected
+            with pytest.raises(CoverInputError, match="unknown coordinates"):
+                L.contains({**vector, "not a coordinate": Fraction(7, 3)})
             verdicts.add(expected)
     assert verdicts == {True, False}
 

@@ -56,8 +56,9 @@ def test_johnson_neighbors_refuses_a_negative_mask_quickly():
 
 
 def test_negative_element_in_a_basis_is_a_matroid_input_error():
-    for bases in ([(-1, 0), (0, 1)], [(0, 1), (2, -2)]):
-        with pytest.raises(MatroidInputError, match="negative element -"):
+    for bases, message in (([(-1, 0), (0, 1)], r"^basis \(-1, 0\): element -1 is not in 0\.\.3$"),
+                           ([(0, 1), (2, -2)], r"^basis \(2, -2\): element -2 is not in 0\.\.3$")):
+        with pytest.raises(MatroidInputError, match=message):
             Matroid(4, 2, bases)
 
 

@@ -153,8 +153,9 @@ def test_out_of_range_mask_keys_are_refused_quickly():
 def test_negative_element_in_a_key_is_a_valuation_input_error():
     M = Matroid.uniform(2, 4)
     vals = {tuple(e for e in range(4) if b >> e & 1): 0 for b in M.bases}
-    for bad in ((-1, 0), (0, -3)):
-        with pytest.raises(ValuationInputError, match=f"negative element {min(bad)}"):
+    for bad, message in (((-1, 0), r"^subset \(-1, 0\): element -1 is not in 0\.\.3$"),
+                         ((0, -3), r"^subset \(0, -3\): element -3 is not in 0\.\.3$")):
+        with pytest.raises(ValuationInputError, match=message):
             Valuation(M, {bad: 0, **vals})
 
 
