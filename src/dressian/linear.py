@@ -24,8 +24,9 @@ pivot is negative; a pivot of 1, the common case on the +-1 rows of
 only, in place and with no gcd.  Rank (`integer_matrix_rank`)
 and linear solving (`solve_linear_system`) both run on it.
 
-Every system here is held as integer rows over its coordinate order;
-`_integer_row` clears an equation's denominators once, where it enters.  A
+Every system here is held as integer rows over its coordinate order; each
+equation's denominators are cleared once, where it enters, by
+`rationals.integer_vector`, which also reads its values.  A
 `RationalSubspace` ranks its rows, or their columns outside a block, and
 `subspace_from_symbols` and `cell_dim` write +-1 rows directly, `cell_dim`
 from the per-(n, r) symbol table and the valuation's integer view (see
@@ -35,8 +36,9 @@ is built only where a public function takes or returns rationals.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import valuation
 from .matroid import (
@@ -48,7 +50,7 @@ from .matroid import (
     _is_int,
     require_listable,
 )
-from .rationals import parse_rational
+from .rationals import integer_vector
 
 
 class CoverInputError(InputError):
@@ -77,16 +79,6 @@ def _namer(coords):
             raise CoverInputError(f"unknown coordinate {key[:40]!r}")
         return key_of[key]
     return named
-
-
-def _integer_row(entries, width) -> list[int]:
-    """A column -> rational map (ints or Fractions) as a dense integer row of
-    the given width, scaled by the lcm of its denominators."""
-    denom = lcm(*(v.denominator for v in entries.values()))
-    row = [0] * width
-    for col, v in entries.items():
-        row[col] = v.numerator * (denom // v.denominator)
-    return row
 
 
 def _eliminate(rows, reduced=False) -> list[int]:
@@ -183,14 +175,18 @@ class RationalSubspace:
 
     def __init__(self, coords, equations: list):
         self.coords = tuple(coords)
-        index = {c: i for i, c in enumerate(self.coords)}
-        self.rows = []
-        for eq in equations:  # each a map coord -> rational
-            if bad := set(eq) - index.keys():
-                raise CoverInputError(f"equation touches unknown coordinates {bad}")
-            self.rows.append(_integer_row({index[c]: v for c, v in eq.items()},
-                                          len(self.coords)))
+        if len(set(self.coords)) != len(self.coords):
+            raise CoverInputError("a coordinate is repeated")
+        self.rows = [self._row(eq, "equation") for eq in equations]
         self._dim = None
+
+    def _row(self, entries, what) -> list[int]:
+        """A map coord -> rational, absent coords read as 0, as an integer row."""
+        if not isinstance(entries, Mapping):
+            raise CoverInputError(f"{what} must map coordinates to rationals")
+        if bad := set(entries) - set(self.coords):
+            raise CoverInputError(f"{what} touches unknown coordinates {bad}")
+        return integer_vector(entries.get(c, 0) for c in self.coords)[1]
 
     @classmethod
     def from_json_obj(cls, obj) -> "RationalSubspace":
@@ -204,7 +200,7 @@ class RationalSubspace:
         for eq in obj["equations"]:
             if not isinstance(eq, dict):
                 raise CoverInputError("an equation must map coordinates to rationals")
-            equations.append({named(k): parse_rational(str(v)) for k, v in eq.items()})
+            equations.append({named(k): str(v) for k, v in eq.items()})  # a float as its decimal
         return cls(coords, equations)
 
     def dim(self) -> int:
@@ -228,10 +224,7 @@ class RationalSubspace:
 
     def contains(self, vector) -> bool:
         """Membership of a coord->value map: absent coords read as 0, others are refused."""
-        if bad := set(vector) - set(self.coords):
-            raise CoverInputError(f"point touches unknown coordinates {bad}")
-        x = _integer_row({j: parse_rational(vector[c]) for j, c in enumerate(self.coords)
-                          if c in vector}, len(self.coords))
+        x = self._row(vector, "point")
         return not any(sum(a * b for a, b in zip(row, x)) for row in self.rows)
 
 
@@ -246,9 +239,11 @@ def solve_linear_system(equations, variables):
     nvars = len(variables)
     rows = []
     for coeffs, rhs in equations:
-        eq = {index[v]: Fraction(c) for v, c in coeffs.items()}
-        eq[nvars] = Fraction(rhs)  # the right-hand side is the last column
-        rows.append(_integer_row(eq, nvars + 1))
+        ints = integer_vector([*coeffs.values(), rhs])[1]
+        row = [0] * nvars + ints[-1:]  # the right-hand side is the last column
+        for v, a in zip(coeffs, ints):
+            row[index[v]] = a
+        rows.append(row)
     pivots = _eliminate(rows, reduced=True)
     if pivots and pivots[-1] == nvars:  # a row 0 = rhs != 0
         return None

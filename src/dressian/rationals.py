@@ -6,15 +6,21 @@ infinity arithmetic lives: `x + INF` and `x < INF` reach them by reflection,
 so valuation checks add and compare with plain `+` and `<`.
 
 `parse_rational`, the one reader of rationals from outside, takes what
-`Fraction` takes but text whose scientific exponent exceeds `MAX_EXPONENT`
-in absolute value: `Fraction` expands it eagerly, so `1e10000000` alone
-would take seconds.
+`Fraction` takes but text or a `Decimal` whose scientific exponent exceeds
+`MAX_EXPONENT` in absolute value: `Fraction` expands it eagerly, so
+`1e10000000` alone would take seconds.
+
+Integer views are made here only: `integer_vector` puts a vector of
+rationals over its least common denominator, and `lowest_terms` reduces a
+view (D, xs), so that equal rational vectors have equal views.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 from .matroid import InputError
 
@@ -72,6 +78,8 @@ def parse_rational(value) -> Fraction:
     value through `Fraction`.  Anything refused raises RationalInputError."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, Decimal):
+        value = str(value)
     if isinstance(value, str):
         value = value.strip()
         m = _EXPONENT.search(value)
@@ -90,3 +98,22 @@ def format_rational(q: Fraction) -> str:
         return str(q)
     except ValueError:  # more digits than the interpreter's limit for str(int)
         raise RationalInputError("a value has more digits than str() may write") from None
+
+
+def integer_vector(values) -> tuple[int, list[int]]:
+    """(D, [x * D for x in values]), each entry read by `parse_rational` and
+    D > 0 the least common denominator of the entries (1 for none)."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise RationalInputError(f"{type(values).__name__} is not a vector of rationals") from None
+    qs = [parse_rational(x) for x in values]
+    den = lcm(*(q.denominator for q in qs))
+    return den, [q.numerator * (den // q.denominator) for q in qs]
+
+
+def lowest_terms(den: int, xs) -> tuple[int, tuple]:
+    """The view (den, xs) divided by the gcd of den > 0 and the finite
+    entries of xs; INF entries stay in place."""
+    g = gcd(den, *(x for x in xs if x is not INF))
+    return den // g, tuple(x if x is INF else x // g for x in xs)

@@ -16,7 +16,7 @@ it lies on the boundary of P_M.
 
 The walk runs on integers.  A cell or face is a bit mask over the indices
 of the sorted bases.  Gaps are (den, gs), gs[i] / den the gap of basis i,
-reduced so that gcd(den, *gs) = 1: equal gap vectors have equal pairs.
+kept in `rationals.lowest_terms`: equal gap vectors have equal pairs.
 Once per walk, each S gets the masks of the bases with |B ∩ S| = j, highest
 j first; the face of a cell for S is its part of the first that meets it.
 Point location reads the same level masks: rk_C(S) is the j of the first
@@ -30,7 +30,7 @@ reached.  A failure raises InvariantViolation.
 
 from __future__ import annotations
 
-from math import comb, gcd, lcm
+from math import comb
 
 from . import valuation
 from .matroid import (
@@ -42,7 +42,7 @@ from .matroid import (
     mask_to_set,
     require_listable,
 )
-from .rationals import INF, parse_rational
+from .rationals import INF, integer_vector, lowest_terms
 
 
 def _components(n: int, masks) -> list[int]:
@@ -75,12 +75,6 @@ def polytope_dim(M: Matroid) -> int:
     return affine_dim(M.n, M.bases)
 
 
-def _reduced(den: int, gs) -> tuple[int, tuple]:
-    """The gaps gs / den in lowest terms, as (den, gs) with gcd 1."""
-    d = gcd(den, *gs)
-    return den // d, tuple(g // d for g in gs)
-
-
 def _tight(gaps: tuple) -> int:
     return sum(1 << i for i, g in enumerate(gaps[1]) if g == 0)
 
@@ -96,7 +90,7 @@ def _tilt(bases: list, gaps: tuple, S: int, k: int) -> tuple | None:
             p, q = g, c
     if q == 0:
         return None
-    return _reduced(den * q, [g * q - p * c for g, c in zip(gs, steps)])
+    return lowest_terms(den * q, [g * q - p * c for g, c in zip(gs, steps)])
 
 
 def _first_gaps(M: Matroid, nu: valuation.Valuation, bases: list, full_dim: int) -> tuple:
@@ -109,7 +103,7 @@ def _first_gaps(M: Matroid, nu: valuation.Valuation, bases: list, full_dim: int)
     """
     nums = [v for v in nu.scaled if v is not INF]  # colex order is sorted-basis order
     lo = min(nums)
-    gaps = _reduced(nu.denominator, [g - lo for g in nums])
+    gaps = lowest_terms(nu.denominator, [g - lo for g in nums])
     full = (1 << M.n) - 1
     while True:
         tight = [b for b, g in zip(bases, gaps[1]) if g == 0]
@@ -231,12 +225,10 @@ def locate_cell(nu: valuation.Valuation, point) -> Matroid | None:
     Returns None if the point is outside the matroid polytope.
     """
     M = nu.matroid
-    if len(point) != M.n:
-        raise valuation.ValuationInputError(f"point has {len(point)} coordinates, expected n={M.n}")
+    den, xs = integer_vector(point)  # x * den
+    if len(xs) != M.n:
+        raise valuation.ValuationInputError(f"point has {len(xs)} coordinates, expected n={M.n}")
     bases, levels, cells = _walk(nu)
-    p = [parse_rational(x) for x in point]
-    den = lcm(*(x.denominator for x in p))
-    xs = [x.numerator * (den // x.denominator) for x in p]  # x * den
     if sum(xs) != M.r * den:
         return None
     sums = [0] * len(levels)  # x(S) * den

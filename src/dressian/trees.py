@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import lcm
 from operator import itemgetter
 
 from . import valuation
@@ -39,7 +38,7 @@ from .matroid import (
     mask_to_set,
     set_to_mask,
 )
-from .rationals import INF, format_rational, parse_rational
+from .rationals import INF, format_rational, integer_vector, parse_rational
 
 
 class TreeInputError(InputError):
@@ -389,9 +388,8 @@ def tree_to_valuation(T: MetricTree, M: Matroid) -> valuation.Valuation:
         raise MatroidInputError("tree valuations are rank-2 only")
     if sorted(v for v in T.adj if v < T.n) != list(range(M.n)):
         raise TreeInputError("tree leaves do not match the ground set")
-    den = lcm(*(x.denominator for x in T.lengths.values()))
-    sums = _pair_path_sums(
-        T.adj, {e: x.numerator * (den // x.denominator) for e, x in T.lengths.items()}, M.n)
+    den, ints = integer_vector(T.lengths.values())
+    sums = _pair_path_sums(T.adj, dict(zip(T.lengths, ints)), M.n)
     for a, b in combinations(range(M.n), 2):
         if set_to_mask((a, b)) not in M.bases and not T.adj[a] & T.adj[b]:
             raise TreeInputError(f"non-basis pair {{{a},{b}}} lacks a common neighbor")

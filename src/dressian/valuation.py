@@ -8,8 +8,10 @@ tuple of integers nu*D indexed by colex rank among all r-subsets, with the
 INF sentinel on the non-bases.  D and the entries share no common factor,
 so equal value maps have equal views.  `_integer_view` is the one reader of
 value maps, for `Valuation(matroid, values)` and both checkers; the other
-constructors build the view in integers.  `Valuation._hold` checks, reduces
-and stores every view; `values` is derived from it on first read, then kept.
+constructors build the view in integers.  Views are scaled to integers by
+`rationals.integer_vector` and reduced by `rationals.lowest_terms`.
+`Valuation._hold` checks, reduces and stores every view; `values` is
+derived from it on first read, then kept.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
@@ -31,7 +33,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
 
 from .matroid import (
     DESK_SCALE_COORDS,
@@ -48,7 +49,8 @@ from .matroid import (
     subset_key,
     subset_mask,
 )
-from .rationals import INF, RationalInputError, format_rational, parse_rational
+from .rationals import (INF, RationalInputError, format_rational, integer_vector, lowest_terms,
+                        parse_rational)
 
 
 class ValuationInputError(InputError):
@@ -225,9 +227,9 @@ def _integer_view(M: Matroid, values) -> tuple[int, tuple]:
             raise ValuationInputError(f"bad value {val!r} for subset {subset_key(m)}") from None
     if len(vals) < len(bases):
         raise ValuationInputError(f"missing values for {len(bases) - len(vals)} bases")
-    den = lcm(*(v.denominator for v in vals.values()))
-    return den, tuple(INF if (v := vals.get(m)) is None else v.numerator * (den // v.denominator)
-                      for m in symbol_table(n, M.r).subsets)
+    den, ints = integer_vector(vals.values())
+    at = dict(zip(vals, ints))
+    return den, tuple(at.get(m, INF) for m in symbol_table(n, M.r).subsets)
 
 
 def _three_term_holds(M: Matroid, v) -> bool:
@@ -328,10 +330,7 @@ class Valuation(_Frozen):
                 where = "INF on basis" if x is INF else "finite on non-basis"
                 raise InvariantViolation(f"integer view is {where} {subset_key(m)}")
         if denominator != 1:
-            common = gcd(denominator, *(x for x in scaled if x is not INF))
-            if common != 1:
-                denominator //= common
-                scaled = tuple(x if x is INF else x // common for x in scaled)
+            denominator, scaled = lowest_terms(denominator, scaled)
         object.__setattr__(self, "matroid", matroid)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "scaled", tuple(scaled))
@@ -468,17 +467,15 @@ def equivalent(nu: Valuation, nu2: Valuation) -> bool:
 
 def shift(nu: Valuation, w) -> Valuation:
     """nu^w(B) = nu(B) + sum_{e in B} w(e), summed on the integer view over
-    the lcm of nu's denominator and those of w."""
-    wv = [parse_rational(x) for x in w]
-    if len(wv) != nu.matroid.n:
+    the product of nu's denominator and w's, which `_hold` then reduces."""
+    dw, wd = integer_vector(w)
+    if len(wd) != nu.matroid.n:
         raise ValuationInputError("shift vector has wrong length")
-    den = lcm(nu.denominator, *(x.denominator for x in wv))
-    up = den // nu.denominator
-    wd = [x.numerator * (den // x.denominator) for x in wv]
+    den = nu.denominator
     subsets = symbol_table(nu.matroid.n, nu.matroid.r).subsets
-    scaled = tuple(x if x is INF else x * up + sum(wd[e] for e in mask_to_set(m))
+    scaled = tuple(x if x is INF else x * dw + den * sum(wd[e] for e in mask_to_set(m))
                    for m, x in zip(subsets, nu.scaled))
-    return Valuation._from_scaled(nu.matroid, den, scaled)
+    return Valuation._from_scaled(nu.matroid, den * dw, scaled)
 
 
 def residue_matroid(nu: Valuation, w=None) -> Matroid:

@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -43,6 +43,7 @@ from dressian import (
 )
 from dressian.bounds import all_stable_sets
 from dressian.matroid import _check_exchange, _nonbases_stable
+from dressian.rationals import integer_vector, lowest_terms
 from dressian.valuation import symbol_table
 from helpers import (
     CORPUS,
@@ -91,6 +92,19 @@ def test_integer_view_scales_values_exactly():
                 assert x is INF
     nu = shift(valuation_from_matroid(Matroid.uniform(2, 4)), [Fraction(-1, 6)] * 4)
     assert nu.denominator == 3 and set(nu.scaled) == {-1}
+    # the two helpers every view goes through, against Fraction arithmetic
+    rnd = random.Random(83)
+    assert integer_vector([]) == (1, []) and lowest_terms(6, ()) == (1, ())
+    for _ in range(200):
+        qs = [random_rational(rnd, -5, 5, rnd.randint(1, 12)) for _ in range(rnd.randint(1, 6))]
+        den, ints = integer_vector(str(q) for q in qs)
+        assert ints == [q * den for q in qs] and gcd(den, *ints) == 1  # so den is least
+        xs = [INF if rnd.random() < 0.3 else x * 4 for x in ints]
+        low, ys = lowest_terms(den * 4, xs)
+        assert [y if y is INF else Fraction(y, low) for y in ys] == [
+            x if x is INF else Fraction(x, den * 4) for x in xs]
+        assert low == den * 4 // gcd(den * 4, *(x for x in xs if x is not INF))
+    assert lowest_terms(4, (INF, INF)) == (1, (INF, INF))
 
 
 def test_corpus_agrees_with_reference():
@@ -614,7 +628,7 @@ def test_elimination_matches_the_swap_oracle_on_random_systems():
         eqs = [{j: random_rational(rnd, -3, 3, den=rnd.randint(1, 5))
                 for j in range(ncols) if rnd.random() < 0.6}
                for _ in range(rnd.randint(1, 8))]
-        matrices.append([linear_module._integer_row(eq, ncols) for eq in eqs])
+        matrices.append([integer_vector(eq.get(j, 0) for j in range(ncols))[1] for eq in eqs])
     for rows in matrices:
         assert_eliminations_agree(rows, False)
         assert_eliminations_agree(rows, True)

@@ -81,6 +81,21 @@ PROBES = [
     ("locate_cell None", lambda: locate_cell(NU, [None, 0, 0, 0]), RationalInputError),
     ("contains unknown coordinate", lambda: L.contains({"zz": 5}), CoverInputError),
     ("contains exponent", lambda: L.contains({"a": EXP}), RationalInputError),
+    ("contains a number", lambda: L.contains(5), CoverInputError),
+    ("RationalSubspace text value", lambda: RationalSubspace(["a"], [{"a": "x"}]),
+     RationalInputError),
+    ("RationalSubspace None value", lambda: RationalSubspace(["a"], [{"a": None}]),
+     RationalInputError),
+    ("RationalSubspace equation a number", lambda: RationalSubspace(["a"], [5]), CoverInputError),
+    ("RationalSubspace repeated coordinate",
+     lambda: RationalSubspace(["a", "a"], [{"a": 1}]), CoverInputError),
+    ("RationalSubspace Decimal exponent",
+     lambda: RationalSubspace(["a"], [{"a": Decimal(EXP)}]), RationalInputError),
+    ("locate_cell a number", lambda: locate_cell(NU, 5), RationalInputError),
+    ("shift a number", lambda: shift(NU, 5), RationalInputError),
+    ("shift Decimal exponent", lambda: shift(NU, [Decimal(EXP), 0, 0, 0]), RationalInputError),
+    ("parse_rational Decimal exponent", lambda: parse_rational(Decimal("1e200000")),
+     RationalInputError),
 ]
 
 
@@ -132,9 +147,15 @@ def test_the_rational_reader_takes_fractions_text_and_numbers():
     assert parse_rational(0.5) == Fraction(1, 2)
     assert parse_rational(Decimal("1.25")) == Fraction(5, 4)
     assert parse_rational(" 1e3 ") == 1000
+    assert parse_rational(Decimal("-2.5E+3")) == -2500
     for bad in (None, [1], float("nan"), float("inf"), "1/0", "x", EXP):
         with pytest.raises(RationalInputError):
             parse_rational(bad)
+
+
+def test_a_subspace_document_reads_a_float_as_its_decimal():
+    doc = {"coords": ["a", "b"], "equations": [{"a": 0.1, "b": -1}]}
+    assert RationalSubspace.from_json_obj(doc).contains({"a": 10, "b": 1})
 
 
 @pytest.mark.parametrize("argv", [
