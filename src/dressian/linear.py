@@ -67,6 +67,16 @@ def _coordinate(x):
     raise CoverInputError("a coordinate must be an integer, a string or a list of integers")
 
 
+def _coordinate_set(xs, what: str) -> tuple[tuple, set]:
+    """(tuple(xs), set(xs)); CoverInputError unless xs is a collection of
+    hashable coordinates."""
+    try:
+        xs = tuple(xs)
+        return xs, set(xs)
+    except TypeError:
+        raise CoverInputError(f"{what} must be a collection of hashable coordinates") from None
+
+
 def _namer(coords):
     """The function from a document's name for one of coords to the coordinate."""
     key_of = {str(c): c for c in coords}
@@ -174,8 +184,8 @@ class RationalSubspace:
     __slots__ = ("coords", "rows", "_dim")
 
     def __init__(self, coords, equations: list):
-        self.coords = tuple(coords)
-        if len(set(self.coords)) != len(self.coords):
+        self.coords, distinct = _coordinate_set(coords, "coords")
+        if len(distinct) != len(self.coords):
             raise CoverInputError("a coordinate is repeated")
         self.rows = [self._row(eq, "equation") for eq in equations]
         self._dim = None
@@ -211,7 +221,7 @@ class RationalSubspace:
     def zero_section_dim(self, A) -> int:
         """dim of {x in L : x_a = 0 for a in A}: the coordinates outside A
         minus the rank of the rows on their columns."""
-        A = set(A)
+        A = _coordinate_set(A, "projection coordinates")[1]
         bad = A - set(self.coords)
         if bad:
             raise CoverInputError(f"projection coordinates {bad} not in ambient")

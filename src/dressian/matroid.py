@@ -220,24 +220,28 @@ def _check_exchange(n: int, r: int, bases: frozenset[int]) -> bool:
     a stable complement has at most |B| / max(r, n - r) members (a basis is
     adjacent to at most min(r, n - r) pairwise non-adjacent r-sets), so the
     r-subsets are listed only when (C(n, r) - |B|) max(r, n - r) <= |B|,
-    which needs C(n, r) <= 2|B|.  Any other family goes to the pair loop,
-    `_exchange_pairs`.
+    which needs C(n, r) <= 2|B|.  Any other family goes to the exchange
+    walk `_exchange_holds` at the zero valuation, where (V) is (B).
     """
     total = subsets_up_to(n, r, 2 * len(bases))
     if (total is not None and (total - len(bases)) * max(r, n - r) <= len(bases)
             and _nonbases_stable(n, r, bases)):
         return True
-    return _exchange_pairs(bases)
+    return _exchange_holds(dict.fromkeys(bases, 0))
 
 
-def _exchange_pairs(bases: frozenset[int]) -> bool:
-    """Exchange axiom (B), quantified directly over all pairs.
+def _exchange_holds(v: dict[int, int]) -> bool:
+    """The valuated exchange axiom (V) on v = {basis mask: int}, a missing
+    mask being infinite: for all ordered pairs B1, B2 of keys and every e in
+    B1 - B2 some f in B2 - B1 has v(B1) + v(B2) >= v(B1 - e + f) + v(B2 - f + e).
 
-    The elements e of B1 - B2 and f of B2 - B1 are taken lowest bit first
-    (``x & -x``), so only the elements of the differences are visited.
+    The elements e and f are taken lowest bit first (``x & -x``), so only
+    the elements of the differences are visited.  On v = 0 this is (B).
     """
-    for b1 in bases:
-        for b2 in bases:
+    get = v.get
+    for b1, v1 in v.items():
+        for b2, v2 in v.items():
+            lhs = v1 + v2
             only2 = b2 & ~b1
             d = b1 & ~b2
             while d:
@@ -247,7 +251,11 @@ def _exchange_pairs(bases: frozenset[int]) -> bool:
                 while fd:
                     fbit = fd & -fd
                     fd ^= fbit
-                    if (b1 ^ ebit | fbit) in bases and (b2 ^ fbit | ebit) in bases:
+                    x = get(b1 ^ ebit | fbit)
+                    if x is None:
+                        continue
+                    y = get(b2 ^ fbit | ebit)
+                    if y is not None and lhs >= x + y:
                         break
                 else:
                     return False

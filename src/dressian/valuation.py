@@ -18,10 +18,10 @@ read only this view, through per-(n, r) index tables (`symbol_table`), and
 do integer arithmetic only.  An INF entry is tested before any addition;
 inside Z(M) every crossing set is a basis and no test is needed, and the
 three-term check of a view with no INF (a uniform matroid) tests none.  The
-brute-force checker reads the same integer view, but walks the exchange
-inequality over all pairs of r-subsets, taking elements lowest bit first
-and looking values up by colex position, without the location tables, so
-that it stays an independent second check.  Outputs that report values
+brute-force checker reads the same integer view, but hands its finite
+entries to `matroid._exchange_holds`, the walk over all ordered pairs of
+bases that also checks (B) on every `Matroid` build; it touches no location
+table, so it stays an independent second check.  Outputs that report values
 (JSON, spread, separating shifts) read the Fraction map `values`; spike
 heights come back as Fractions over D.
 """
@@ -40,6 +40,7 @@ from .matroid import (
     InvariantViolation,
     Matroid,
     _colex_subsets,
+    _exchange_holds,
     _Frozen,
     johnson_neighbors,
     mask_to_set,
@@ -229,7 +230,8 @@ def _integer_view(M: Matroid, values) -> tuple[int, tuple]:
         raise ValuationInputError(f"missing values for {len(bases) - len(vals)} bases")
     den, ints = integer_vector(vals.values())
     at = dict(zip(vals, ints))
-    return den, tuple(at.get(m, INF) for m in symbol_table(n, M.r).subsets)
+    require_listable(n, M.r)
+    return den, tuple(at.get(m, INF) for m in _colex_subsets(n, M.r))
 
 
 def _three_term_holds(M: Matroid, v) -> bool:
@@ -255,41 +257,17 @@ def check_valuation(M: Matroid, values) -> bool:
 
 def check_valuation_bruteforce(M: Matroid, values) -> bool:
     """Direct quantifier evaluation of the exchange inequality (V) over all
-    ordered pairs of r-subsets, with infinity arithmetic.
+    ordered pairs of bases, with infinity arithmetic.
 
-    Reads the integer view (nu*D by colex position, INF off the bases) and
-    takes the elements e of B1 - B2 and f of B2 - B1 lowest bit first.  It
-    shares no location table with `check_valuation`, so the two checkers
-    stay independent.  The pairs cost C(n, r)^2, so C(n, r) is limited to
-    DESK_SCALE_COORDS.
+    Reads the integer view and runs `_exchange_holds` on its finite entries,
+    a non-basis being infinite there; a pair with an infinite side holds
+    vacuously.  It shares no location table with `check_valuation`, so the
+    two checkers stay independent.  The pairs cost up to C(n, r)^2, so
+    C(n, r) is limited to DESK_SCALE_COORDS.
     """
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the direct checker")
     v = _integer_view(M, values)[1]
-    table = symbol_table(M.n, M.r)
-    position = table.position
-    # a pair with an infinite side has lhs = INF and holds vacuously
-    finite = [(b, x) for b, x in zip(table.subsets, v) if x is not INF]
-    for b1, v1 in finite:
-        for b2, v2 in finite:
-            lhs = v1 + v2
-            only2 = b2 & ~b1
-            d = b1 & ~b2
-            while d:
-                ebit = d & -d
-                d ^= ebit
-                fd = only2
-                while fd:
-                    fbit = fd & -fd
-                    fd ^= fbit
-                    x = v[position[b1 ^ ebit | fbit]]
-                    if x is INF:
-                        continue
-                    y = v[position[b2 ^ fbit | ebit]]
-                    if y is not INF and lhs >= x + y:
-                        break
-                else:
-                    return False
-    return True
+    return _exchange_holds({m: x for m, x in zip(_colex_subsets(M.n, M.r), v) if x is not INF})
 
 
 class Valuation(_Frozen):
@@ -361,7 +339,7 @@ class Valuation(_Frozen):
         )
 
     def __hash__(self):
-        return hash((self.matroid, tuple(self.values.items())))  # colex = sorted
+        return hash((self.matroid, self.denominator, self.scaled))
 
     def value(self, mask):
         """The extension: the stored rational on bases, INF on the other subsets of E."""

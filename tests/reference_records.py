@@ -57,7 +57,8 @@ class Valuation:
         )
 
     def __hash__(self):
-        return hash((self.matroid, tuple(sorted(self.values.items()))))
+        # the view is unique per value map, so this agrees with __eq__
+        return hash((self.matroid, self.denominator, self.scaled))
 
 
 @dataclass(frozen=True, eq=False)

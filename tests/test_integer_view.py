@@ -181,6 +181,14 @@ def test_equal_views_after_dividing_out_a_common_factor():
     assert half.values == {m: Fraction(k, 2) for k, m in enumerate(sorted(U24.bases), 1)}
 
 
+def test_equal_valuations_hash_alike_without_deriving_values():
+    nu = Valuation(N3, random_valuation(N3, random.Random(5)).values)
+    view = Valuation._from_scaled(
+        N3, 2 * nu.denominator, tuple(x if x is INF else 2 * x for x in nu.scaled))
+    assert hash(view) == hash(nu) and view == nu
+    assert view._values is None and nu._values is None
+
+
 def test_values_are_derived_once_and_kept():
     nu = valuation_from_matroid(random_sparse_paving(3, 6, random.Random(3)))
     assert nu._values is None

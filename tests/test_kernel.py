@@ -18,6 +18,7 @@ import pytest
 
 import dressian.linear as linear_module
 import dressian.matroid as matroid_module
+import dressian.valuation as valuation_module
 import reference_kernel as ref
 from dressian import (
     INF,
@@ -42,7 +43,7 @@ from dressian import (
     valuation_from_matroid,
 )
 from dressian.bounds import all_stable_sets
-from dressian.matroid import _check_exchange, _nonbases_stable
+from dressian.matroid import _check_exchange, _exchange_holds, _nonbases_stable
 from dressian.rationals import integer_vector, lowest_terms
 from dressian.valuation import symbol_table
 from helpers import (
@@ -355,21 +356,63 @@ def test_exchange_check_matches_reference_on_random_families():
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 10
 
 
+def test_the_exchange_walk_is_b_at_zero_and_v_on_integer_maps():
+    """`_exchange_holds` against both oracles: (B) on the keys of a zero map,
+    stable complements included, and (V) on integer maps over the corpus."""
+    rnd = random.Random(53)
+    verdicts = Counter()
+    for n, r in [(4, 2), (5, 2), (5, 3), (6, 3), (6, 2), (7, 3)]:
+        subsets = r_subset_masks(n, r)
+        families = [frozenset(rnd.sample(subsets, rnd.randint(1, len(subsets))))
+                    for _ in range(30)]
+        if comb(n, r) <= 20:  # J(3, 7) alone has 5596 stable sets to list
+            full = frozenset(subsets)
+            families += [full - set(s) for s in rnd.sample(all_stable_sets(r, n), 10)]
+        for family in families:
+            verdict = ref.check_exchange(n, r, family)
+            assert _exchange_holds(dict.fromkeys(family, 0)) is verdict
+            verdicts["B", verdict] += 1
+    for M in CORPUS:
+        maps = [{b: rnd.randint(-1, 1) for b in M.bases} for _ in range(12)]
+        for _ in range(3):
+            values = random_valuation(M, rnd).values
+            maps.append(dict(zip(values, integer_vector(values.values())[1])))
+        for v in maps:
+            verdict = ref.check_valuation_bruteforce(M, v)
+            assert _exchange_holds(v) is check_valuation_bruteforce(M, v) is verdict
+            verdicts["V", verdict] += 1
+    assert set(verdicts) == {("B", True), ("B", False), ("V", True), ("V", False)}
+
+
+def test_the_direct_checker_builds_no_symbol_table(monkeypatch):
+    rnd = random.Random(59)
+    cases = [(nu.matroid, values) for nu in corpus_valuations()
+             for values in (nu.values, perturbed_values(nu, rnd))]
+    expected = [ref.check_valuation_bruteforce(M, values) for M, values in cases]
+
+    def refuse(n, r):
+        raise AssertionError("the direct checker built a symbol table")
+
+    monkeypatch.setattr(valuation_module, "symbol_table", refuse)
+    assert [check_valuation_bruteforce(M, values) for M, values in cases] == expected
+    assert set(expected) == {True, False}
+
+
 # ---------------------------------------------------------------------------
-# The stable-set certificate in front of the exchange pair loop
+# The stable-set certificate in front of the exchange walk
 
 
 @pytest.fixture()
 def pair_loop_calls(monkeypatch):
-    """The families `_check_exchange` hands to the pair loop."""
+    """The families `_check_exchange` hands to the exchange walk."""
     calls = []
-    loop = matroid_module._exchange_pairs
+    walk = matroid_module._exchange_holds
 
-    def counted(bases):
-        calls.append(bases)
-        return loop(bases)
+    def counted(v):
+        calls.append(frozenset(v))
+        return walk(v)
 
-    monkeypatch.setattr(matroid_module, "_exchange_pairs", counted)
+    monkeypatch.setattr(matroid_module, "_exchange_holds", counted)
     return calls
 
 

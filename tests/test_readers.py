@@ -89,6 +89,11 @@ PROBES = [
     ("RationalSubspace equation a number", lambda: RationalSubspace(["a"], [5]), CoverInputError),
     ("RationalSubspace repeated coordinate",
      lambda: RationalSubspace(["a", "a"], [{"a": 1}]), CoverInputError),
+    ("RationalSubspace coords a number", lambda: RationalSubspace(5, []), CoverInputError),
+    ("RationalSubspace unhashable coordinate", lambda: RationalSubspace([[1]], []),
+     CoverInputError),
+    ("zero_section_dim a number", lambda: L.zero_section_dim(5), CoverInputError),
+    ("projection_dim a number", lambda: L.projection_dim(5), CoverInputError),
     ("RationalSubspace Decimal exponent",
      lambda: RationalSubspace(["a"], [{"a": Decimal(EXP)}]), RationalInputError),
     ("locate_cell a number", lambda: locate_cell(NU, 5), RationalInputError),
