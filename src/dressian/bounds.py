@@ -11,12 +11,11 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
-from . import linear, valuation
+from . import linear, subdivision, valuation
 from .matroid import (
     DESK_SCALE_BOUNDS_N,
     DESK_SCALE_CENSUS,
     DESK_SCALE_COORDS,
-    InputError,
     InvariantViolation,
     Matroid,
     ScaleLimitError,
@@ -191,8 +190,8 @@ def all_stable_sets(r: int, n: int):
 def _census_stable_sets(r: int, n: int) -> tuple[frozenset, list]:
     """(every r-subset, the stable sets of J(r, n) that leave a basis): one
     stable set per sparse paving matroid of rank r on n elements."""
-    if n < 0 or r < 0:
-        raise ScaleLimitError(f"need n, r >= 0, got r={r}, n={n}")
+    if not 0 <= r <= n:
+        raise ScaleLimitError(f"need 0 <= r <= n, got r={r}, n={n}")
     require_listable(n, r, DESK_SCALE_CENSUS, "the census")
     full = frozenset(r_subset_masks(n, r))
     return full, [stable for stable in all_stable_sets(r, n) if len(stable) < len(full)]
@@ -278,29 +277,11 @@ def sparse_paving_census(r: int, n: int, with_dims: bool = False) -> CensusRecor
                                 "complete over sparse paving matroids")
 
 
-def perturbed_census(r: int, n: int, samples: int = 20, seed: int = 0,
-                     with_dims: bool = False) -> CensusRecord:
-    """Lower-bound census enriched by residue matroids of random shifts.
-
-    For each sparse paving N, random integer shifts of nu_N select lower
-    faces of its subdivision; the residue matroids are new census sources.
-    Still a lower bound only: faces reachable this way need not exhaust
-    the cell complex in rank >= 3.
-    """
-    if samples < 0:
-        raise InputError(f"need samples >= 0, got {samples}")
-    import random
-
-    rnd = random.Random(seed)
-    seen = {}
-    for N in all_sparse_paving_matroids(r, n):
-        seen.setdefault(N.bases, N)
-        nu = valuation.valuation_from_matroid(N)
-        for _ in range(samples):
-            w = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
-            M0 = valuation.residue_matroid(valuation.shift(nu, w))
-            seen.setdefault(M0.bases, M0)
-    ordered = [seen[k] for k in sorted(seen, key=sorted)]
-    return census_from_matroids(
-        r, n, ordered, with_dims,
-        "lower-bound census (sparse paving matroids plus residue matroids of random shifts)")
+def perturbed_census(r: int, n: int, with_dims: bool = False) -> CensusRecord:
+    """Lower-bound census over every residue matroid M0(nu_N^w) of each sparse
+    paving N, w = 0 included, read off the certified subdivision walk.  Still
+    a lower bound: these types need not exhaust the cells in rank >= 3."""
+    nus = map(valuation.valuation_from_matroid, all_sparse_paving_matroids(r, n))
+    return census_from_matroids(r, n, subdivision.residue_matroids(nus), with_dims,
+                                "lower-bound census (sparse paving matroids plus every "
+                                "residue matroid of their valuations)")

@@ -1,8 +1,7 @@
 """Command-line surface: every operation behind a subcommand with file I/O.
 
 Output is deterministic: JSON is emitted with sorted keys and no
-timestamps, CSV rows come out in a fixed order, and the one sampler,
-`sp-census --perturbed`, is seeded by `--seed`.
+timestamps, and CSV rows come out in a fixed order.
 """
 
 from __future__ import annotations
@@ -204,11 +203,8 @@ def cmd_lower_bound(args):
 
 
 def cmd_sp_census(args):
-    if args.perturbed:
-        rec = bounds.perturbed_census(args.r, args.n, samples=args.samples,
-                                      seed=args.seed, with_dims=args.with_dims)
-    else:
-        rec = bounds.sparse_paving_census(args.r, args.n, with_dims=args.with_dims)
+    census = bounds.perturbed_census if args.perturbed else bounds.sparse_paving_census
+    rec = census(args.r, args.n, with_dims=args.with_dims)
     obj = {
         "n": rec.n,
         "r": rec.r,
@@ -274,9 +270,7 @@ COMMANDS = {
     "sp-census": (cmd_sp_census, False,
                   {**_N_R,
                    "--with-dims": {"action": "store_true"},
-                   "--perturbed": {"action": "store_true"},
-                   "--samples": {"type": int, "default": 20},
-                   "--seed": {"type": int, "default": 0}}),
+                   "--perturbed": {"action": "store_true"}}),
     "cover-check": (cmd_cover_check, False,
                     {"--subspace": {"required": True}, "--cover": {"required": True}}),
     "smooth": (cmd_smooth, False, _VALUATION),

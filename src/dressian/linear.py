@@ -67,14 +67,14 @@ def _coordinate(x):
     raise CoverInputError("a coordinate must be an integer, a string or a list of integers")
 
 
-def _coordinate_set(xs, what: str) -> tuple[tuple, set]:
-    """(tuple(xs), set(xs)); CoverInputError unless xs is a collection of
-    hashable coordinates."""
+def _collection(xs, what: str, kind=tuple):
+    """kind(xs); CoverInputError unless xs is a collection that kind takes:
+    anything for tuple, hashable coordinates only for set."""
     try:
-        xs = tuple(xs)
-        return xs, set(xs)
+        return kind(xs)
     except TypeError:
-        raise CoverInputError(f"{what} must be a collection of hashable coordinates") from None
+        of = " of hashable coordinates" if kind is set else ""
+        raise CoverInputError(f"{what} must be a collection{of}") from None
 
 
 def _namer(coords):
@@ -184,10 +184,10 @@ class RationalSubspace:
     __slots__ = ("coords", "rows", "_dim")
 
     def __init__(self, coords, equations: list):
-        self.coords, distinct = _coordinate_set(coords, "coords")
-        if len(distinct) != len(self.coords):
+        self.coords = _collection(coords, "coords")
+        if len(_collection(self.coords, "coords", set)) != len(self.coords):
             raise CoverInputError("a coordinate is repeated")
-        self.rows = [self._row(eq, "equation") for eq in equations]
+        self.rows = [self._row(eq, "equation") for eq in _collection(equations, "equations")]
         self._dim = None
 
     def _row(self, entries, what) -> list[int]:
@@ -221,7 +221,7 @@ class RationalSubspace:
     def zero_section_dim(self, A) -> int:
         """dim of {x in L : x_a = 0 for a in A}: the coordinates outside A
         minus the rank of the rows on their columns."""
-        A = _coordinate_set(A, "projection coordinates")[1]
+        A = _collection(A, "projection coordinates", set)
         bad = A - set(self.coords)
         if bad:
             raise CoverInputError(f"projection coordinates {bad} not in ambient")

@@ -1,8 +1,8 @@
-"""Matroid polytope subdivisions P(nu): maximal cells, spread, bound report.
+"""Matroid polytope subdivisions P(nu): cells, residue matroids, spread, bound report.
 
-The maximal cells of P(nu) are the residue matroids M0(nu^w) at generic w.
-They are found by an exact breadth-first walk over the cells; no linear
-program is solved.  A cell C is kept with its gaps
+The maximal cells of P(nu) are the residue matroids M0(nu^w) at generic w,
+and their faces the others.  The cells are found by an exact breadth-first
+walk; no linear program is solved.  A cell C is kept with its gaps
 
     f_C(B) = nu(B) + w_C(B) - lambda_C,
 
@@ -136,17 +136,21 @@ def _levels(n: int, r: int, bases: list) -> list:
     return [[(j, L) for j, L in reversed(list(enumerate(row))) if L] for row in by_j]
 
 
+def _faces(levels: list, cell: int):
+    """(S, k, F) per S: F is the cell's face where |B ∩ S| attains its maximum k."""
+    for S in range(1, len(levels)):
+        for k, level in levels[S]:
+            if cell & level:
+                yield S, k, cell & level
+                break
+
+
 def _facets(n: int, bases: list, levels: list, cell: int, full_dim: int) -> dict:
     """The facets of a full-dimensional cell, as {facet mask: (S, k)}: the
     facet is the face where |B ∩ S| attains its maximum k on the cell."""
     faces = {}
-    for S in range(1, len(levels)):
-        for k, level in levels[S]:
-            F = cell & level
-            if F:
-                break
-        if F not in faces:
-            faces[F] = (S, k)
+    for S, k, F in _faces(levels, cell):
+        faces.setdefault(F, (S, k))
     out = {}
     # largest first, so that a face inside a facet found before it, and so of
     # lower dimension, is passed over without a dimension count
@@ -210,12 +214,33 @@ def _walk(nu: valuation.Valuation) -> tuple[list, list, dict]:
     return bases, levels, cells
 
 
+def _matroids(M: Matroid, bases: list, masks) -> list[Matroid]:
+    """The matroids on M's ground set of these basis masks, sorted by basis family."""
+    found = [Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(F))) for F in masks]
+    return sorted(found, key=lambda m: sorted(m.bases))
+
+
 def subdivision_cells(nu: valuation.Valuation) -> SubdivisionCensus:
     """Maximal cells of P(nu) by a certified walk across interior facets."""
-    M = nu.matroid
     bases, _, cells = _walk(nu)
-    found = [Matroid(M.n, M.r, frozenset(bases[i] for i in mask_to_set(cell))) for cell in cells]
-    return SubdivisionCensus(sorted(found, key=lambda m: sorted(m.bases)))
+    return SubdivisionCensus(_matroids(nu.matroid, bases, cells))
+
+
+def residue_matroids(valuations) -> list[Matroid]:
+    """Every residue matroid M0(nu^w), over all shifts w, of valuations on one
+    matroid: the walked cells closed under the face step, sorted by basis family."""
+    valuations = list(valuations)
+    if len({nu.matroid for nu in valuations}) > 1:
+        raise valuation.ValuationInputError("the valuations lie on different matroids")
+    faces = set()
+    for nu in valuations:
+        bases, levels, cells = _walk(nu)  # bases and levels are the matroid's
+        faces.update(cells)
+    new = set(faces)
+    while new:
+        new = {F for cell in new for _S, _k, F in _faces(levels, cell)} - faces
+        faces |= new
+    return _matroids(nu.matroid, bases, faces) if faces else []
 
 
 def locate_cell(nu: valuation.Valuation, point) -> Matroid | None:

@@ -19,6 +19,7 @@ from dressian import (
     dim_upper,
     lower_bound_certificate,
     perturbed_census,
+    rank2_cell_dims,
     sparse_paving_census,
     symbol_sets,
     valuation_from_matroid,
@@ -259,11 +260,50 @@ def test_contraction_ratio_empirical():
 
 def test_perturbed_census_refines_sparse_census():
     base = sparse_paving_census(2, 5)
-    rich = perturbed_census(2, 5, samples=10, seed=0)
+    rich = perturbed_census(2, 5)
     assert rich.source_size >= base.source_size
     assert rich.distinct_types >= base.distinct_types
     assert "lower-bound" in rich.completeness
     assert "complete over sparse paving" in base.completeness
+
+
+# (r, n) -> (source_size, distinct_types): every residue matroid of every
+# nu_N, checked against the sampler and duality in test_subdivision.py
+PERTURBED = {(2, 5): (171, 26), (2, 6): (723, 146), (4, 6): (723, 146), (3, 6): (1423, 481)}
+
+
+@pytest.mark.parametrize("r,n", sorted(PERTURBED))
+def test_perturbed_census_counts(r, n):
+    rec = perturbed_census(r, n, with_dims=(r, n) == (3, 6))
+    assert (rec.source_size, rec.distinct_types) == PERTURBED[r, n]
+    assert rec.completeness == ("lower-bound census (sparse paving matroids plus every "
+                                "residue matroid of their valuations)")
+    if rec.dims:
+        assert rec.max_cell_dim == 10 == sparse_paving_census(3, 6, with_dims=True).max_cell_dim
+    dual = perturbed_census(n - r, n)
+    assert (dual.source_size, dual.distinct_types) == PERTURBED[r, n]
+
+
+def test_perturbed_census_at_rank_2_stays_within_the_tree_cells():
+    cells = {n: sum(rank2_cell_dims(Matroid.uniform(2, n)).values()) for n in (4, 5, 6)}
+    for n, count in cells.items():
+        rec = perturbed_census(2, n)
+        assert rec.distinct_types <= count
+        assert (rec.distinct_types == count) == (n in (4, 5)), n
+
+
+def test_perturbed_census_at_rank_0_and_1_and_n():
+    for r, n, sources in [(0, 4, 1), (4, 4, 1), (1, 5, 31), (4, 5, 31)]:
+        rec = perturbed_census(r, n)
+        assert (rec.source_size, rec.distinct_types) == (sources, 1), (r, n)
+    with pytest.raises(ScaleLimitError):  # C(12, 1) = 12, but the walk needs n <= 10
+        perturbed_census(1, 12)
+    assert sparse_paving_census(1, 12).distinct_types == 1
+
+
+def test_perturbed_census_repeats_itself():
+    runs = [perturbed_census(2, 6, with_dims=True) for _ in range(2)]
+    assert runs[0].dims == runs[1].dims
 
 
 def test_census_record_does_not_depend_on_source_order():

@@ -570,6 +570,9 @@ def _calls(files):
         (["lower-bound", "--n", "6", "--r", "3"], val | {"linear", "bounds"}),
         (["sp-census", "--n", "5", "--r", "2"], val | {"bounds"}),
         (["sp-census", "--n", "5", "--r", "2", "--with-dims"], val | {"linear", "bounds"}),
+        (["sp-census", "--n", "5", "--r", "2", "--perturbed"], val | {"bounds", "subdivision"}),
+        (["sp-census", "--n", "5", "--r", "2", "--perturbed", "--with-dims"],
+         val | {"linear", "bounds", "subdivision"}),
         (["cover-check", "--subspace", str(d / "sub.json"), "--cover", str(d / "cov.json")],
          base | {"linear"}),
         (["smooth", *nu], val),
@@ -798,7 +801,7 @@ def test_inconsistent_edge_lengths_exit_1(files, capsys, monkeypatch):
 def test_determinism_across_runs(files, capsys):
     outs = set()
     for _ in range(3):
-        code, out = capture(capsys, ["sp-census", "--n", "5", "--r", "2", "--seed", "0"])
+        code, out = capture(capsys, ["sp-census", "--n", "5", "--r", "2", "--perturbed"])
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
@@ -981,8 +984,10 @@ def _typed_rejections(d):
         ("lower-bound-n0", ["lower-bound", "--n", "0", "--r", "0"]),
         ("lower-bound-negative", ["lower-bound", "--n", "-1", "--r", "0"]),
         ("sp-census-negative", ["sp-census", "--n", "-1", "--r", "2"]),
-        ("sp-census-negative-samples", ["sp-census", "--n", "5", "--r", "2", "--perturbed",
-                                        "--samples", "-1"]),
+        ("sp-census-r-above-n", ["sp-census", "--n", "5", "--r", "7"]),
+        ("sp-census-perturbed-r-above-n", ["sp-census", "--n", "5", "--r", "7", "--perturbed"]),
+        ("sp-census-perturbed-n-above-10", ["sp-census", "--n", "12", "--r", "1",
+                                            "--perturbed"]),
         ("deep-json", ["check", "--valuation", write("deep.json", "[" * 200000 + "]" * 200000)]),
         ("non-utf8", ["check", "--valuation", write("bad.json", b'{"matroid": "\xff"}')]),
         ("non-utf8-newick", ["tree-encode", "--tree", write("bad.nwk", b"(0:1,1:\xff,2:1);")]),
@@ -1030,6 +1035,15 @@ def test_internal_value_error_is_not_bad_input(files, capsys, monkeypatch):
         run(["dim", "--valuation", files["nu"]])  # propagates: no exit 2
 
 
+def test_the_sampler_options_are_refused(capsys):
+    # sp-census --perturbed reads every residue matroid off the walk: there
+    # is nothing left to seed or sample
+    for option in ("--seed", "--samples"):
+        assert run(["sp-census", "--n", "5", "--r", "2", "--perturbed", option, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {option} 0" in captured.err
+
+
 def _subparsers(parser=None):
     action = next(a for a in (parser or _build_parser())._actions
                   if isinstance(a, argparse._SubParsersAction))
@@ -1039,7 +1053,7 @@ def _subparsers(parser=None):
 def test_options_exist_only_where_read():
     for name, sp in _subparsers().items():
         options = {flag: a for a in sp._actions for flag in a.option_strings}
-        assert ("--seed" in options) == (name == "sp-census"), name
+        assert not {"--seed", "--samples"} & options.keys(), name
         assert ("csv" in options["--format"].choices) == (name in ("bounds", "lower-bound")), name
     assert len(_subparsers()) == 17
 

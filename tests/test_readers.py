@@ -17,6 +17,7 @@ from dressian import (
     MatroidInputError,
     RationalInputError,
     RationalSubspace,
+    ScaleLimitError,
     Valuation,
     ValuationInputError,
     all_sparse_paving_matroids,
@@ -87,6 +88,7 @@ PROBES = [
     ("RationalSubspace None value", lambda: RationalSubspace(["a"], [{"a": None}]),
      RationalInputError),
     ("RationalSubspace equation a number", lambda: RationalSubspace(["a"], [5]), CoverInputError),
+    ("RationalSubspace equations a number", lambda: RationalSubspace(["a"], 5), CoverInputError),
     ("RationalSubspace repeated coordinate",
      lambda: RationalSubspace(["a", "a"], [{"a": 1}]), CoverInputError),
     ("RationalSubspace coords a number", lambda: RationalSubspace(5, []), CoverInputError),
@@ -194,9 +196,12 @@ def test_the_cli_refuses_a_malformed_document(tmp_path, capsys, values):
 def test_count_sparse_paving_matches_the_matroids_it_counts():
     seen = 0
     for n in range(21):
-        for r in range(n + 2):
+        for r in range(n + 1):
             if comb(n, r) <= 20:
                 assert count_sparse_paving(r, n) == len(all_sparse_paving_matroids(r, n)), (r, n)
                 seen += 1
+        for census in (count_sparse_paving, all_sparse_paving_matroids):
+            with pytest.raises(ScaleLimitError, match="need 0 <= r <= n"):
+                census(n + 1, n)
     assert seen > 60
     assert count_sparse_paving(3, 6) == 271

@@ -29,10 +29,11 @@ from helpers import (
     random_tree_metric_valuation,
     random_valuation,
 )
+from reference_residue import sampled_residue_matroids
 from reference_subdivision import locate_face as reference_locate_face
 from reference_subdivision import subdivision_cells as reference_subdivision_cells
 from reference_subdivision import walk_cells as reference_walk_cells
-from dressian.subdivision import _walk
+from dressian.subdivision import _walk, residue_matroids
 
 
 def octahedron_valuation():
@@ -267,3 +268,64 @@ def test_locate_cell_matches_fraction_reference():
                 assert face.bases == expected.bases
             located += 1
     assert located >= 250 and outside >= 30, (located, outside)
+
+
+def sparse_paving_valuations(r, n):
+    return [valuation_from_matroid(N) for N in all_sparse_paving_matroids(r, n)]
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (2, 6), (3, 6)])
+def test_residue_matroids_hold_every_sampled_residue_matroid(r, n):
+    found = {M.bases for M in residue_matroids(sparse_paving_valuations(r, n))}
+    for seed in range(3):
+        sampled = {M.bases for M in sampled_residue_matroids(r, n, samples=60, seed=seed)}
+        assert sampled <= found, (seed, len(sampled - found))
+    assert len(sampled) < len(found)  # sampling misses some faces the walk finds
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 6)])
+def test_residue_matroids_hold_every_maximal_cell_and_located_face(r, n):
+    nus = sparse_paving_valuations(r, n)
+    found = residue_matroids(nus)
+    families = [M.bases for M in found]
+    assert len(set(families)) == len(families)
+    assert families == sorted(families, key=sorted)
+    assert all(M.n == n and M.r == r for M in found)
+    found = set(families)
+    rnd = random.Random(71)
+    located = 0
+    for nu in nus:
+        assert nu.matroid.bases in found or len(nus) == 1
+        assert subdivision_cells(nu).cell_basis_families() <= found
+        for x in sample_points(nu, rnd, 3):
+            face = locate_cell(nu, x)
+            if face is not None:
+                assert face.bases in found
+                located += 1
+    assert located >= len(nus)
+
+
+@pytest.mark.parametrize("r,n", [(1, 5), (2, 5), (2, 6)])
+def test_residue_matroids_of_dual_ranks_are_dual(r, n):
+    # nu_{N*}(E - B) = nu_N(B), and N runs over every sparse paving matroid
+    # of rank r exactly when N* runs over those of rank n - r
+    low = residue_matroids(sparse_paving_valuations(r, n))
+    high = residue_matroids(sparse_paving_valuations(n - r, n))
+    assert len(low) == len(high)
+    assert {M.dual().bases for M in low} == {M.bases for M in high}
+
+
+def test_residue_matroids_are_every_face_of_one_subdivision():
+    # the octahedron splits along a square through four of its vertices
+    # into two pyramids, which add no vertex, edge or triangle: 6 vertices,
+    # 12 edges, 8 triangles, the square and the two pyramids
+    faces = residue_matroids([octahedron_valuation()])
+    assert len(faces) == 6 + 12 + 8 + 1 + 2
+    assert sorted(len(M.bases) for M in faces)[-3:] == [4, 5, 5]
+    assert residue_matroids([]) == []
+
+
+def test_residue_matroids_refuse_valuations_on_two_matroids():
+    nus = [valuation_from_matroid(N) for N in (N3, Matroid.uniform(2, 4))]
+    with pytest.raises(ValuationInputError, match="different matroids"):
+        residue_matroids(nus)
