@@ -5,11 +5,16 @@ rows are x(Sac) + x(Sbd) - x(Sad) - x(Sbc), one per symbol of [nu], and it
 first bounds their rank from both sides on bit masks: below by the rank
 over GF(2) of the rows mod 2, above by the size of their support minus a
 parity lower bound on the rank of the lineality space there (see
-`cell_dim` for the proof).  When
-the bounds meet, that is the rank and nothing is eliminated; this is the
-case for every nu_N of the census.  Otherwise the rows are written out
-densely and ranked by `integer_matrix_rank`.  `_gf2_rank`, an XOR basis
-keyed by lowest set bit, computes both bounds.
+`cell_dim` for the proof).  `_gf2_basis`, an XOR basis keyed by lowest set
+bit, computes both bounds.  When the bounds meet, that is the rank and
+nothing is eliminated; this is the case for every nu_N of the census.
+Otherwise the rank is certified by a kernel (`_certified_rank`): only the
+rows that entered the GF(2) basis, independent over Q too, are put in
+reduced echelon form, one integer kernel vector is read off per free
+column, and every row is checked against all of them in one comparison on
+lane-packed integers (`_outside`).  Rows that fail are added and the round
+repeated, so the rank grows each round; `cell_dim` never calls
+`integer_matrix_rank`.
 
 `_eliminate` is the one elimination routine.  It is fraction-free, in the
 manner of Bareiss: a pivot step replaces a row by an integer combination
@@ -21,8 +26,9 @@ rows nonzero there) are touched; rows are never swapped, and the pivot
 rows are put in pivot order at the end.  A pivot row is negated when its
 pivot is negative; a pivot of 1, the common case on the +-1 rows of
 `cell_dim`, subtracts a multiple of the pivot row over its nonzero columns
-only, in place and with no gcd.  Rank (`integer_matrix_rank`)
-and linear solving (`solve_linear_system`) both run on it.
+only, in place and with no gcd.  Rank (`integer_matrix_rank`), the
+certificate of `cell_dim` and linear solving (`solve_linear_system`) all
+run on it, the last two on the reduced form.
 
 Every system here is held as integer rows over its coordinate order; each
 equation's denominators are cleared once, where it enters, by
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import valuation
 from .matroid import (
@@ -143,33 +149,78 @@ def _eliminate(rows, reduced=False) -> list[int]:
     return pivots
 
 
-def _gf2_rank(masks) -> int:
-    """Rank over GF(2) of rows given as bit masks: an XOR basis keyed by
-    lowest set bit, so each reduction step clears the row's lowest bit."""
-    basis = {}
-    for x in masks:
+def _gf2_basis(masks) -> list[int]:
+    """Indices of the masks that enter an XOR basis keyed by lowest set bit
+    (each reduction step clears the row's lowest bit): as many as the rank
+    over GF(2), and independent over GF(2)."""
+    basis, entered = {}, []
+    for i, x in enumerate(masks):
         while x:
             low = x & -x
             if low not in basis:
                 basis[low] = x
+                entered.append(i)
                 break
             x ^= basis[low]
-    return len(basis)
+    return entered
 
 
-def _hull_rank_bounds(quads, subsets) -> tuple[int, int]:
-    """(lower, upper) bounds on the rank over Q of the rows e(ac) + e(bd) -
-    e(ad) - e(bc), one per quad (ac, bd, ad, bc) of column positions, where
-    subsets[p] is the r-subset mask at position p; see `cell_dim`."""
+def _hull_rank_bounds(quads, subsets) -> tuple[list[int], int]:
+    """The rows of the quads (ac, bd, ad, bc) of column positions that are
+    independent over GF(2), by position, and an upper bound on the rank
+    over Q of the rows e(ac) + e(bd) - e(ad) - e(bc); subsets[p] is the
+    r-subset mask at position p.  See `cell_dim`."""
     if not quads:
-        return 0, 0
+        return [], 0
     masks = [1 << ac | 1 << bd | 1 << ad | 1 << bc for ac, bd, ad, bc in quads]
     support = 0
     for m in masks:
         support |= m
     base = subsets[(support & -support).bit_length() - 1]
     moves = [subsets[p] ^ base for p in range(support.bit_length()) if support >> p & 1]
-    return _gf2_rank(masks), support.bit_count() - 1 - _gf2_rank(moves)
+    return _gf2_basis(masks), support.bit_count() - 1 - len(_gf2_basis(moves))
+
+
+def _certified_rank(quads, independent, ncols: int) -> int:
+    """Rank over Q of the rows of the quads, grown from the rows at the
+    positions `independent`, which are independent over Q; see `cell_dim`."""
+    chosen = list(independent)
+    while True:
+        rows = []
+        for i in chosen:
+            row = [0] * ncols
+            sac, sbd, sad, sbc = quads[i]
+            row[sac] = row[sbd] = 1
+            row[sad] = row[sbc] = -1
+            rows.append(row)
+        pivots = _eliminate(rows, reduced=True)
+        if len(pivots) < len(independent):
+            raise InvariantViolation("rows independent over GF(2) are dependent over Q")
+        # one integer kernel vector per free column j: x_j = L, and
+        # x at the pivot of row k is -row_k[j] * L / p_k, L the lcm of those p_k
+        kernel = []
+        for j in sorted(set(range(ncols)) - set(pivots)):
+            hits = [(row[col], row[j], col) for row, col in zip(rows, pivots) if row[j]]
+            scale = lcm(*(p for p, _q, _col in hits))
+            kernel.append([(j, scale)] + [(col, -q * (scale // p)) for p, q, col in hits])
+        failing = _outside(kernel, quads, ncols)
+        if not failing:
+            return len(pivots)
+        chosen += failing
+
+
+def _outside(kernel, quads, ncols: int) -> list[int]:
+    """Positions of the quads whose rows fail to annihilate some vector of
+    `kernel`, each a list of (column, integer entry): one comparison per
+    row, on each column's entries packed into lanes (see `cell_dim`)."""
+    top = max((abs(a) for x in kernel for _c, a in x), default=0)
+    width = (4 * top).bit_length() + 2  # 4 * top < 2^(width - 2)
+    packed = [0] * ncols
+    for lane, x in enumerate(kernel):
+        for c, a in x:
+            packed[c] += a << width * lane
+    return [i for i, (sac, sbd, sad, sbc) in enumerate(quads)
+            if packed[sac] + packed[sbd] != packed[sad] + packed[sbc]]
 
 
 def integer_matrix_rank(rows) -> int:
@@ -242,13 +293,22 @@ def solve_linear_system(equations, variables):
     """Solve a rational system given as [(coeff dict, rhs), ...].
 
     Returns a particular solution dict with free variables pinned to 0, or
-    None if the system is inconsistent.
+    None if the system is inconsistent.  CoverInputError when an equation is
+    not such a pair or names a variable not listed.
     """
-    variables = list(variables)
+    variables = _collection(variables, "variables", list)
     index = {v: i for i, v in enumerate(variables)}
     nvars = len(variables)
     rows = []
-    for coeffs, rhs in equations:
+    for eq in _collection(equations, "equations"):
+        try:
+            coeffs, rhs = eq
+        except (TypeError, ValueError):
+            coeffs = None
+        if not isinstance(coeffs, Mapping):
+            raise CoverInputError("an equation must be a pair (coefficient map, right-hand side)")
+        if bad := set(coeffs) - index.keys():
+            raise CoverInputError(f"an equation touches unknown variables {bad}")
         ints = integer_vector([*coeffs.values(), rhs])[1]
         row = [0] * nvars + ints[-1:]  # the right-hand side is the last column
         for v, a in zip(coeffs, ints):
@@ -298,7 +358,25 @@ def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None 
       >= 1 + rank_GF2{B ^ B0}, the differences mod 2 being B ^ B0.
 
     Where the two bounds meet they give rank_Q(A) and nothing is
-    eliminated; otherwise the dense rows go to `integer_matrix_rank`.
+    eliminated.  Otherwise the rank is certified by a kernel
+    (`_certified_rank`).  The XOR basis behind the lower bound picked `low`
+    rows independent over GF(2), hence over Q; they are put in integer
+    reduced echelon form (`_eliminate(reduced=True)`), and fewer than `low`
+    pivots raise InvariantViolation.  Each free column j gives one integer
+    kernel vector x_j, and the rows span the row space of the chosen ones
+    exactly when every row annihilates every x_j, since that row space is
+    the orthogonal complement of their kernel.  Then rank_Q(A) is the pivot
+    count.  A row that fails lies outside that row space, so the failing
+    rows are added and the round repeated; the rank grows every round.
+
+    Every row is checked against all x_j in one comparison.  With W bits a
+    lane and 4 max|x_j| < 2^(W - 2), column c packs into one integer
+    P(c) = sum_j x_j(c) 2^(W j), and the row of (ac, bd, ad, bc) gives
+    P(ac) + P(bd) - P(ad) - P(bc) = sum_j t_j 2^(W j), with t_j its value
+    on x_j and |t_j| <= 4 max|x_j| < 2^(W - 1).  Such a sum is 0 only when
+    every t_j is: if J is the highest lane with t_J != 0, the lanes below
+    add up to at most (2^(W - 1) - 1) (2^(W J) - 1) / (2^W - 1) < 2^(W J)
+    in absolute value, while |t_J 2^(W J)| >= 2^(W J).
     ScaleLimitError when C(n, r) exceeds DESK_SCALE_COORDS.
     """
     M = nu.matroid
@@ -316,16 +394,10 @@ def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None 
         if i % 3 == 2 and i - 1 in full and i - 2 in full:
             continue
         quads.append(quad)
-    low, high = _hull_rank_bounds(quads, table.subsets)
-    if low == high:
-        return len(M.bases) - low
-    rows = []
-    for sac, sbd, sad, sbc in quads:
-        row = [0] * len(v)
-        row[sac] = row[sbd] = 1
-        row[sad] = row[sbc] = -1
-        rows.append(row)
-    return len(M.bases) - integer_matrix_rank(rows)
+    independent, high = _hull_rank_bounds(quads, table.subsets)
+    if len(independent) == high:
+        return len(M.bases) - high
+    return len(M.bases) - _certified_rank(quads, independent, len(v))
 
 
 class ExactCover(_Frozen):

@@ -235,15 +235,26 @@ def _exchange_holds(v: dict[int, int]) -> bool:
     mask being infinite: for all ordered pairs B1, B2 of keys and every e in
     B1 - B2 some f in B2 - B1 has v(B1) + v(B2) >= v(B1 - e + f) + v(B2 - f + e).
 
-    The elements e and f are taken lowest bit first (``x & -x``), so only
-    the elements of the differences are visited.  On v = 0 this is (B).
+    With s = {e, f} the two swapped sets are B1 ^ s and B2 ^ s, so the
+    inequality for (B1, B2, e, f) is the one for (B2, B1, f, e), and each
+    unordered pair serves both orders.  A row pass finds a witness f for
+    every e and marks it; each unmarked f of B2 - B1 then needs a witness e,
+    the quantifier of the reversed pair.  A pair with |B1 - B2| = 1 holds
+    with equality (B1 - e + f = B2) and is skipped.  The elements e and f
+    are taken lowest bit first (``x & -x``), so only the elements of the
+    differences are visited.  On v = 0 this is (B).
     """
     get = v.get
-    for b1, v1 in v.items():
-        for b2, v2 in v.items():
+    items = list(v.items())
+    for i, (b1, v1) in enumerate(items):
+        for b2, v2 in items[i + 1:]:
+            only1 = b1 & ~b2
+            if not only1 & only1 - 1:
+                continue
             lhs = v1 + v2
             only2 = b2 & ~b1
-            d = b1 & ~b2
+            used = 0  # the witnesses f of the row pass
+            d = only1
             while d:
                 ebit = d & -d
                 d ^= ebit
@@ -251,6 +262,23 @@ def _exchange_holds(v: dict[int, int]) -> bool:
                 while fd:
                     fbit = fd & -fd
                     fd ^= fbit
+                    x = get(b1 ^ ebit | fbit)
+                    if x is None:
+                        continue
+                    y = get(b2 ^ fbit | ebit)
+                    if y is not None and lhs >= x + y:
+                        used |= fbit
+                        break
+                else:
+                    return False
+            fd = only2 & ~used
+            while fd:
+                fbit = fd & -fd
+                fd ^= fbit
+                d = only1
+                while d:
+                    ebit = d & -d
+                    d ^= ebit
                     x = get(b1 ^ ebit | fbit)
                     if x is None:
                         continue

@@ -17,8 +17,9 @@ it lies on the boundary of P_M.
 The walk runs on integers.  A cell or face is a bit mask over the indices
 of the sorted bases.  Gaps are (den, gs), gs[i] / den the gap of basis i,
 kept in `rationals.lowest_terms`: equal gap vectors have equal pairs.
-Once per walk, each S gets the masks of the bases with |B ∩ S| = j, highest
-j first; the face of a cell for S is its part of the first that meets it.
+Once per matroid (`_frame`, shared by every walk on it), each S gets the
+masks of the bases with |B ∩ S| = j, highest j first; the face of a cell
+for S is its part of the first that meets it.
 Point location reads the same level masks: rk_C(S) is the j of the first
 level that meets C, and C holds x when x(E) = r and x(S) <= rk_C(S).
 
@@ -178,15 +179,20 @@ class SubdivisionCensus:
         return {cell.bases for cell in self.maximal_cells}
 
 
-def _walk(nu: valuation.Valuation) -> tuple[list, list, dict]:
-    """The sorted bases, their level masks and the certified {cell mask: gaps}."""
-    M = nu.matroid
+def _frame(M: Matroid) -> tuple[list, list, int]:
+    """What every walk on M shares: the sorted bases, their level masks and
+    the dimension of P_M; ScaleLimitError past the walk's limits."""
     if M.n > DESK_SCALE_WALK_N:
         raise ScaleLimitError(f"subdivision walk needs n <= {DESK_SCALE_WALK_N}, got n={M.n}")
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the subdivision walk")
-    full_dim = polytope_dim(M)
     bases = M.sorted_bases()
-    levels = _levels(M.n, M.r, bases)
+    return bases, _levels(M.n, M.r, bases), polytope_dim(M)
+
+
+def _walk(nu: valuation.Valuation, frame: tuple) -> dict:
+    """The certified {cell mask: gaps} of nu, on the `_frame` of its matroid."""
+    M = nu.matroid
+    bases, levels, full_dim = frame
     first = _first_gaps(M, nu, bases, full_dim)
     cells = {_tight(first): first}
     order = list(cells)
@@ -211,7 +217,7 @@ def _walk(nu: valuation.Valuation) -> tuple[list, list, dict]:
         raise InvariantViolation("the walked cells do not cover every basis")
     if any(g < 0 for _den, gs in cells.values() for g in gs):
         raise InvariantViolation("a cell has a negative gap")
-    return bases, levels, cells
+    return cells
 
 
 def _matroids(M: Matroid, bases: list, masks) -> list[Matroid]:
@@ -222,25 +228,30 @@ def _matroids(M: Matroid, bases: list, masks) -> list[Matroid]:
 
 def subdivision_cells(nu: valuation.Valuation) -> SubdivisionCensus:
     """Maximal cells of P(nu) by a certified walk across interior facets."""
-    bases, _, cells = _walk(nu)
-    return SubdivisionCensus(_matroids(nu.matroid, bases, cells))
+    frame = _frame(nu.matroid)
+    return SubdivisionCensus(_matroids(nu.matroid, frame[0], _walk(nu, frame)))
 
 
 def residue_matroids(valuations) -> list[Matroid]:
     """Every residue matroid M0(nu^w), over all shifts w, of valuations on one
     matroid: the walked cells closed under the face step, sorted by basis family."""
     valuations = list(valuations)
-    if len({nu.matroid for nu in valuations}) > 1:
+    matroids = {nu.matroid for nu in valuations}
+    if len(matroids) > 1:
         raise valuation.ValuationInputError("the valuations lie on different matroids")
+    if not matroids:
+        return []
+    M = matroids.pop()
+    frame = _frame(M)
     faces = set()
     for nu in valuations:
-        bases, levels, cells = _walk(nu)  # bases and levels are the matroid's
-        faces.update(cells)
+        faces.update(_walk(nu, frame))
+    bases, levels, _ = frame
     new = set(faces)
     while new:
         new = {F for cell in new for _S, _k, F in _faces(levels, cell)} - faces
         faces |= new
-    return _matroids(nu.matroid, bases, faces) if faces else []
+    return _matroids(M, bases, faces)
 
 
 def locate_cell(nu: valuation.Valuation, point) -> Matroid | None:
@@ -253,7 +264,9 @@ def locate_cell(nu: valuation.Valuation, point) -> Matroid | None:
     den, xs = integer_vector(point)  # x * den
     if len(xs) != M.n:
         raise valuation.ValuationInputError(f"point has {len(xs)} coordinates, expected n={M.n}")
-    bases, levels, cells = _walk(nu)
+    frame = _frame(M)
+    cells = _walk(nu, frame)
+    bases, levels, _ = frame
     if sum(xs) != M.r * den:
         return None
     sums = [0] * len(levels)  # x(S) * den

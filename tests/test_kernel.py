@@ -127,25 +127,49 @@ def test_all_sparse_paving_of_rank_3_on_6_agree_with_reference():
     assert max(dims) == 10
 
 
-def force_elimination(monkeypatch):
+def force_certificate(monkeypatch):
     """Make the rank bounds of `cell_dim` never meet, so that every call
-    hands its rows to `integer_matrix_rank`."""
-    monkeypatch.setattr(linear_module, "_hull_rank_bounds", lambda quads, subsets: (0, 1))
+    certifies its rank by the kernel of the GF(2) basis rows."""
+    real = linear_module._hull_rank_bounds
+    monkeypatch.setattr(linear_module, "_hull_rank_bounds",
+                        lambda quads, subsets: (real(quads, subsets)[0], len(quads) + 1))
+
+
+def spied_certificate(monkeypatch):
+    """Per `_certified_rank` call (rows handed in, GF(2) basis rows, rank),
+    the rows each of its eliminations took, and the `integer_matrix_rank`
+    calls, all in call order."""
+    certified, eliminated, ranked = [], [], []
+    certify, eliminate = linear_module._certified_rank, linear_module._eliminate
+
+    def certify_spy(quads, independent, ncols):
+        certified.append((len(quads), len(independent), certify(quads, independent, ncols)))
+        return certified[-1][2]
+
+    def eliminate_spy(rows, reduced=False):
+        assert reduced, "the certificate takes the reduced echelon form"
+        eliminated.append(len(rows))
+        return eliminate(rows, reduced)
+
+    monkeypatch.setattr(linear_module, "_certified_rank", certify_spy)
+    monkeypatch.setattr(linear_module, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(linear_module, "integer_matrix_rank",
+                        lambda rows: ranked.append(len(rows)))
+    return certified, eliminated, ranked
 
 
 def test_cell_dim_hands_two_rows_per_fully_tied_location_to_the_rank(monkeypatch):
-    rows = []
-    rank = linear_module.integer_matrix_rank
-
-    def counted(matrix):
-        rows.append(len(matrix))
-        return rank(matrix)
-
-    force_elimination(monkeypatch)
-    monkeypatch.setattr(linear_module, "integer_matrix_rank", counted)
+    force_certificate(monkeypatch)
+    certified, eliminated, ranked = spied_certificate(monkeypatch)
     dims = [cell_dim(valuation_from_matroid(N)) for N in all_sparse_paving_matroids(3, 6)]
-    # one row per symbol of [nu] would be 13050 rows
-    assert (sum(rows), sum(dims)) == (10590, 2326)
+    assert ranked == []
+    # one row per symbol of [nu] would be 13050 rows; the GF(2) basis rows
+    # already have the full rank, so each certificate eliminates only those,
+    # once
+    assert (sum(rows for rows, _low, _rank in certified), sum(dims)) == (10590, 2326)
+    assert all(low == rank for _rows, low, rank in certified)
+    assert eliminated == [low for _rows, low, _rank in certified]
+    assert sum(eliminated) == 20 * 271 - 2326
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +205,34 @@ def spied_bounds(monkeypatch):
     real = linear_module._hull_rank_bounds
 
     def spy(quads, subsets):
-        seen.append(real(quads, subsets))
-        return seen[-1]
+        independent, high = real(quads, subsets)
+        seen.append((len(independent), high))
+        return independent, high
 
     monkeypatch.setattr(linear_module, "_hull_rank_bounds", spy)
     return seen
+
+
+def eliminated_dim(nu):
+    """The number of bases minus the rank, by `integer_matrix_rank`, of one
+    dense row per symbol of [nu]."""
+    table = symbol_table(nu.matroid.n, nu.matroid.r)
+    rows = []
+    for i in combinatorial_type(nu).full_ids:
+        row = [0] * len(table.subsets)
+        sac, sbd, sad, sbc = table.cross[i]
+        row[sac] = row[sbd] = 1
+        row[sad] = row[sbc] = -1
+        rows.append(row)
+    return len(nu.matroid.bases) - (integer_matrix_rank(rows) if rows else 0)
 
 
 def test_rank_certificate_matches_elimination_and_the_fraction_rank(monkeypatch):
     valuations = list(certificate_corpus())
     bounds = spied_bounds(monkeypatch)
     dims = [cell_dim(nu) for nu in valuations]
-    force_elimination(monkeypatch)
+    assert dims == [eliminated_dim(nu) for nu in valuations]
+    force_certificate(monkeypatch)
     assert dims == [cell_dim(nu) for nu in valuations]
     certified = 0
     for nu, d, (low, high) in zip(valuations, dims, bounds):
@@ -206,33 +246,82 @@ def test_rank_certificate_matches_elimination_and_the_fraction_rank(monkeypatch)
 
 
 def test_census_cells_are_certified_and_generic_stiefel_cells_eliminated(monkeypatch):
-    ranked = []
-    rank = linear_module.integer_matrix_rank
-
-    def counted(matrix):
-        ranked.append(len(matrix))
-        return rank(matrix)
-
-    monkeypatch.setattr(linear_module, "integer_matrix_rank", counted)
     bounds = spied_bounds(monkeypatch)
+    certified, eliminated, ranked = spied_certificate(monkeypatch)
     sparse_paving_census(3, 6, with_dims=True)
     assert len(bounds) == 271 and all(low == high for low, high in bounds)
-    assert ranked == []
+    assert certified == eliminated == ranked == []
     nu = stiefel_valuation(4, 8, random.Random(61))
-    cell_dim(nu)
-    assert len(ranked) == 1
+    d = cell_dim(nu)
+    # the bounds differ; only the GF(2) basis rows are eliminated, and once
+    (low, high), = bounds[271:]
+    (rows, basis, rank), = certified
+    assert low == basis < high and eliminated == [basis] and ranked == []
+    assert (rows, basis, rank, d) == (429, 54, 54, 16)
+    monkeypatch.undo()
+    assert d == eliminated_dim(nu)
 
 
 def test_rank_bounds_on_hand_checked_rows():
     table = symbol_table(4, 2)
     ab_cd, ac_bd, ad_bc = table.cross  # the one location of U(2,4)
     bounds = linear_module._hull_rank_bounds
-    assert bounds([], table.subsets) == (0, 0)
+    assert bounds([], table.subsets) == ([], 0)
     # one row: six coordinates, 4 of them in the support, lineality 1 + 2
-    assert bounds([ab_cd], table.subsets) == (1, 1)
+    assert bounds([ab_cd], table.subsets) == ([0], 1)
     # two rows: all six pairs, whose differences span the even sets of F_2^4
-    assert bounds([ab_cd, ac_bd], table.subsets) == (2, 2)
-    assert bounds([ab_cd, ac_bd, ad_bc], table.subsets) == (2, 2)
+    assert bounds([ab_cd, ac_bd], table.subsets) == ([0, 1], 2)
+    assert bounds([ab_cd, ac_bd, ad_bc], table.subsets) == ([0, 1], 2)
+
+
+def test_the_certificate_grows_past_the_gf2_rank(monkeypatch):
+    # e0 + e1 - e2 - e3 and e0 + e2 - e1 - e3 agree mod 2 and are
+    # independent over Q: the one GF(2) basis row misses the second row,
+    # which the next round adds
+    quads = [(0, 1, 2, 3), (0, 2, 1, 3)]
+    assert linear_module._gf2_basis([0b1111, 0b1111]) == [0]
+    _certified, eliminated, _ranked = spied_certificate(monkeypatch)
+    assert linear_module._certified_rank(quads, [0], 4) == 2
+    assert eliminated == [1, 2]  # the start row, then it and the failing row
+    # from no rows at all, and with a column no row touches
+    eliminated.clear()
+    assert linear_module._certified_rank(quads, [], 5) == 2
+    assert eliminated == [0, 2]
+    # rows said to be independent that are not
+    with pytest.raises(matroid_module.InvariantViolation):
+        linear_module._certified_rank([quads[0], quads[0]], [0, 1], 4)
+
+
+def test_packed_lanes_never_carry_into_one_another():
+    # the row e0 + e1 - e2 - e3 takes 4 on the first vector and -1 on the
+    # second (lanes 2 bits wide would add up to 4 - 4 = 0 and pass it); the
+    # second row annihilates both, the third only the first
+    kernel = [[(0, 1), (1, 1), (2, -1), (3, -1)], [(0, -1)]]
+    quads = [(0, 1, 2, 3), (1, 2, 4, 5), (0, 2, 1, 3)]
+    assert linear_module._outside(kernel, quads, 6) == [0, 2]
+    assert linear_module._outside([[(c, 5 * a) for c, a in x] for x in kernel], quads, 6) == [0, 2]
+    assert linear_module._outside([], quads, 6) == []
+
+
+def test_the_certificate_matches_elimination_on_random_rows():
+    rnd = random.Random(89)
+    grown = 0
+    for _ in range(300):
+        ncols = rnd.randint(4, 12)
+        quads = [tuple(rnd.sample(range(ncols), 4)) for _ in range(rnd.randint(1, 14))]
+        rows = []
+        for sac, sbd, sad, sbc in quads:
+            row = [0] * ncols
+            row[sac] = row[sbd] = 1
+            row[sad] = row[sbc] = -1
+            rows.append(row)
+        rank = integer_matrix_rank(rows)
+        basis = linear_module._gf2_basis([sum(1 << c for c in quad) for quad in quads])
+        assert len(basis) <= rank
+        grown += len(basis) < rank
+        for start in (basis, basis[:rnd.randint(0, len(basis))]):
+            assert linear_module._certified_rank(quads, start, ncols) == rank
+    assert grown >= 10
 
 
 def test_shifts_with_denominators_and_negative_values_agree():
@@ -382,6 +471,56 @@ def test_the_exchange_walk_is_b_at_zero_and_v_on_integer_maps():
             assert _exchange_holds(v) is check_valuation_bruteforce(M, v) is verdict
             verdicts["V", verdict] += 1
     assert set(verdicts) == {("B", True), ("B", False), ("V", True), ("V", False)}
+
+
+@pytest.mark.parametrize("r,n", [(3, 6), (3, 7), (4, 8)])
+def test_the_pair_walk_agrees_with_both_oracles(r, n):
+    """One walk per unordered pair against the ordered oracles: Stiefel
+    valuations with and without holes, copies with one value lowered, the
+    zero maps of their families and of a family with one basis removed."""
+    rnd = random.Random(97 + 5 * r + n)
+    verdicts = Counter()
+    for holes in (0, 0, r + 2):
+        nu = stiefel_valuation(r, n, rnd, holes)
+        M = nu.matroid
+        maps = [nu.values]
+        for _ in range(2):
+            vals = dict(nu.values)
+            vals[rnd.choice(sorted(vals))] -= Fraction(1, rnd.randint(7, 13))
+            maps.append(vals)
+        for vals in maps:
+            verdict = ref.check_valuation_bruteforce(M, vals)
+            v = dict(zip(vals, integer_vector(vals.values())[1]))
+            assert _exchange_holds(v) is check_valuation_bruteforce(M, vals) is verdict
+            verdicts["V", verdict] += 1
+        for family in (M.bases, M.bases - {rnd.choice(sorted(M.bases))}):
+            verdict = ref.check_exchange(n, r, family)
+            assert _exchange_holds(dict.fromkeys(family, 0)) is verdict
+            verdicts["B", verdict] += 1
+    assert verdicts["V", True] >= 3 and verdicts["V", False] >= 2
+    assert verdicts["B", True] >= 3
+
+
+def test_the_pair_walk_checks_the_reversed_order():
+    # on the first pair, B1 = 012 and B2 = 345, every e of B1 has the witness
+    # f = 3, but f = 4 has no witness e: (B1, B2) holds and (B2, B1) fails
+    b1, b2 = set_to_mask((0, 1, 2)), set_to_mask((3, 4, 5))
+    v = {b1: 0, b2: 0}
+    for e in (0, 1, 2):
+        for f in (3, 4, 5):
+            v[b1 ^ 1 << e | 1 << f] = v[b2 ^ 1 << f | 1 << e] = 0 if f == 3 else 1
+    assert ref.check_valuation_bruteforce(Matroid.uniform(3, 6), v) is False
+    seen = []
+
+    class Looked(dict):
+        def get(self, key, default=None):
+            seen.append(key)
+            return dict.get(self, key, default)
+
+    assert _exchange_holds(Looked(v)) is False
+    # the walk stopped on that pair, after trying f = 4 against every e
+    assert seen[-1] == b2 ^ 1 << 4 | 1 << 2
+    assert set(seen) <= set(v) - {b1, b2}
 
 
 def test_the_direct_checker_builds_no_symbol_table(monkeypatch):
@@ -639,7 +778,7 @@ def captured_matrices(monkeypatch, compute):
 
 
 def test_elimination_matches_the_swap_oracle_on_census_and_desk_matrices(monkeypatch):
-    force_elimination(monkeypatch)
+    force_certificate(monkeypatch)
     census = captured_matrices(
         monkeypatch, lambda: sparse_paving_census(3, 6, with_dims=True))
     assert len(census) == 271

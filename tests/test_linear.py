@@ -271,17 +271,22 @@ def test_subspace_ranks_and_cell_dim_build_no_fraction(monkeypatch):
     z, _z0, _z1 = symbol_sets(U36)
     nu = stiefel_valuation(3, 6, random.Random(83))
     expected = ref.cell_dim(nu)
-    ranked = []
+    ranked, certified = [], []
     real_rank = linear_module.integer_matrix_rank
+    real_certify = linear_module._certified_rank
     monkeypatch.setattr(linear_module, "integer_matrix_rank",
                         lambda rows: ranked.append(len(rows)) or real_rank(rows))
+    monkeypatch.setattr(linear_module, "_certified_rank",
+                        lambda quads, independent, ncols: certified.append(len(quads))
+                        or real_certify(quads, independent, ncols))
     monkeypatch.setattr(linear_module, "Fraction", refuse)
     L = RationalSubspace(("a", "b", "c", "d"), [{"a": 1, "b": -1}, {"b": 2, "c": 3}])
     assert (L.dim(), L.zero_section_dim(["a"]), L.projection_dim(["a", "c"])) == (2, 1, 1)
     assert subspace_from_symbols(U36, z).dim() == 6  # the lineality space
     ranked.clear()
     assert cell_dim(nu) == expected
-    assert ranked  # the parity bounds differ, so the rows were eliminated
+    # the parity bounds differ, so the kernel certificate ranked the rows
+    assert ranked == [] and certified
 
 
 def test_unknown_block_coordinates_are_cover_input_errors():

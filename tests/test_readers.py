@@ -27,6 +27,7 @@ from dressian import (
     locate_cell,
     parse_rational,
     shift,
+    solve_linear_system,
 )
 from dressian.cli import run
 from dressian.matroid import parse_subset_key, subset_mask
@@ -96,6 +97,16 @@ PROBES = [
      CoverInputError),
     ("zero_section_dim a number", lambda: L.zero_section_dim(5), CoverInputError),
     ("projection_dim a number", lambda: L.projection_dim(5), CoverInputError),
+    ("solve_linear_system unknown variable",
+     lambda: solve_linear_system([({"z": 1}, 0)], ["x"]), CoverInputError),
+    ("solve_linear_system equation a number", lambda: solve_linear_system([5], ["x"]),
+     CoverInputError),
+    ("solve_linear_system equation without right-hand side",
+     lambda: solve_linear_system([({"x": 1},)], ["x"]), CoverInputError),
+    ("solve_linear_system equations a number", lambda: solve_linear_system(5, ["x"]),
+     CoverInputError),
+    ("solve_linear_system text value",
+     lambda: solve_linear_system([({"x": "q"}, 0)], ["x"]), RationalInputError),
     ("RationalSubspace Decimal exponent",
      lambda: RationalSubspace(["a"], [{"a": Decimal(EXP)}]), RationalInputError),
     ("locate_cell a number", lambda: locate_cell(NU, 5), RationalInputError),

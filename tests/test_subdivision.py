@@ -33,7 +33,8 @@ from reference_residue import sampled_residue_matroids
 from reference_subdivision import locate_face as reference_locate_face
 from reference_subdivision import subdivision_cells as reference_subdivision_cells
 from reference_subdivision import walk_cells as reference_walk_cells
-from dressian.subdivision import _walk, residue_matroids
+import dressian.subdivision as subdivision_module
+from dressian.subdivision import _frame, _walk, residue_matroids
 
 
 def octahedron_valuation():
@@ -243,7 +244,8 @@ def test_integer_walk_matches_fraction_walk():
     assert len(corpus) == 21 + 6 + 271 + 16
     for nu in corpus:
         expected = reference_walk_cells(nu)
-        bases, _, cells = _walk(nu)
+        frame = _frame(nu.matroid)
+        bases, cells = frame[0], _walk(nu, frame)
         walked = {frozenset(bases[i] for i in mask_to_set(cell)):
                   {b: Fraction(g, den) for b, g in zip(bases, gs)}
                   for cell, (den, gs) in cells.items()}
@@ -329,3 +331,16 @@ def test_residue_matroids_refuse_valuations_on_two_matroids():
     nus = [valuation_from_matroid(N) for N in (N3, Matroid.uniform(2, 4))]
     with pytest.raises(ValuationInputError, match="different matroids"):
         residue_matroids(nus)
+
+
+def test_residue_matroids_build_the_level_table_once(monkeypatch):
+    # every walk of one call shares its matroid's sorted bases, level masks
+    # and polytope dimension
+    nus = sparse_paving_valuations(3, 6)
+    expected = residue_matroids(nus)
+    built = []
+    real = subdivision_module._levels
+    monkeypatch.setattr(subdivision_module, "_levels",
+                        lambda n, r, bases: built.append((n, r)) or real(n, r, bases))
+    assert residue_matroids(nus) == expected
+    assert (len(nus), built) == (271, [(6, 3)])
