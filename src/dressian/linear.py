@@ -342,6 +342,9 @@ def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None 
     of those rows.  A location's three symbols are consecutive, (ab|cd),
     (ac|bd), (ad|bc); where all three are in [nu], the (ad|bc) row is the
     (ac|bd) row minus the (ab|cd) row, so it is checked but left out of A.
+    Every row is checked to hold at nu: that certifies the Z0(M) rows,
+    which `full_ids` adds untested, and refuses a `ctype` of another cell
+    with InvariantViolation.
 
     rank_Q(A) is bounded from both sides before any elimination
     (`_hull_rank_bounds`):
@@ -385,9 +388,10 @@ def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None 
         ctype = valuation.combinatorial_type(nu)
     table = valuation.symbol_table(M.n, M.r)
     cross, v = table.cross, nu.scaled
-    full = set(ctype.full_ids)
+    ids = ctype.full_ids
+    full = set(ids)
     quads = []
-    for i in ctype.full_ids:
+    for i in ids:
         sac, sbd, sad, sbc = quad = cross[i]
         if v[sac] + v[sbd] != v[sad] + v[sbc]:
             raise InvariantViolation("valuation must lie in its own cell hull")

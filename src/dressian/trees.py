@@ -407,7 +407,8 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
     Cells correspond to pairwise-compatible systems of nontrivial splits
     that neither separate a parallel pair nor cut off a single parallel
     class (the latter edge length is absorbed by leaf edges and does not
-    change the combinatorial type).  Each cell has dimension n + #splits.
+    change the combinatorial type).  Each cell has dimension n + #splits,
+    but for two classes: their one cell, a single edge, has dimension n - 1.
 
     A candidate split is named by its side avoiding class 0, a tuple of
     class indices with 2 <= |side| <= t - 2; sides are sorted.  Two sides
@@ -452,9 +453,10 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
         splits.append(frozenset((elems, ground - elems)))
 
     out = []
+    base = M.n if t > 2 else M.n - 1
 
     def extend(allowed, chosen):
-        out.append((TreeTopology(frozenset(chosen)), M.n + len(chosen)))
+        out.append((TreeTopology(frozenset(chosen)), base + len(chosen)))
         while allowed:
             low = allowed & -allowed
             allowed ^= low
@@ -471,17 +473,17 @@ def rank2_cell_dims(M: Matroid) -> dict[int, int]:
     """Number of cells of the rank-2 Dressian of M per dimension, ascending.
 
     The same cells as ``enumerate_rank2_cells``, counted without listing
-    them: a cell is a tree on the t parallel classes, and one with k splits
-    has k + 1 internal vertices and dimension n + k.  The trees on s leaves
-    with m internal vertices number T(s, m), where T(3, 1) = 1 and
-    T(s, m) = m T(s-1, m) + (s+m-3) T(s-1, m-1): the last leaf joins a
-    tree on s - 1 leaves at one of its m internal vertices, or subdivides
-    one of the s+m-3 edges of one with m - 1 internal vertices (Felsenstein
-    1978).
+    them: a cell is a tree on the t parallel classes, of dimension n + m - 1
+    with m internal vertices (k + 1 for k splits when t >= 3, none for the
+    one edge joining two classes).  The trees on s leaves with m internal
+    vertices number T(s, m), where T(2, 0) = 1 and T(s, m) = m T(s-1, m) +
+    (s+m-3) T(s-1, m-1): the last leaf joins a tree on s - 1 leaves at one
+    of its m internal vertices, or subdivides one of the s+m-3 edges of one
+    with m - 1 internal vertices (Felsenstein 1978).
     """
     t = len(parallel_classes(M))
-    row = [1]  # row[m - 1] = T(s, m), starting from s = 3 (also the count for t <= 2)
-    for s in range(4, t + 1):
-        prev = [0, *row, 0]
-        row = [m * prev[m] + (s + m - 3) * prev[m - 1] for m in range(1, s - 1)]
-    return {M.n + m - 1: x for m, x in enumerate(row, 1)}
+    row = {0: 1}  # m -> T(s, m), from s = 2
+    for s in range(3, t + 1):
+        row = {m: m * row.get(m, 0) + (s + m - 3) * row.get(m - 1, 0)
+               for m in range(1, s - 1)}
+    return {M.n + m - 1: x for m, x in row.items()}

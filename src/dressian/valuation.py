@@ -152,29 +152,32 @@ def all_symbols(n: int, r: int) -> list[Symbol]:
 
 
 @lru_cache(maxsize=8)
-def _z_rows(M: Matroid) -> tuple:
-    """(symbol position, Sac, Sbd, Sad, Sbc, is free) for each symbol of Z(M)."""
+def _z_rows(M: Matroid) -> tuple[tuple, tuple]:
+    """The one split of Z(M), the symbols whose four crossing sets are
+    bases: the Z1(M) rows (position, Sac, Sbd, Sad, Sbc) and the Z0(M)
+    positions, ascending.  A symbol of Z0(M) has an own set Sab or Scd off
+    the bases, so its third pairing sum is infinite and the three-term
+    condition ties the two crossing sums: every valuation satisfies it."""
     table = symbol_table(M.n, M.r)
     basis = [m in M.bases for m in table.subsets]
-    rows = []
+    free, forced = [], []
     for i, (sym, quad) in enumerate(zip(table.symbols, table.cross)):
         if all(basis[j] for j in quad):
             sab, scd = sym.own_sets()
-            rows.append((i, *quad, sab in M.bases and scd in M.bases))
-    return tuple(rows)
+            if sab in M.bases and scd in M.bases:
+                free.append((i, *quad))
+            else:
+                forced.append(i)
+    return tuple(free), tuple(forced)
 
 
 def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
-    """(Z(M), Z0(M), Z1(M)).
-
-    Z(M) keeps the symbols whose four crossing sets are all bases; Z0(M) is
-    the part with a missing diagonal basis, where equality is forced.
-    """
+    """(Z(M), Z0(M), Z1(M)), as `_z_rows` splits them."""
     symbols = symbol_table(M.n, M.r).symbols
-    rows = _z_rows(M)
-    z = frozenset(symbols[row[0]] for row in rows)
-    z1 = frozenset(symbols[row[0]] for row in rows if row[5])
-    return z, z - z1, z1
+    free, forced = _z_rows(M)
+    z0 = frozenset(symbols[i] for i in forced)
+    z1 = frozenset(symbols[row[0]] for row in free)
+    return z0 | z1, z0, z1
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +375,26 @@ class Valuation(_Frozen):
 
 
 class CombinatorialType(_Frozen):
-    """The equality pattern of a valuation over the free symbols Z1(M).
+    """The combinatorial type of a valuation: the symbols of Z1(M) it satisfies.
 
     Symbols are held by their positions in `symbol_table(n, r).symbols`,
-    in ascending order: `full_ids` is [nu] = [nu-bar] ∩ Z(M) and
-    `free_ids` is [nu] ∩ Z1(M).
+    in ascending order; `free_ids` is [nu] ∩ Z1(M).  That is the whole
+    type: every valuation of M satisfies every symbol of Z0(M) (see
+    `_z_rows`), so [nu] = [nu-bar] ∩ Z(M) is Z0(M) ∪ `free_ids`, which
+    `full_ids` derives.
     """
 
-    __slots__ = ("matroid", "full_ids", "free_ids")
+    __slots__ = ("matroid", "free_ids")
 
-    def __init__(self, matroid: Matroid, full_ids: tuple, free_ids: tuple):
+    def __init__(self, matroid: Matroid, free_ids: tuple):
         object.__setattr__(self, "matroid", matroid)
-        object.__setattr__(self, "full_ids", full_ids)
         object.__setattr__(self, "free_ids", free_ids)
+
+    @property
+    def full_ids(self) -> tuple:
+        """[nu] in ascending positions: Z0(M) merged into `free_ids`."""
+        forced = _z_rows(self.matroid)[1]
+        return tuple(sorted(forced + self.free_ids)) if forced else self.free_ids
 
     def _symbols(self, ids) -> frozenset:
         symbols = symbol_table(self.matroid.n, self.matroid.r).symbols
@@ -406,32 +416,13 @@ class CombinatorialType(_Frozen):
     def z1_size(self) -> int:
         return len(self.free_ids)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CombinatorialType)
-            and self.matroid == other.matroid
-            and self.free_ids == other.free_ids
-        )
-
-    def __hash__(self):
-        return hash((self.matroid, self.free_ids))
-
-
-def symbol_equality_holds(nu: Valuation, sym: Symbol) -> bool:
-    position, v = symbol_table(nu.matroid.n, nu.matroid.r).position, nu.scaled
-    sac, sbd, sad, sbc = (v[position[m]] for m in sym.cross_sets())
-    return sac + sbd == sad + sbc
-
 
 def combinatorial_type(nu: Valuation) -> CombinatorialType:
+    """The symbols of Z1(M) that nu satisfies; Z0(M) needs no test."""
     v = nu.scaled
-    full, free = [], []
-    for i, sac, sbd, sad, sbc, is_free in _z_rows(nu.matroid):
-        if v[sac] + v[sbd] == v[sad] + v[sbc]:
-            full.append(i)
-            if is_free:
-                free.append(i)
-    return CombinatorialType(nu.matroid, tuple(full), tuple(free))
+    free = [i for i, sac, sbd, sad, sbc in _z_rows(nu.matroid)[0]
+            if v[sac] + v[sbd] == v[sad] + v[sbc]]
+    return CombinatorialType(nu.matroid, tuple(free))
 
 
 def equivalent(nu: Valuation, nu2: Valuation) -> bool:
@@ -506,16 +497,16 @@ def separating_shift(nu: Valuation, sym: Symbol) -> list[Fraction]:
 
     Construction: equalize the six window sets S+2-of-{a,b,c,d} pairwise
     within each pairing, then push everything outside the window up with a
-    large constant W.
+    large constant W.  A symbol outside Z1(M), or one in [nu], raises
+    ValuationInputError.
     """
-    if symbol_equality_holds(nu, sym):
-        raise ValuationInputError("symbol is in [nu]; no separating shift exists")
+    if sym not in symbol_sets(nu.matroid)[2]:
+        raise ValuationInputError("separating shift needs a symbol in Z1(M)")
     sac, sbd, sad, sbc = sym.cross_sets()
     sab, scd = sym.own_sets()
-    for m in (sac, sbd, sad, sbc, sab, scd):
-        if m not in nu.matroid.bases:
-            raise ValuationInputError("separating shift needs a symbol in Z1(M)")
     v = nu.values
+    if v[sac] + v[sbd] == v[sad] + v[sbc]:
+        raise ValuationInputError("symbol is in [nu]; no separating shift exists")
     d1 = v[sbd] - v[sac]
     d2 = v[sbc] - v[sad]
     d3 = v[scd] - v[sab]

@@ -61,21 +61,10 @@ class Valuation:
         return hash((self.matroid, self.denominator, self.scaled))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CombinatorialType:
     matroid: Matroid
-    full_ids: tuple
     free_ids: tuple
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CombinatorialType)
-            and self.matroid == other.matroid
-            and self.free_ids == other.free_ids
-        )
-
-    def __hash__(self):
-        return hash((self.matroid, self.free_ids))
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,7 @@ def to_reference(x):
     if isinstance(x, dressian.Valuation):
         return Valuation(to_reference(x.matroid), x.values)
     if isinstance(x, dressian.CombinatorialType):
-        return CombinatorialType(to_reference(x.matroid), x.full_ids, x.free_ids)
+        return CombinatorialType(to_reference(x.matroid), x.free_ids)
     if isinstance(x, dressian.ExactCover):
         return ExactCover(x.ground, x.blocks, x.k)
     if isinstance(x, dressian.TreeTopology):

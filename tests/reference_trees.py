@@ -11,6 +11,10 @@ recurrence: a recursion over bitmasks of compatible candidate splits,
 memoized on the set of candidates still allowed.  It counts the same split
 systems the enumerators list, but never builds one.
 
+Both oracles give a k-split system dimension n + k, except the one cell of
+two parallel classes: a single edge, with no internal vertex, of dimension
+n - 1 (nu(ac) = f(a) + g(c) across the classes has n - 1 free parameters).
+
 `confirmed_class_splits` is the split finder `decode_tree` used before it
 read splits off the distances to class 0: it tests every one of the
 2^(t-1) bipartitions of the t classes against every quartet across it.
@@ -132,15 +136,16 @@ def enumerate_rank2_cells(M: Matroid) -> list[tuple[TreeTopology, int]]:
     out = []
     for system in results:
         topo = TreeTopology(frozenset(lift(s) for s in system))
-        out.append((topo, M.n + len(system)))
+        out.append((topo, M.n - (t == 2) + len(system)))
     return out
 
 
 def rank2_cell_dims(M: Matroid) -> dict[int, int]:
-    """{n + k: k-split systems}: ``counts(allowed)[k]`` is the number of
-    k-split systems drawn from the candidates in ``allowed``, the empty
-    system plus, for each candidate i in ``allowed``, i together with a
-    system from the later candidates in ``allowed`` compatible with i."""
+    """{n + k: k-split systems} (n - 1 for two classes): ``counts(allowed)[k]``
+    is the number of k-split systems drawn from the candidates in
+    ``allowed``, the empty system plus, for each candidate i in ``allowed``,
+    i together with a system from the later candidates in ``allowed``
+    compatible with i."""
     t = len(parallel_classes(M))
     # candidate sides as masks over the classes, avoiding class 0
     masks = [bits << 1 for bits in range(1, 1 << (t - 1)) if 2 <= bits.bit_count() <= t - 2]
@@ -168,7 +173,7 @@ def rank2_cell_dims(M: Matroid) -> dict[int, int]:
             memo[allowed] = c
         return memo[allowed]
 
-    return {M.n + k: x for k, x in enumerate(counts((1 << len(masks)) - 1))}
+    return {M.n - (t == 2) + k: x for k, x in enumerate(counts((1 << len(masks)) - 1))}
 
 
 def decode_tree(nu: Valuation, splits=None) -> MetricTree:

@@ -172,6 +172,27 @@ def test_rank2_cell_dims_match_memo_oracle():
     assert seen_classes == set(range(2, 9)) and seen_size3
 
 
+def test_two_class_cells_have_dimension_n_minus_1():
+    # two parallel classes give one cell, a single edge with no internal
+    # vertex: nu(ac) = f(a) + g(c) across the classes has n - 1 free
+    # parameters, measured here by cell_dim, not by either oracle
+    rnd = random.Random(131)
+    for n in range(2, 7):
+        for bits in range(1, 1 << (n - 1)):  # element 0 in class 0, some in class 1
+            side = [e for e in range(1, n) if bits >> (e - 1) & 1]
+            bases = frozenset(set_to_mask((a, c)) for a in range(n) for c in side
+                              if a not in side)
+            M = Matroid(n, 2, bases)
+            assert len(parallel_classes(M)) == 2
+            nu = shift(Valuation(M, {b: 0 for b in bases}), random_shift_vector(n, rnd))
+            d = cell_dim(nu)
+            assert d == n - 1
+            assert rank2_cell_dims(M) == {d: 1}
+            assert [dim for _topo, dim in enumerate_rank2_cells(M)] == [d]
+    # U(2, 2) sits at the tree bound 2n - 3 = 1, no longer above it
+    assert rank2_cell_dims(Matroid.uniform(2, 2)) == {1: 1}
+
+
 def test_rank2_census_counts_and_dims():
     # A000311: phylogenetic trees on n labelled leaves
     for n, expected in [(4, 4), (5, 26), (6, 236), (7, 2752), (8, 39208)]:

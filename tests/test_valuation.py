@@ -22,7 +22,10 @@ from dressian import (
     combinatorial_type,
     contract_valuation,
     equivalent,
+    johnson_neighbors,
+    mask_to_set,
     modular_stable_matroid,
+    parallel_classes,
     r_subset_masks,
     residue_matroid,
     separating_shift,
@@ -32,17 +35,21 @@ from dressian import (
     symbol_sets,
     valuation_from_matroid,
 )
+from dressian.valuation import Symbol, symbol_table
 from helpers import (
     CORPUS,
     N1,
     N2,
     N3,
+    N26,
     U25,
     perturbed_values,
     random_shift_vector,
     random_sparse_paving,
+    random_tree_metric_valuation,
     random_valuation,
     rank2_nonuniform,
+    stiefel_valuation,
 )
 
 
@@ -187,6 +194,110 @@ def test_forced_symbols_hold_for_every_valuation():
             nu = random_valuation(M, rnd)
             t = combinatorial_type(nu)
             assert z0 <= t.full_type
+
+
+def class_tree_valuation(M, rnd):
+    """A rank-2 valuation of M that is not a shift of 0 when M has four or
+    more parallel classes: a random tree metric on the classes, pulled back
+    to the elements and shifted.  Two elements of one class see the same
+    values, so every location with a parallel pair ties."""
+    classes = parallel_classes(M)
+    cls = {e: k for k, members in enumerate(classes) for e in members}
+    t = len(classes)
+    if t == 2:
+        tree = {set_to_mask((0, 1)): Fraction(0)}
+    else:
+        tree = random_tree_metric_valuation(t, rnd).values
+    vals = {b: tree[set_to_mask((cls[a], cls[c]))] for b in M.bases
+            for a, c in [sorted(mask_to_set(b))]}
+    return shift(Valuation(M, vals), random_shift_vector(M.n, rnd))
+
+
+def sparse_paving_pair_valuation(r, n, rnd):
+    """A valuation of a sparse paving M that is not a shift of 0: nu_N of a
+    sparse paving N whose stable set of non-bases extends M's, on the bases
+    of M, scaled and shifted.  A forced symbol of M has a non-basis of M at
+    distance 1 from its four crossing sets, so all four are bases of N and
+    tie at 0; every other location reads nu_N where it is finite."""
+    verts = r_subset_masks(n, r)
+    rnd.shuffle(verts)
+    stable, blocked = [], set()
+    for v in verts:
+        if v not in blocked and rnd.random() < 0.4:
+            stable.append(v)
+            blocked |= {v, *johnson_neighbors(n, v)}
+    own = stable[:rnd.randint(1, len(stable))] if stable else []
+    M = Matroid(n, r, frozenset(verts) - frozenset(own))
+    lam = Fraction(rnd.randint(1, 6), rnd.randint(1, 3))
+    vals = {b: lam if b in stable else Fraction(0) for b in M.bases}
+    return shift(Valuation(M, vals), random_shift_vector(n, rnd))
+
+
+def dual_valuation(nu):
+    """nu*(E - B) = nu(B), a valuation of the dual matroid."""
+    full = (1 << nu.matroid.n) - 1
+    return Valuation(nu.matroid.dual(), {full ^ b: x for b, x in nu.values.items()})
+
+
+def forced_symbol_corpus():
+    rnd = random.Random(43)
+    out = []
+    for M in (N3, N26):
+        out += [class_tree_valuation(M, rnd) for _ in range(3)]
+    for _ in range(6):  # rank 2 with parallel classes of sizes 1 to 3
+        sizes = [rnd.randint(1, 3) for _ in range(rnd.randint(2, 5))]
+        cls = [k for k, size in enumerate(sizes) for _ in range(size)][:8]
+        rnd.shuffle(cls)
+        pairs = itertools.combinations(range(len(cls)), 2)
+        M = Matroid(len(cls), 2, frozenset(set_to_mask(p) for p in pairs
+                                           if cls[p[0]] != cls[p[1]]))
+        out.append(class_tree_valuation(M, rnd))
+    for r, n in [(3, 6), (3, 6), (3, 7), (2, 6), (4, 7)]:
+        out.append(sparse_paving_pair_valuation(r, n, rnd))
+    for r, n, holes in [(3, 6, 3), (3, 6, 5), (2, 6, 3), (3, 7, 4)]:
+        out.append(stiefel_valuation(r, n, rnd, holes))
+    return out + [dual_valuation(nu) for nu in out]
+
+
+def test_full_type_is_forced_symbols_plus_free_ones():
+    # [nu] ∩ Z(M) read directly off the crossing sets, against the type,
+    # which derives it from Z0(M) and its free symbols
+    forced_seen = 0
+    for nu in forced_symbol_corpus():
+        M, vals = nu.matroid, nu.values
+        table = symbol_table(M.n, M.r)
+        direct = []
+        for i, quad in enumerate(table.cross):
+            sac, sbd, sad, sbc = (table.subsets[j] for j in quad)  # positions -> masks
+            if {sac, sbd, sad, sbc} <= M.bases and vals[sac] + vals[sbd] == vals[sad] + vals[sbc]:
+                direct.append(i)
+        direct = tuple(direct)
+        t = combinatorial_type(nu)
+        assert t.full_ids == direct
+        assert t.size == len(direct)
+        _z, z0, z1 = symbol_sets(M)
+        assert t.full_type == z0 | t.symbols_equal and t.symbols_equal <= z1
+        for sym in z0:
+            sac, sbd, sad, sbc = sym.cross_sets()
+            assert vals[sac] + vals[sbd] == vals[sad] + vals[sbc]
+        forced_seen += len(z0)
+    assert forced_seen >= 100
+
+
+def test_separating_shift_needs_a_free_symbol():
+    # checked before any lookup: a symbol past E, a forced one, and one
+    # with a non-basis crossing set are refused alike
+    rnd = random.Random(47)
+    nu = class_tree_valuation(N3, rnd)
+    _z, z0, _z1 = symbol_sets(N3)
+    triple = rank2_nonuniform(5, [(0, 1), (0, 2), (1, 2)])  # class {0, 1, 2}
+    mu = class_tree_valuation(triple, rnd)
+    cases = [(nu, Symbol.make(0, (0, 1), (2, 7))), (nu, min(z0)),
+             # crossing sets 01 and 12 are non-bases, so both sums are INF
+             (mu, Symbol.make(0, (0, 2), (1, 3)))]
+    for val, sym in cases:
+        with pytest.raises(ValuationInputError, match=r"needs a symbol in Z1\(M\)"):
+            separating_shift(val, sym)
 
 
 def test_residue_matroid_is_matroid_and_idempotent():
