@@ -124,7 +124,10 @@ def rank_t_dim_bound(t: int, m: int) -> Fraction:
 def dim_upper(n: int, r: int) -> Fraction:
     """Rank-3 contraction bound on a cell's dimension: C(n, r) 3 / (n - r + 3),
     for 3 <= r <= n - 3 only.  `cell_dim` counts the n-dimensional lineality
-    space, so cells of U(3, 5) (duals of binary trees on U(2, 5)) reach 7."""
+    space, so cells of U(3, 5) (duals of binary trees on U(2, 5)) reach 7.
+    ScaleLimitError outside 0 <= r <= n, where C(n, r) is not a size."""
+    if not 0 <= r <= n:
+        raise ScaleLimitError(f"dim_upper needs 0 <= r <= n, got r={r}, n={n}")
     return Fraction(comb(n, r) * 3, n - r + 3)
 
 

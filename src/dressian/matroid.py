@@ -195,7 +195,10 @@ def subset_key(mask: int) -> str:
 @lru_cache(maxsize=8)
 def _colex_subsets(n: int, r: int) -> tuple[int, ...]:
     """All r-subsets of {0..n-1} as masks, in colex (= numeric) order: one
-    tuple per (n, r), built on first use and shared by every reader."""
+    tuple per (n, r), built on first use and shared by every reader.  Every
+    lister of r-subsets comes here, so a negative r is refused here."""
+    if r < 0:
+        raise MatroidInputError(f"rank r={r} is negative")
     return tuple(sorted(set_to_mask(c) for c in combinations(range(n), r)))
 
 
@@ -234,15 +237,23 @@ def _exchange_holds(v: dict[int, int]) -> bool:
     """The valuated exchange axiom (V) on v = {basis mask: int}, a missing
     mask being infinite: for all ordered pairs B1, B2 of keys and every e in
     B1 - B2 some f in B2 - B1 has v(B1) + v(B2) >= v(B1 - e + f) + v(B2 - f + e).
-
-    With s = {e, f} the two swapped sets are B1 ^ s and B2 ^ s, so the
-    inequality for (B1, B2, e, f) is the one for (B2, B1, f, e), and each
-    unordered pair serves both orders.  A row pass finds a witness f for
-    every e and marks it; each unmarked f of B2 - B1 then needs a witness e,
-    the quantifier of the reversed pair.  A pair with |B1 - B2| = 1 holds
-    with equality (B1 - e + f = B2) and is skipped.  The elements e and f
-    are taken lowest bit first (``x & -x``), so only the elements of the
-    differences are visited.  On v = 0 this is (B).
+    On v = 0 this is (B).  Each unordered pair is checked once, in the order
+    the walk meets it; a pair at distance 1 holds with equality (B1 - e + f
+    = B2) and is skipped.  The elements e and f are taken lowest bit first
+    (``x & -x``).  One order suffices, on any family K of r-sets:
+    1. At distance 2, B1 = S+ab and B2 = S+cd, both orders ask the same
+       thing: {Sac, Sbd} or {Sad, Sbc} lies in K with the inequality.  Over
+       all such pairs this is the three-term condition.
+    2. At v = 0, K satisfies (B): for x0 in X - Y some y in Y - X puts
+       X - x0 + y in K.  Distances 1 and 2 (step 1) are clear; at k >= 3, by
+       induction, let the walk meet the pair as (Y, X) and take any y1 in
+       Y - X and its witness x1.  If x1 = x0, y = y1.  Else X1 = X - x1 + y1
+       is in K at distance k - 1 from Y, so some y' in Y - X1 puts
+       Z = X1 - x0 + y' in K, and step 1 on (X, Z) gives y = y1 or y'.
+    3. For any v the witnesses lie in K, so K is a matroid's basis family
+       as in step 2, and by step 1 v is three-term on it, which implies (V)
+       (Dress-Wenzel, Valuated matroids, 1992; Murota, Discrete Convex
+       Analysis, 2003).
     """
     get = v.get
     items = list(v.items())
@@ -253,7 +264,6 @@ def _exchange_holds(v: dict[int, int]) -> bool:
                 continue
             lhs = v1 + v2
             only2 = b2 & ~b1
-            used = 0  # the witnesses f of the row pass
             d = only1
             while d:
                 ebit = d & -d
@@ -262,23 +272,6 @@ def _exchange_holds(v: dict[int, int]) -> bool:
                 while fd:
                     fbit = fd & -fd
                     fd ^= fbit
-                    x = get(b1 ^ ebit | fbit)
-                    if x is None:
-                        continue
-                    y = get(b2 ^ fbit | ebit)
-                    if y is not None and lhs >= x + y:
-                        used |= fbit
-                        break
-                else:
-                    return False
-            fd = only2 & ~used
-            while fd:
-                fbit = fd & -fd
-                fd ^= fbit
-                d = only1
-                while d:
-                    ebit = d & -d
-                    d ^= ebit
                     x = get(b1 ^ ebit | fbit)
                     if x is None:
                         continue

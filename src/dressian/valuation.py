@@ -20,9 +20,9 @@ inside Z(M) every crossing set is a basis and no test is needed, and the
 three-term check of a view with no INF (a uniform matroid) tests none.  The
 brute-force checker reads the same integer view, but hands its finite
 entries to `matroid._exchange_holds`, the walk that also checks (B) on
-every `Matroid` build.  It visits each unordered pair of bases once, since
-one pair's exchange inequalities serve both of its orders; it touches no
-location table, so it stays an independent second check.  Outputs that
+every `Matroid` build.  It checks each unordered pair of bases once, in
+one order, which its docstring proves enough; it touches no location
+table, so it stays an independent second check.  Outputs that
 report values (JSON, spread, separating shifts) read the Fraction map
 `values`; spike heights come back as Fractions over D.
 """
@@ -265,7 +265,8 @@ def check_valuation_bruteforce(M: Matroid, values) -> bool:
 
     Reads the integer view and runs `_exchange_holds` on its finite entries,
     a non-basis being infinite there; a pair with an infinite side holds
-    vacuously; the walk visits each unordered pair once, for both orders.
+    vacuously; the walk checks each unordered pair in one order, which
+    decides (V) for both (see its proof).
     It shares no location table with `check_valuation`, so the two
     checkers stay independent.  The pairs cost up to C(n, r)^2, so C(n, r)
     is limited to DESK_SCALE_COORDS.

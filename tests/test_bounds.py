@@ -206,6 +206,16 @@ def test_dim_upper_is_exceeded_when_n_minus_r_is_at_most_2():
     assert dim_upper(5, 3) == 6
 
 
+def test_dim_upper_refuses_r_outside_0_to_n():
+    """n - r + 3 is 0 at (1, 4): outside 0 <= r <= n the bound is refused,
+    not divided by zero; inside that range it is C(n, r) 3 / (n - r + 3)."""
+    for n, r in [(1, 4), (4, 5), (4, -1), (0, 1)]:
+        with pytest.raises(ScaleLimitError, match="0 <= r <= n"):
+            dim_upper(n, r)
+    assert [dim_upper(4, r) for r in range(5)] == [
+        Fraction(3, 7), Fraction(2), Fraction(18, 5), Fraction(3), Fraction(1)]
+
+
 def test_certificate_within_dim_upper_for_3_le_r_le_n_minus_3():
     pairs = [(n, r) for n in range(6, 10) for r in range(3, n - 2) if comb(n, r) <= 70]
     assert pairs == [(6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (8, 5)]

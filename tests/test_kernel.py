@@ -11,7 +11,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 
 import pytest
@@ -34,6 +34,7 @@ from dressian import (
     integer_matrix_rank,
     is_matroid,
     lower_bound_certificate,
+    mask_to_set,
     modular_stable_matroid,
     r_subset_masks,
     set_to_mask,
@@ -51,6 +52,7 @@ from helpers import (
     perturbed_values,
     random_rational,
     random_shift_vector,
+    random_sparse_paving,
     random_valuation,
     stiefel_valuation,
 )
@@ -503,7 +505,9 @@ def test_the_pair_walk_agrees_with_both_oracles(r, n):
 
 def test_the_pair_walk_checks_the_reversed_order():
     # on the first pair, B1 = 012 and B2 = 345, every e of B1 has the witness
-    # f = 3, but f = 4 has no witness e: (B1, B2) holds and (B2, B1) fails
+    # f = 3, but f = 4 has no witness e: (B1, B2) holds and (B2, B1) fails,
+    # and the walk, which checks that pair in its first order only, refuses
+    # the map on a later pair
     b1, b2 = set_to_mask((0, 1, 2)), set_to_mask((3, 4, 5))
     v = {b1: 0, b2: 0}
     for e in (0, 1, 2):
@@ -518,9 +522,83 @@ def test_the_pair_walk_checks_the_reversed_order():
             return dict.get(self, key, default)
 
     assert _exchange_holds(Looked(v)) is False
-    # the walk stopped on that pair, after trying f = 4 against every e
-    assert seen[-1] == b2 ^ 1 << 4 | 1 << 2
     assert set(seen) <= set(v) - {b1, b2}
+
+
+def key_orders(keys, rnd):
+    """The keys sorted, reversed and shuffled: the walk meets each pair in
+    the order of its keys, and its verdict must not depend on it."""
+    ordered = sorted(keys)
+    shuffled = ordered[:]
+    rnd.shuffle(shuffled)
+    return ordered, ordered[::-1], shuffled
+
+
+def assert_one_order_decides(n, r, v, rnd):
+    """The walk in three key orders against the ordered oracles: (V) on v
+    and, on v's keys, (B), which the zero map's (V) is."""
+    M = Matroid.uniform(r, n)
+    want_v = ref.check_valuation_bruteforce(M, v)
+    want_b = ref.check_exchange(n, r, frozenset(v))
+    for keys in key_orders(v, rnd):
+        assert _exchange_holds({k: v[k] for k in keys}) is want_v, (n, r, v)
+        assert _exchange_holds(dict.fromkeys(keys, 0)) is want_b, (n, r, keys)
+    return want_v, want_b
+
+
+def test_one_order_per_pair_decides_every_small_family_and_map():
+    """The lemma in `_exchange_holds`' docstring, tried exhaustively where
+    that is cheap: every nonempty family at (4,2) and (5,2), and every map
+    into {0, 1, hole} at (4,2); then a seeded sample of such maps at (5,2)
+    and, since few random maps pass at (6,3), nu_N of random sparse paving
+    N there, with one value moved or one key dropped.  Both verdicts of
+    both axioms must occur."""
+    rnd = random.Random(61)
+    verdicts = Counter()
+    for n, r in [(4, 2), (5, 2)]:
+        subsets = r_subset_masks(n, r)
+        for bits in range(1, 1 << len(subsets)):
+            family = [m for i, m in enumerate(subsets) if bits >> i & 1]
+            verdicts["B", assert_one_order_decides(n, r, dict.fromkeys(family, 0), rnd)[1]] += 1
+    subsets = r_subset_masks(4, 2)
+    for values in product((0, 1, None), repeat=len(subsets)):
+        v = {m: x for m, x in zip(subsets, values) if x is not None}
+        verdicts["V", assert_one_order_decides(4, 2, v, rnd)[0]] += 1
+    subsets = r_subset_masks(5, 2)
+    for _ in range(300):
+        holes = rnd.random() * 0.2
+        v = {m: rnd.randint(0, 1) for m in subsets if rnd.random() >= holes}
+        verdicts["V", assert_one_order_decides(5, 2, v, rnd)[0]] += 1
+    sampled = Counter()
+    for _ in range(40):
+        nu = valuation_from_matroid(random_sparse_paving(3, 6, rnd))
+        v = dict(zip(r_subset_masks(6, 3), nu.scaled))
+        m = rnd.choice(sorted(v))
+        for w in (v, {**v, m: v[m] + rnd.choice((-1, 1))}, {k: v[k] for k in v if k != m}):
+            sampled[assert_one_order_decides(6, 3, w, rnd)[0]] += 1
+    assert sampled[True] >= 40 and sampled[False] >= 10
+    assert set(verdicts) == {("B", True), ("B", False), ("V", True), ("V", False)}
+
+
+def test_a_family_whose_first_pair_holds_in_one_order_is_refused():
+    """{012, 345, 123, 023, 013, 045, 145, 245} with 012 and 345 first: every
+    e of 012 has the witness f = 3 against 345, but 345 - 4 + f is in no
+    key, so the first pair holds in its first order only.  The walk refuses
+    the family on a later pair, as both oracles do."""
+    family = [set_to_mask(s) for s in ((0, 1, 2), (3, 4, 5), (1, 2, 3), (0, 2, 3),
+                                       (0, 1, 3), (0, 4, 5), (1, 4, 5), (2, 4, 5))]
+    keys = set(family)
+    b1, b2 = family[:2]
+
+    def holds(x, y):
+        return all(any(x ^ 1 << e | 1 << f in keys and y ^ 1 << f | 1 << e in keys
+                       for f in mask_to_set(y & ~x)) for e in mask_to_set(x & ~y))
+
+    assert holds(b1, b2) and not holds(b2, b1)
+    assert ref.check_exchange(6, 3, frozenset(family)) is False
+    assert ref.check_valuation_bruteforce(Matroid.uniform(3, 6), dict.fromkeys(family, 0)) is False
+    assert _exchange_holds(dict.fromkeys(family, 0)) is False
+    assert is_matroid(6, 3, family) is False
 
 
 def test_the_direct_checker_builds_no_symbol_table(monkeypatch):

@@ -15,6 +15,7 @@ from dressian import (
     MatroidInputError,
     NotAMatroidError,
     ScaleLimitError,
+    all_symbols,
     is_matroid,
     johnson_neighbors,
     mask_to_set,
@@ -60,6 +61,16 @@ def test_negative_element_in_a_basis_is_a_matroid_input_error():
                            ([(0, 1), (2, -2)], r"^basis \(2, -2\): element -2 is not in 0\.\.3$")):
         with pytest.raises(MatroidInputError, match=message):
             Matroid(4, 2, bases)
+
+
+def test_a_negative_rank_is_a_matroid_input_error():
+    """Every lister of r-subsets refuses r < 0 at one check, before
+    `itertools.combinations` can raise its bare ValueError."""
+    for call in (lambda: Matroid.uniform(-1, 3), lambda: r_subset_masks(3, -1),
+                 lambda: symbol_table(3, -1), lambda: all_symbols(3, -1)):
+        with pytest.raises(MatroidInputError, match=r"^rank r=-1 is negative$"):
+            call()
+    assert r_subset_masks(3, 5) == [] and r_subset_masks(3, 0) == [0]
 
 
 def test_subset_key_writes_elements_ascending():
