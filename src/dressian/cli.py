@@ -69,11 +69,11 @@ def _emit(args, obj, csv_rows=None, text=None):
 
 
 def cmd_check(args):
-    M, vals = valuation.parse_valuation_document(_load_json(args.valuation), _load_matroid)
+    M, _den, view = valuation.parse_valuation_document(_load_json(args.valuation), _load_matroid)
     # the direct checker goes first: it refuses C(n, r) > DESK_SCALE_COORDS
     # before any symbol table is built
-    slow = valuation.check_valuation_bruteforce(M, vals)
-    fast = valuation.check_valuation(M, vals)
+    slow = valuation._direct_holds(M, view)
+    fast = valuation._three_term_holds(M, view)
     if fast != slow:
         raise InvariantViolation("three-term and direct checkers disagree")
     _emit(args, {"valid": fast}, text=f"valid: {fast}")
@@ -82,10 +82,11 @@ def cmd_check(args):
 def cmd_type(args):
     nu = _load_valuation(args.valuation)
     t = valuation.combinatorial_type(nu)
+    s_key = functools.cache(subset_key)  # a type has many symbols per set S
     obj = {
         "type_size": t.size,
         "z1_size": t.z1_size,
-        "symbols_equal": sorted(s.as_key() for s in t.symbols_equal),
+        "symbols_equal": sorted(s.as_key(s_key) for s in t.symbols_equal),
     }
     _emit(args, obj, text=f"type_size: {t.size}")
 

@@ -5,8 +5,9 @@ rows are x(Sac) + x(Sbd) - x(Sad) - x(Sbc), one per symbol of [nu], and it
 first bounds their rank from both sides on bit masks: below by the rank
 over GF(2) of the rows mod 2, above by the size of their support minus a
 parity lower bound on the rank of the lineality space there (see
-`cell_dim` for the proof).  `_gf2_basis`, an XOR basis keyed by lowest set
-bit, computes both bounds.  When the bounds meet, that is the rank and
+`cell_dim` for the proof).  `_gf2_basis`, an XOR basis keyed by highest
+set bit, computes both bounds; any keying admits the same rows, the
+greedy independent prefix.  When the bounds meet, that is the rank and
 nothing is eliminated; this is the case for every nu_N of the census.
 Otherwise the rank is certified by a kernel (`_certified_rank`): only the
 rows that entered the GF(2) basis, independent over Q too, are put in
@@ -150,18 +151,19 @@ def _eliminate(rows, reduced=False) -> list[int]:
 
 
 def _gf2_basis(masks) -> list[int]:
-    """Indices of the masks that enter an XOR basis keyed by lowest set bit
-    (each reduction step clears the row's lowest bit): as many as the rank
-    over GF(2), and independent over GF(2)."""
+    """Indices of the masks that enter an XOR basis keyed by highest set bit
+    (`bit_length` builds no int; x & -x builds two): as many as the rank
+    over GF(2), and independent over GF(2).  Mask i enters exactly when it
+    is outside the span of masks 0..i-1, so any keying admits the same."""
     basis, entered = {}, []
     for i, x in enumerate(masks):
         while x:
-            low = x & -x
-            if low not in basis:
-                basis[low] = x
+            top = x.bit_length()
+            if top not in basis:
+                basis[top] = x
                 entered.append(i)
                 break
-            x ^= basis[low]
+            x ^= basis[top]
     return entered
 
 

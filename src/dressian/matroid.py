@@ -196,9 +196,9 @@ def subset_key(mask: int) -> str:
 def _colex_subsets(n: int, r: int) -> tuple[int, ...]:
     """All r-subsets of {0..n-1} as masks, in colex (= numeric) order: one
     tuple per (n, r), built on first use and shared by every reader.  Every
-    lister of r-subsets comes here, so a negative r is refused here."""
-    if r < 0:
-        raise MatroidInputError(f"rank r={r} is negative")
+    lister of r-subsets comes here, so a negative n or r is refused here."""
+    if r < 0 or n < 0:
+        raise MatroidInputError(f"rank r={r} is negative" if r < 0 else f"n={n} is negative")
     return tuple(sorted(set_to_mask(c) for c in combinations(range(n), r)))
 
 

@@ -7,11 +7,11 @@ A valuation holds its integer view: one positive denominator D and the
 tuple of integers nu*D indexed by colex rank among all r-subsets, with the
 INF sentinel on the non-bases.  D and the entries share no common factor,
 so equal value maps have equal views.  `_integer_view` is the one reader of
-value maps, for `Valuation(matroid, values)` and both checkers; the other
-constructors build the view in integers.  Views are scaled to integers by
-`rationals.integer_vector` and reduced by `rationals.lowest_terms`.
-`Valuation._hold` checks, reduces and stores every view; `values` is
-derived from it on first read, then kept.
+value maps and documents, for `Valuation(matroid, values)`, the JSON loader
+and both checkers, which `check` runs on one view; the other constructors
+build the view in integers.  Views are scaled by `rationals.integer_vector`
+and reduced by `rationals.lowest_terms`.  `Valuation._hold` checks, reduces
+and stores every view; `values` is derived from it on first read, then kept.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and `cell_dim`
 read only this view, through per-(n, r) index tables (`symbol_table`), and
@@ -101,8 +101,8 @@ class Symbol(namedtuple("Symbol", "s_mask a b c d")):
     def quad(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def as_key(self) -> str:
-        return f"({subset_key(self.s_mask)}|{self.a}{self.b}.{self.c}{self.d})"
+    def as_key(self, s_key=subset_key) -> str:
+        return f"({s_key(self.s_mask)}|{self.a}{self.b}.{self.c}{self.d})"
 
 
 class SymbolTable(namedtuple("SymbolTable", "subsets position locations symbols cross")):
@@ -184,8 +184,8 @@ def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
 # Valuations
 
 
-def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
-    """A valuation document's matroid and {mask: Fraction} table, support unchecked.
+def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, int, tuple]:
+    """A valuation document's matroid M and integer view (D, nu*D), by `_integer_view`.
 
     The document is {"matroid": matroid document or file reference,
     "values": {"i,j,...": "p/q"}}; anything else raises ValuationInputError.
@@ -201,26 +201,20 @@ def parse_valuation_document(obj, matroid_loader=None) -> tuple[Matroid, dict]:
         M = matroid_loader(mat)
     else:
         M = Matroid.from_json_obj(mat)
-    vals = {}
-    for key, text in values.items():
-        mask = parse_subset_key(key, M.n, ValuationInputError)
-        if mask in vals:
-            raise ValuationInputError(f"two values for subset {key}")
-        try:
-            vals[mask] = parse_rational(str(text))  # str: a JSON float reads as its decimal
-        except RationalInputError as exc:
-            raise ValuationInputError(f"subset {key}: {exc}") from None
-    return M, vals
+    pairs = ((parse_subset_key(key, M.n, ValuationInputError), str(text))
+             for key, text in values.items())  # str: a JSON float reads as its decimal
+    return (M, *_integer_view(M, pairs))
 
 
-def _integer_view(M: Matroid, values) -> tuple[int, tuple]:
-    """The one reader of value maps: (D, nu*D in colex order, INF off the
-    bases), D > 0 the least common denominator.  Keys go through `subset_mask`
-    and values on bases through `parse_rational`.  The first bad key, repeat,
-    non-basis or bad value, then any missing basis, raises ValuationInputError."""
+def _integer_view(M: Matroid, pairs) -> tuple[int, tuple]:
+    """The one reader of value maps and documents, from (key, value) pairs:
+    (D, nu*D in colex order, INF off the bases), D > 0 the least common
+    denominator.  The first bad key (read by `subset_mask`), repeat, non-basis
+    or bad value (by `parse_rational`, whose reason it gives), then any
+    missing basis, raises ValuationInputError."""
     n, bases = M.n, M.bases
     vals = {}
-    for key, val in values.items():
+    for key, val in pairs:
         m = subset_mask(key, n, ValuationInputError)
         if m in vals:
             raise ValuationInputError(f"two values for subset {subset_key(m)}")
@@ -228,8 +222,9 @@ def _integer_view(M: Matroid, values) -> tuple[int, tuple]:
             raise ValuationInputError(f"value supplied for non-basis {subset_key(m)}")
         try:
             vals[m] = parse_rational(val)
-        except RationalInputError:
-            raise ValuationInputError(f"bad value {val!r} for subset {subset_key(m)}") from None
+        except RationalInputError as exc:
+            raise ValuationInputError(
+                f"bad value {val!r:.42} for subset {subset_key(m)}: {exc}") from None
     if len(vals) < len(bases):
         raise ValuationInputError(f"missing values for {len(bases) - len(vals)} bases")
     den, ints = integer_vector(vals.values())
@@ -256,23 +251,24 @@ def _three_term_holds(M: Matroid, v) -> bool:
 def check_valuation(M: Matroid, values) -> bool:
     """Three-term test: at every location the minimum of the three pairing
     sums of the extension is infinite or attained at least twice."""
-    return _three_term_holds(M, _integer_view(M, values)[1])
+    return _three_term_holds(M, _integer_view(M, values.items())[1])
 
 
 def check_valuation_bruteforce(M: Matroid, values) -> bool:
-    """Direct quantifier evaluation of the exchange inequality (V) over all
-    ordered pairs of bases, with infinity arithmetic.
+    """`_direct_holds` on the integer view of the value map `values`."""
+    return _direct_holds(M, _integer_view(M, values.items())[1])
 
-    Reads the integer view and runs `_exchange_holds` on its finite entries,
-    a non-basis being infinite there; a pair with an infinite side holds
-    vacuously; the walk checks each unordered pair in one order, which
-    decides (V) for both (see its proof).
-    It shares no location table with `check_valuation`, so the two
-    checkers stay independent.  The pairs cost up to C(n, r)^2, so C(n, r)
-    is limited to DESK_SCALE_COORDS.
-    """
+
+def _direct_holds(M: Matroid, v) -> bool:
+    """Direct quantifier evaluation of the exchange inequality (V) over all
+    ordered pairs of bases, with infinity arithmetic, on the integer view v:
+    `_exchange_holds` on its finite entries, a non-basis being infinite, so
+    a pair with an infinite side holds vacuously.  The walk checks each
+    unordered pair in one order, which decides (V) for both (see its
+    proof).  It shares no location table with `_three_term_holds`, so the
+    two checkers stay independent.  The pairs cost up to C(n, r)^2, so
+    C(n, r) is limited to DESK_SCALE_COORDS."""
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the direct checker")
-    v = _integer_view(M, values)[1]
     return _exchange_holds({m: x for m, x in zip(_colex_subsets(M.n, M.r), v) if x is not INF})
 
 
@@ -287,7 +283,7 @@ class Valuation(_Frozen):
     __slots__ = ("matroid", "denominator", "scaled", "_values")
 
     def __init__(self, matroid: Matroid, values: dict):
-        self._hold(matroid, *_integer_view(matroid, values))
+        self._hold(matroid, *_integer_view(matroid, values.items()))
 
     @classmethod
     def _from_scaled(cls, matroid: Matroid, denominator: int, scaled: tuple) -> "Valuation":
@@ -368,7 +364,7 @@ class Valuation(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj: dict, matroid_loader=None) -> "Valuation":
-        return cls(*parse_valuation_document(obj, matroid_loader))
+        return cls._from_scaled(*parse_valuation_document(obj, matroid_loader))
 
     @classmethod
     def from_json(cls, text: str, matroid_loader=None) -> "Valuation":

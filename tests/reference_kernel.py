@@ -15,7 +15,8 @@ ran before it shared the exchange check's stable-set certificate.
 `eliminate` is the fraction-free elimination `dressian.linear._eliminate`
 ran before its one comprehension pass per column: it searches each column
 for a pivot with a generator, swaps the pivot row up, and visits every row
-below it.
+below it.  `gf2_basis` is the XOR basis `dressian.linear._gf2_basis` kept
+before it was keyed by the highest set bit: it is keyed by the lowest.
 """
 
 from fractions import Fraction
@@ -190,6 +191,21 @@ def is_sparse_paving(n, r, bases):
             if other in nbset:
                 return False
     return True
+
+
+def gf2_basis(masks):
+    """Indices of the masks that enter an XOR basis keyed by lowest set bit
+    (each reduction step clears the row's lowest bit)."""
+    basis, entered = {}, []
+    for i, x in enumerate(masks):
+        while x:
+            low = x & -x
+            if low not in basis:
+                basis[low] = x
+                entered.append(i)
+                break
+            x ^= basis[low]
+    return entered
 
 
 def eliminate(rows, reduced=False):

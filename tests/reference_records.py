@@ -45,7 +45,7 @@ class Valuation:
     scaled: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        den, scaled = _integer_view(self.matroid, self.values)
+        den, scaled = _integer_view(self.matroid, self.values.items())
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "scaled", scaled)
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dressian.valuation as valuation_module
 from dressian import (
     InputError,
     InvariantViolation,
@@ -30,11 +31,19 @@ from dressian import (
     decode_tree,
     modular_stable_matroid,
     set_to_mask,
+    symbol_sets,
     valuation_from_matroid,
 )
 from dressian.cli import COMMANDS, _build_parser, run
 from dressian.trees import _class_splits
-from helpers import N3, N26, random_tree_metric_valuation, random_valuation
+from helpers import (
+    N3,
+    N26,
+    random_sparse_paving,
+    random_tree_metric_valuation,
+    random_valuation,
+    stiefel_valuation,
+)
 
 
 @pytest.fixture()
@@ -64,6 +73,59 @@ def test_type_document(files, capsys):
     doc = json.loads(out)
     assert doc["type_size"] == 5
     assert doc["z1_size"] == 5  # the ambient U(2,5) has no forced symbols
+
+
+def test_type_writes_each_symbol_by_its_default_key(files, capsys):
+    # `type` caches the key of each set S; the keys it prints are those
+    # `Symbol.as_key` writes with the plain `subset_key`
+    rnd = random.Random(83)
+    sparse = random_sparse_paving(3, 7, random.Random(7))
+    assert symbol_sets(sparse)[1]  # a non-uniform matroid with Z0 symbols
+    for nu in (stiefel_valuation(3, 8, rnd), stiefel_valuation(4, 8, rnd),
+               random_valuation(sparse, rnd)):
+        path = files["dir"] / "typed.json"
+        path.write_text(nu.to_json())
+        code, out = capture(capsys, ["type", "--valuation", str(path)])
+        keys = sorted(s.as_key() for s in combinatorial_type(nu).symbols_equal)
+        assert code == 0 and json.loads(out)["symbols_equal"] == keys
+        assert len(keys) > 100
+
+
+def test_check_reads_the_document_once(files, capsys, monkeypatch):
+    real, reads = valuation_module._integer_view, []
+
+    def spy(M, pairs):
+        reads.append(M)
+        return real(M, pairs)
+
+    monkeypatch.setattr(valuation_module, "_integer_view", spy)
+    path = files["dir"] / "stiefel.json"
+    path.write_text(stiefel_valuation(3, 6, random.Random(3)).to_json())
+    for doc in (files["nu"], str(path)):
+        reads.clear()
+        code, out = capture(capsys, ["check", "--valuation", doc])
+        assert code == 0 and json.loads(out) == {"valid": True}
+        assert len(reads) == 1
+
+
+U24_DOC = {"0,1": "0", "0,2": "0", "0,3": "0", "1,2": "0", "1,3": "0", "2,3": "0"}
+
+
+@pytest.mark.parametrize("matroid, values, message", [
+    (Matroid.uniform(2, 4), {**U24_DOC, "1,0": "1"}, "two values for subset 0,1"),
+    (Matroid.uniform(2, 4), {**U24_DOC, "0,1": "1e2000000"},
+     "bad value '1e2000000' for subset 0,1: exponent in '1e2000000' exceeds 10000"),
+    (N3, {"0,1": "0", **{k: "0" for k in ("0,2", "0,3", "0,4", "1,2", "1,3", "1,4",
+                                           "2,4", "3,4")}}, "value supplied for non-basis 0,1"),
+    (Matroid.uniform(2, 4), {k: v for k, v in U24_DOC.items() if k != "2,3"},
+     "missing values for 1 bases"),
+], ids=["both orders", "bad value", "non-basis", "missing basis"])
+def test_check_refuses_a_malformed_document(files, capsys, matroid, values, message):
+    path = files["dir"] / "malformed.json"
+    path.write_text(json.dumps({"matroid": matroid.to_json_obj(), "values": values}))
+    assert run(["check", "--valuation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
 def test_dim_text(files, capsys):

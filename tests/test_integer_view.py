@@ -1,7 +1,7 @@
 """Every library constructor builds a valuation's integer view directly and
-goes through `Valuation._from_scaled`; the public `Valuation(M, values)` and
-the JSON loader read a value map with `_integer_view`, and every road stores
-through `Valuation._hold`.  Each result is checked against the
+goes through `Valuation._from_scaled`, the JSON loader too; the public
+`Valuation(M, values)` reads a value map, and the JSON loader a document's
+values, with `_integer_view`, and every road stores through `Valuation._hold`.  Each result is checked against the
 public `Valuation(M, values)` and the dataclass record of
 `reference_records.py` on a value map computed here in Fractions, the way
 the constructors computed it before: equal, hashed alike, printed alike, and
@@ -299,7 +299,8 @@ def test_the_census_builds_no_fraction_in_the_valuation_module(monkeypatch):
 
 
 def test_every_library_constructor_is_a_known_road():
-    # the roads below are every caller of `_from_scaled` in the package
+    # the roads below are every caller of `_from_scaled` in the package;
+    # the JSON loader builds from the view `parse_valuation_document` reads
     src = Path(valuation_module.__file__).parent
     callers = set()
     for path in src.glob("*.py"):
@@ -309,7 +310,7 @@ def test_every_library_constructor_is_a_known_road():
                     for n in ast.walk(fn)):
                 callers.add(fn.name)
     assert callers == {"shift", "contract_valuation", "valuation_from_matroid",
-                       "smooth_decompose", "tree_to_valuation"}
+                       "smooth_decompose", "tree_to_valuation", "from_json_obj"}
 
 
 def test_every_road_stores_through_one_hold(monkeypatch):
@@ -365,10 +366,14 @@ MALFORMED = [
     ("string key", U24, {**U24_KEYS, "01": 0}, "subset '01': element '0' is not in 0..3"),
     ("two keys, one subset", U24, {**U24_KEYS, (1, 0): 1}, "two values for subset 0,1"),
     ("mask and tuple", U24, {**U24_KEYS, 0b11: 1}, "two values for subset 0,1"),
-    ("None value", U24, {**U24_KEYS, (0, 1): None}, "bad value None for subset 0,1"),
-    ("INF value", U24, {**U24_KEYS, (0, 1): INF}, "bad value INF for subset 0,1"),
-    ("text value", U24, {**U24_KEYS, (0, 1): "x"}, "bad value 'x' for subset 0,1"),
-    ("NaN value", U24, {**U24_KEYS, (0, 1): float("nan")}, "bad value nan for subset 0,1"),
+    # a bad value's message ends with the reason `parse_rational` gives
+    ("None value", U24, {**U24_KEYS, (0, 1): None},
+     "bad value None for subset 0,1: bad rational None: .+"),
+    ("INF value", U24, {**U24_KEYS, (0, 1): INF}, "bad value INF for subset 0,1: bad rational INF: .+"),
+    ("text value", U24, {**U24_KEYS, (0, 1): "x"},
+     "bad value 'x' for subset 0,1: bad rational 'x': .+"),
+    ("NaN value", U24, {**U24_KEYS, (0, 1): float("nan")},
+     "bad value nan for subset 0,1: bad rational nan: .+"),
     ("repeated element", U24, {(0, 0, 1): 0, **U24_KEYS}, r"subset \(0, 0, 1\): repeated element 0"),
     ("far element", U24, {(0, 10**6): 1, **U24_KEYS},
      r"subset \(0, 1000000\): element 1000000 is not in 0..3"),

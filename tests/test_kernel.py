@@ -855,25 +855,75 @@ def captured_matrices(monkeypatch, compute):
     return seen
 
 
+def desk_edge_dims():
+    """The cell dimensions of the desk_edge benchmark workload: the (8,4)
+    lower-bound certificate, and generic Stiefel valuations at (3,8) and
+    (4,8) with a shift of each."""
+    lower_bound_certificate(8, 4)
+    rnd = random.Random(61)
+    for r in (3, 4):
+        nu = stiefel_valuation(r, 8, rnd)
+        cell_dim(nu)
+        cell_dim(shift(nu, random_shift_vector(8, rnd)))
+
+
 def test_elimination_matches_the_swap_oracle_on_census_and_desk_matrices(monkeypatch):
     force_certificate(monkeypatch)
     census = captured_matrices(
         monkeypatch, lambda: sparse_paving_census(3, 6, with_dims=True))
     assert len(census) == 271
-
-    def desk():
-        lower_bound_certificate(8, 4)
-        rnd = random.Random(61)
-        for r in (3, 4):
-            nu = stiefel_valuation(r, 8, rnd)
-            cell_dim(nu)
-            cell_dim(shift(nu, random_shift_vector(8, rnd)))
-
-    desk_edge = captured_matrices(monkeypatch, desk)
+    desk_edge = captured_matrices(monkeypatch, desk_edge_dims)
     assert len(desk_edge) == 5 and max(len(rows[0]) for rows, _ in desk_edge) == 70
     for rows, reduced in census + desk_edge:
         assert_eliminations_agree(rows, reduced)
         assert_eliminations_agree(rows, not reduced)
+
+
+def captured_masks(monkeypatch, compute):
+    """The mask lists `compute()` hands to `_gf2_basis`."""
+    seen = []
+    real = linear_module._gf2_basis
+
+    def record(masks):
+        seen.append(list(masks))
+        return real(masks)
+
+    with monkeypatch.context() as m:
+        m.setattr(linear_module, "_gf2_basis", record)
+        compute()
+    return seen
+
+
+def test_gf2_basis_matches_the_lowest_bit_oracle_on_census_and_desk_rows(monkeypatch):
+    # keyed by highest bit, the basis admits the same masks: each is the
+    # first one outside the span of those before it
+    census = captured_masks(
+        monkeypatch, lambda: sparse_paving_census(3, 6, with_dims=True))
+    desk_edge = captured_masks(monkeypatch, desk_edge_dims)
+    # two lists per cell_dim with rows, its rows and their support moves
+    assert len(census) == 2 * 271 and len(desk_edge) == 2 * 5
+    assert max(len(masks) for masks in desk_edge) > 400
+    for masks in census + desk_edge:
+        assert linear_module._gf2_basis(masks) == ref.gf2_basis(masks)
+
+
+def test_gf2_basis_matches_the_lowest_bit_oracle_on_random_masks():
+    rnd = random.Random(73)
+    for _ in range(5000):
+        bits = rnd.randint(1, 80)
+        masks = []
+        for _ in range(rnd.randint(1, 40)):
+            kind = rnd.random()
+            if kind < 0.3 and masks:  # in the span of earlier masks
+                x = 0
+                for m in rnd.sample(masks, rnd.randint(1, len(masks))):
+                    x ^= m
+            elif kind < 0.6:  # a few bits, as the rows of cell_dim have
+                x = sum(1 << rnd.randrange(bits) for _ in range(rnd.randint(0, 4)))
+            else:
+                x = rnd.getrandbits(bits)
+            masks.append(x)
+        assert linear_module._gf2_basis(masks) == ref.gf2_basis(masks)
 
 
 def test_elimination_matches_the_swap_oracle_on_random_systems():

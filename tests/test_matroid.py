@@ -73,6 +73,14 @@ def test_a_negative_rank_is_a_matroid_input_error():
     assert r_subset_masks(3, 5) == [] and r_subset_masks(3, 0) == [0]
 
 
+def test_a_negative_ground_set_is_a_matroid_input_error():
+    """The same check refuses n < 0, where `combinations(range(n), 0)`
+    would list the empty set."""
+    for n, call in ((-1, lambda: r_subset_masks(-1, 0)), (-2, lambda: symbol_table(-2, 0))):
+        with pytest.raises(MatroidInputError, match=rf"^n={n} is negative$"):
+            call()
+
+
 def test_subset_key_writes_elements_ascending():
     assert [subset_key(m) for m in (0, 0b1, 0b101100, 1 << 12)] == ["", "0", "2,3,5", "12"]
 
