@@ -259,10 +259,9 @@ def census_from_matroids(r: int, n: int, source, with_dims: bool = False,
     dims = []
     for N in matroids:
         nu = valuation.valuation_from_matroid(N)
-        t = valuation.combinatorial_type(nu)
-        types.add(t)
+        types.add(valuation.combinatorial_type(nu))
         if with_dims:
-            dims.append(linear.cell_dim(nu, t))
+            dims.append(linear.cell_dim(nu))
     return CensusRecord(
         n=n,
         r=r,

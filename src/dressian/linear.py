@@ -1,21 +1,16 @@
 """Exact rational subspaces: symbol equation systems, dimensions, projections.
 
-`cell_dim` is the dimension count of the census and the lower bound.  Its
-rows are x(Sac) + x(Sbd) - x(Sad) - x(Sbc), one per symbol of [nu], and it
-first bounds their rank from both sides on bit masks: below by the rank
-over GF(2) of the rows mod 2, above by the size of their support minus a
-parity lower bound on the rank of the lineality space there (see
-`cell_dim` for the proof).  `_gf2_basis`, an XOR basis keyed by highest
-set bit, computes both bounds; any keying admits the same rows, the
-greedy independent prefix.  When the bounds meet, that is the rank and
-nothing is eliminated; this is the case for every nu_N of the census.
-Otherwise the rank is certified by a kernel (`_certified_rank`): only the
-rows that entered the GF(2) basis, independent over Q too, are put in
-reduced echelon form, one integer kernel vector is read off per free
-column, and every row is checked against all of them in one comparison on
-lane-packed integers (`_outside`).  Rows that fail are added and the round
-repeated, so the rank grows each round; `cell_dim` never calls
-`integer_matrix_rank`.
+`cell_dim` is the dimension count of the census and the lower bound.  It
+ranks the rows x(Sac) + x(Sbd) - x(Sad) - x(Sbc) that `valuation._hull_rows`
+reads off the valuation's integer view, bounded first on bit masks by
+`_gf2_basis`, an XOR basis keyed by highest set bit: below by the GF(2)
+rank of the rows, above by the size of their support less a parity lower
+bound on the rank of the lineality space there.  Any keying admits the same
+rows, the greedy independent prefix.  Where the bounds meet, as on every
+nu_N of the census, nothing is eliminated; otherwise a kernel of the rows
+that entered the GF(2) basis, grown until every row annihilates it,
+certifies the rank (`_certified_rank`).  `cell_dim` proves both steps and
+never calls `integer_matrix_rank`.
 
 `_eliminate` is the one elimination routine.  It is fraction-free, in the
 manner of Bareiss: a pivot step replaces a row by an integer combination
@@ -33,12 +28,9 @@ run on it, the last two on the reduced form.
 
 Every system here is held as integer rows over its coordinate order; each
 equation's denominators are cleared once, where it enters, by
-`rationals.integer_vector`, which also reads its values.  A
-`RationalSubspace` ranks its rows, or their columns outside a block, and
-`subspace_from_symbols` and `cell_dim` write +-1 rows directly, `cell_dim`
-from the per-(n, r) symbol table and the valuation's integer view (see
-`dressian.valuation`), where non-bases hold the INF sentinel.  A `Fraction`
-is built only where a public function takes or returns rationals.
+`rationals.integer_vector`, which also reads its values.  `RationalSubspace`
+ranks its rows, or their columns outside a block; `subspace_from_symbols`
+writes +-1 rows.  Only public rational inputs and outputs are Fractions.
 """
 
 from __future__ import annotations
@@ -334,19 +326,13 @@ def subspace_from_symbols(M: Matroid, symbols) -> RationalSubspace:
         for sym in symbols])
 
 
-def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None = None) -> int:
+def cell_dim(nu: valuation.Valuation) -> int:
     """Dimension of the linear hull L([nu]) of the cell containing nu.
 
-    `ctype` is the combinatorial type of nu, when the caller has it already.
     L([nu]) is cut out of the basis coordinates by x(Sac) + x(Sbd) =
     x(Sad) + x(Sbc) over the symbols of [nu]; non-basis columns stay zero,
     so the dimension is the number of bases minus rank_Q(A), A the matrix
-    of those rows.  A location's three symbols are consecutive, (ab|cd),
-    (ac|bd), (ad|bc); where all three are in [nu], the (ad|bc) row is the
-    (ac|bd) row minus the (ab|cd) row, so it is checked but left out of A.
-    Every row is checked to hold at nu: that certifies the Z0(M) rows,
-    which `full_ids` adds untested, and refuses a `ctype` of another cell
-    with InvariantViolation.
+    of the rows `valuation._hull_rows` reads off nu's ties.
 
     rank_Q(A) is bounded from both sides before any elimination
     (`_hull_rank_bounds`):
@@ -386,24 +372,11 @@ def cell_dim(nu: valuation.Valuation, ctype: valuation.CombinatorialType | None 
     """
     M = nu.matroid
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the cell dimension")
-    if ctype is None:
-        ctype = valuation.combinatorial_type(nu)
-    table = valuation.symbol_table(M.n, M.r)
-    cross, v = table.cross, nu.scaled
-    ids = ctype.full_ids
-    full = set(ids)
-    quads = []
-    for i in ids:
-        sac, sbd, sad, sbc = quad = cross[i]
-        if v[sac] + v[sbd] != v[sad] + v[sbc]:
-            raise InvariantViolation("valuation must lie in its own cell hull")
-        if i % 3 == 2 and i - 1 in full and i - 2 in full:
-            continue
-        quads.append(quad)
-    independent, high = _hull_rank_bounds(quads, table.subsets)
+    quads = valuation._hull_rows(nu)
+    independent, high = _hull_rank_bounds(quads, valuation.symbol_table(M.n, M.r).subsets)
     if len(independent) == high:
         return len(M.bases) - high
-    return len(M.bases) - _certified_rank(quads, independent, len(v))
+    return len(M.bases) - _certified_rank(quads, independent, len(nu.scaled))
 
 
 class ExactCover(_Frozen):

@@ -11,20 +11,18 @@ value maps and documents, for `Valuation(matroid, values)`, the JSON loader
 and both checkers, which `check` runs on one view; the other constructors
 build the view in integers.  Views are scaled by `rationals.integer_vector`
 and reduced by `rationals.lowest_terms`.  `Valuation._hold` checks, reduces
-and stores every view; `values` is derived from it on first read, then kept.
+and stores every view; `values`, a read-only map, is derived from it once.
 Positive scaling changes neither validity, nor types, nor cell dimension,
-so the three-term check, combinatorial types, equivalence and `cell_dim`
-read only this view, through per-(n, r) index tables (`symbol_table`), and
-do integer arithmetic only.  An INF entry is tested before any addition;
-inside Z(M) every crossing set is a basis and no test is needed, and the
-three-term check of a view with no INF (a uniform matroid) tests none.  The
-brute-force checker reads the same integer view, but hands its finite
-entries to `matroid._exchange_holds`, the walk that also checks (B) on
-every `Matroid` build.  It checks each unordered pair of bases once, in
-one order, which its docstring proves enough; it touches no location
-table, so it stays an independent second check.  Outputs that
-report values (JSON, spread, separating shifts) read the Fraction map
-`values`; spike heights come back as Fractions over D.
+so the three-term check, combinatorial types, equivalence and the rows of
+`cell_dim` read only this view, in integers, location by location through
+per-(n, r) index tables (`symbol_table`); the pairing sums of a Z1(M)
+location (`_z_rows`) tie once or thrice, one symbol of the type or three.
+The brute-force checker reads the same view, but hands its finite entries
+to `matroid._exchange_holds`, the walk that also checks (B) on every
+`Matroid` build; it touches no location table, so it stays an independent
+second check.  Outputs that report values (JSON, spread, separating
+shifts) read the Fraction map `values`; spike heights come back as
+Fractions over D.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .matroid import (
     DESK_SCALE_COORDS,
@@ -105,7 +104,7 @@ class Symbol(namedtuple("Symbol", "s_mask a b c d")):
         return f"({s_key(self.s_mask)}|{self.a}{self.b}.{self.c}{self.d})"
 
 
-class SymbolTable(namedtuple("SymbolTable", "subsets position locations symbols cross")):
+class SymbolTable(namedtuple("SymbolTable", "subsets position locations symbols")):
     """Index tables of the three-term condition on r-subsets of {0..n-1}.
 
     A position is the colex rank of an r-subset; it indexes the integer
@@ -114,8 +113,7 @@ class SymbolTable(namedtuple("SymbolTable", "subsets position locations symbols 
     - subsets: every r-subset mask, in colex order
     - position: mask -> colex rank
     - locations: per location (S, abcd): (Sab, Scd, Sac, Sbd, Sad, Sbc)
-    - symbols: Z(r, E), three symbols per location, in location order
-    - cross: per symbol, (Sac, Sbd, Sad, Sbc)
+    - symbols: Z(r, E); location k holds (ab|cd), (ac|bd), (ad|bc) at 3k, 3k + 1, 3k + 2
     """
 
     __slots__ = ()
@@ -128,22 +126,17 @@ def symbol_table(n: int, r: int) -> SymbolTable:
     require_listable(n, r)
     subsets = _colex_subsets(n, r)
     position = {m: i for i, m in enumerate(subsets)}
-    locs, symbols, cross = [], [], []
+    locs, symbols = [], []
     if r >= 2 and n - r + 2 >= 4:
         for s in combinations(range(n), r - 2):
             s_mask = set_to_mask(s)
             at = lambda x, y: position[s_mask | 1 << x | 1 << y]
             rest = [e for e in range(n) if not (s_mask >> e) & 1]
             for a, b, c, d in combinations(rest, 4):
-                ab, cd, ac, bd, ad, bc = loc = (
-                    at(a, b), at(c, d), at(a, c), at(b, d), at(a, d), at(b, c))
-                locs.append(loc)
-                # (ab|cd) equates ac+bd with ad+bc, (ac|bd) ab+cd with
-                # ad+bc, and (ad|bc) ab+cd with ac+bd
+                locs.append((at(a, b), at(c, d), at(a, c), at(b, d), at(a, d), at(b, c)))
                 symbols += (Symbol(s_mask, a, b, c, d), Symbol(s_mask, a, c, b, d),
                             Symbol(s_mask, a, d, b, c))
-                cross += ((ac, bd, ad, bc), (ab, cd, ad, bc), (ab, cd, ac, bd))
-    return SymbolTable(subsets, position, tuple(locs), tuple(symbols), tuple(cross))
+    return SymbolTable(subsets, position, tuple(locs), tuple(symbols))
 
 
 def all_symbols(n: int, r: int) -> list[Symbol]:
@@ -154,29 +147,33 @@ def all_symbols(n: int, r: int) -> list[Symbol]:
 @lru_cache(maxsize=8)
 def _z_rows(M: Matroid) -> tuple[tuple, tuple]:
     """The one split of Z(M), the symbols whose four crossing sets are
-    bases: the Z1(M) rows (position, Sac, Sbd, Sad, Sbc) and the Z0(M)
-    positions, ascending.  A symbol of Z0(M) has an own set Sab or Scd off
-    the bases, so its third pairing sum is infinite and the three-term
-    condition ties the two crossing sums: every valuation satisfies it."""
+    bases, by location: the Z1(M) locations, whose six sets are all bases,
+    as (position of (ab|cd), Sab, Scd, Sac, Sbd, Sad, Sbc), and the Z0(M)
+    rows (position, Sac, Sbd, Sad, Sbc).  Elsewhere a symbol of Z(M) has an
+    own set off the bases, so its third pairing sum is infinite and the
+    three-term condition ties the two crossing sums for every valuation."""
     table = symbol_table(M.n, M.r)
     basis = [m in M.bases for m in table.subsets]
-    free, forced = [], []
-    for i, (sym, quad) in enumerate(zip(table.symbols, table.cross)):
-        if all(basis[j] for j in quad):
-            sab, scd = sym.own_sets()
-            if sab in M.bases and scd in M.bases:
-                free.append((i, *quad))
-            else:
-                forced.append(i)
-    return tuple(free), tuple(forced)
+    z1, z0 = [], []
+    for k, loc in enumerate(table.locations):
+        ab, cd, ac, bd, ad, bc = loc
+        if all(basis[j] for j in loc):
+            z1.append((3 * k, *loc))
+            continue
+        # (ab|cd) equates ac+bd with ad+bc, (ac|bd) ab+cd with ad+bc, and
+        # (ad|bc) ab+cd with ac+bd
+        for i, quad in enumerate(((ac, bd, ad, bc), (ab, cd, ad, bc), (ab, cd, ac, bd)), 3 * k):
+            if all(basis[j] for j in quad):
+                z0.append((i, *quad))
+    return tuple(z1), tuple(z0)
 
 
 def symbol_sets(M: Matroid) -> tuple[frozenset, frozenset, frozenset]:
     """(Z(M), Z0(M), Z1(M)), as `_z_rows` splits them."""
     symbols = symbol_table(M.n, M.r).symbols
-    free, forced = _z_rows(M)
-    z0 = frozenset(symbols[i] for i in forced)
-    z1 = frozenset(symbols[row[0]] for row in free)
+    z1_locations, z0_rows = _z_rows(M)
+    z0 = frozenset(symbols[row[0]] for row in z0_rows)
+    z1 = frozenset(symbols[loc[0] + k] for loc in z1_locations for k in (0, 1, 2))
     return z0 | z1, z0, z1
 
 
@@ -319,17 +316,17 @@ class Valuation(_Frozen):
             raise NotAValuationError("value map violates the three-term condition")
 
     @property
-    def values(self) -> dict[int, Fraction]:
-        """basis mask -> Fraction value, in colex order."""
+    def values(self) -> MappingProxyType:
+        """basis mask -> Fraction value, in colex order, read-only over `_values`."""
         vals = self._values
         if vals is None:
             den, subsets = self.denominator, symbol_table(self.matroid.n, self.matroid.r).subsets
             vals = {m: Fraction(x, den) for m, x in zip(subsets, self.scaled) if x is not INF}
             object.__setattr__(self, "_values", vals)
-        return vals
+        return MappingProxyType(vals)
 
     def __repr__(self):
-        return f"Valuation(matroid={self.matroid!r}, values={self.values!r})"
+        return f"Valuation(matroid={self.matroid!r}, values={self.values.copy()!r})"
 
     def __eq__(self, other):
         # one view per value map, so equal views are equal values
@@ -390,7 +387,7 @@ class CombinatorialType(_Frozen):
     @property
     def full_ids(self) -> tuple:
         """[nu] in ascending positions: Z0(M) merged into `free_ids`."""
-        forced = _z_rows(self.matroid)[1]
+        forced = tuple(row[0] for row in _z_rows(self.matroid)[1])
         return tuple(sorted(forced + self.free_ids)) if forced else self.free_ids
 
     def _symbols(self, ids) -> frozenset:
@@ -415,11 +412,42 @@ class CombinatorialType(_Frozen):
 
 
 def combinatorial_type(nu: Valuation) -> CombinatorialType:
-    """The symbols of Z1(M) that nu satisfies; Z0(M) needs no test."""
-    v = nu.scaled
-    free = [i for i, sac, sbd, sad, sbc in _z_rows(nu.matroid)[0]
-            if v[sac] + v[sbd] == v[sad] + v[sbc]]
+    """The symbols of Z1(M) that nu satisfies, read off each Z1(M) location's
+    pairing sums (see `_z_rows`): the minimum is attained twice, so one tie
+    gives one symbol and three give all three.  Z0(M) needs no test."""
+    v, free = nu.scaled, []
+    for i, ab, cd, ac, bd, ad, bc in _z_rows(nu.matroid)[0]:
+        p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
+        if p == q:
+            free += (i, i + 1, i + 2) if q == s else (i + 2,)
+        elif q == s:
+            free.append(i)
+        elif p == s:
+            free.append(i + 1)
     return CombinatorialType(nu.matroid, tuple(free))
+
+
+def _hull_rows(nu: Valuation) -> list:
+    """The rows (Sac, Sbd, Sad, Sbc) that cut out the hull of nu's cell, one
+    per symbol of [nu] as `combinatorial_type` reads them, less the (ad|bc)
+    row where all three sums tie: it is the (ac|bd) row minus the (ab|cd)
+    row.  A Z0(M) row that fails at nu, as only a view altered past `_hold`
+    can, raises InvariantViolation."""
+    v, rows = nu.scaled, []
+    z1_locations, z0_rows = _z_rows(nu.matroid)
+    for _i, ab, cd, ac, bd, ad, bc in z1_locations:
+        p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
+        if p == q:
+            rows += ((ac, bd, ad, bc), (ab, cd, ad, bc)) if q == s else ((ab, cd, ac, bd),)
+        elif q == s:
+            rows.append((ac, bd, ad, bc))
+        elif p == s:
+            rows.append((ab, cd, ad, bc))
+    for _i, sac, sbd, sad, sbc in z0_rows:
+        if v[sac] + v[sbd] != v[sad] + v[sbc]:
+            raise InvariantViolation("valuation must lie in its own cell hull")
+        rows.append((sac, sbd, sad, sbc))
+    return rows
 
 
 def equivalent(nu: Valuation, nu2: Valuation) -> bool:

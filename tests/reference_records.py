@@ -90,7 +90,7 @@ def to_reference(x):
     if isinstance(x, dressian.Symbol):
         return Symbol(x.s_mask, x.a, x.b, x.c, x.d)
     if isinstance(x, dressian.Valuation):
-        return Valuation(to_reference(x.matroid), x.values)
+        return Valuation(to_reference(x.matroid), dict(x.values))
     if isinstance(x, dressian.CombinatorialType):
         return CombinatorialType(to_reference(x.matroid), x.free_ids)
     if isinstance(x, dressian.ExactCover):

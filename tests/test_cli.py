@@ -832,11 +832,17 @@ def test_broken_subdivision_walk_exits_1(files, capsys, monkeypatch):
 
 
 def test_point_outside_its_own_cell_hull_exits_1(files, capsys, monkeypatch):
-    # every symbol of the zero valuation's type is an equality, but not of nu_N3's
-    M = Matroid.uniform(2, 5)
-    zero_type = combinatorial_type(Valuation(M, {b: Fraction(0) for b in M.bases}))
-    monkeypatch.setattr("dressian.valuation.combinatorial_type", lambda nu: zero_type)
-    assert run(["dim", "--valuation", files["nu"]]) == 1
+    # the one symbol of a parallel pair {0, 1}, (01|23), is forced: every
+    # valuation ties 02 + 13 with 03 + 12, so 1,3 -> 4 is no valuation, and
+    # only a view let past the three-term check of `_hold` reaches `dim`
+    path = files["dir"] / "broken-pair.json"
+    path.write_text(json.dumps({
+        "matroid": {"n": 4, "r": 2, "bases": [[0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+        "values": {"0,2": "0", "0,3": "1", "1,2": "2", "1,3": "4", "2,3": "0"}}))
+    assert run(["dim", "--valuation", str(path)]) == 2
+    capsys.readouterr()
+    monkeypatch.setattr("dressian.valuation._three_term_holds", lambda M, v: True)
+    assert run(["dim", "--valuation", str(path)]) == 1
     assert capsys.readouterr().err.startswith("invariant violation:")
 
 

@@ -193,8 +193,19 @@ def test_values_are_derived_once_and_kept():
     nu = valuation_from_matroid(random_sparse_paving(3, 6, random.Random(3)))
     assert nu._values is None
     first = nu.values
-    assert nu.values is first
+    kept = nu._values
+    assert nu.values == first and nu._values is kept
     assert list(first) == list(symbol_table(6, 3).subsets)
+
+
+def test_values_are_read_only():
+    # the map is a read-only view of the kept one: an assignment through it
+    # would change the JSON, `value` and the spread but not the integer view
+    nu = valuation_from_matroid(random_sparse_paving(3, 6, random.Random(3)))
+    before, b = nu.to_json(), min(nu.matroid.bases)
+    with pytest.raises(TypeError):
+        nu.values[b] = Fraction(7)
+    assert nu.to_json() == before and nu.value(b) == Fraction(nu.scaled[0], nu.denominator)
 
 
 def test_smooth_peels_match_the_fraction_peeling():

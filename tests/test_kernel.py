@@ -56,6 +56,7 @@ from helpers import (
     random_valuation,
     stiefel_valuation,
 )
+from test_valuation import forced_symbol_corpus
 
 
 def assert_kernels_agree(nu):
@@ -78,8 +79,10 @@ def test_symbol_table_matches_generated_symbols():
     for n, r in [(4, 2), (6, 2), (6, 3), (7, 3), (8, 4), (3, 3)]:
         table = symbol_table(n, r)
         assert list(table.symbols) == ref.all_symbols(n, r) == all_symbols(n, r)
-        for sym, cross in zip(table.symbols, table.cross):
-            assert cross == tuple(table.position[m] for m in sym.cross_sets())
+        for k, loc in enumerate(table.locations):
+            ab_cd, ac_bd, ad_bc = table.symbols[3 * k:3 * k + 3]
+            assert loc == tuple(table.position[m] for m in ab_cd.own_sets() + ab_cd.cross_sets())
+            assert ac_bd.own_sets() + ad_bc.own_sets() == ab_cd.cross_sets()
         assert len(table.locations) * 3 == len(table.symbols)
 
 
@@ -115,6 +118,43 @@ def test_corpus_agrees_with_reference():
         assert_kernels_agree(nu)
 
 
+def test_forced_symbol_corpus_agrees_with_reference():
+    # valuations whose matroids have Z0(M) rows, which the type adds
+    # untested and `_hull_rows` checks at nu
+    valuations = forced_symbol_corpus()
+    assert len(valuations) == 42
+    assert sum(len(valuation_module._z_rows(nu.matroid)[1]) for nu in valuations) >= 100
+    for nu in valuations:
+        assert_kernels_agree(nu)
+
+
+def test_each_z1_location_ties_one_pair_sum_or_all_three():
+    # the minimum of the three pairing sums is attained twice, so a Z1(M)
+    # location ties one pair or all three; `_hull_rows` gives one row or
+    # two for it, location by location, then one row per Z0(M) symbol
+    rnd = random.Random(89)
+    valuations = [*corpus_valuations(),
+                  *(valuation_from_matroid(N) for N in all_sparse_paving_matroids(3, 6)),
+                  *(stiefel_valuation(r, n, rnd, holes)
+                    for r, n in [(3, 6), (3, 7), (4, 8)] for holes in (0, 2))]
+    seen = Counter()
+    for nu in valuations:
+        v, free = nu.scaled, set(combinatorial_type(nu).free_ids)
+        z1_locations, z0_rows = valuation_module._z_rows(nu.matroid)
+        rows = iter(valuation_module._hull_rows(nu))
+        for i, ab, cd, ac, bd, ad, bc in z1_locations:
+            p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
+            ties = (p == q) + (q == s) + (p == s)
+            assert ties in (1, 3) and len(free & {i, i + 1, i + 2}) == ties
+            for sac, sbd, sad, sbc in [next(rows) for _ in range(1 if ties == 1 else 2)]:
+                assert {sac, sbd, sad, sbc} <= {ab, cd, ac, bd, ad, bc}
+                assert v[sac] + v[sbd] == v[sad] + v[sbc]
+            seen[ties] += 1
+        assert [next(rows) for _ in z0_rows] == [row[1:] for row in z0_rows]
+        assert next(rows, None) is None
+    assert seen[1] > seen[3] > 0
+
+
 def test_all_sparse_paving_of_rank_3_on_6_agree_with_reference():
     matroids = all_sparse_paving_matroids(3, 6)
     assert len(matroids) == 271
@@ -124,7 +164,7 @@ def test_all_sparse_paving_of_rank_3_on_6_agree_with_reference():
         free, full = ref.combinatorial_type(nu)
         t = combinatorial_type(nu)
         assert (t.symbols_equal, t.full_type) == (free, full)
-        dims.append(cell_dim(nu, t))
+        dims.append(cell_dim(nu))
         assert dims[-1] == ref.cell_dim(nu)
     assert max(dims) == 10
 
@@ -220,9 +260,9 @@ def eliminated_dim(nu):
     dense row per symbol of [nu]."""
     table = symbol_table(nu.matroid.n, nu.matroid.r)
     rows = []
-    for i in combinatorial_type(nu).full_ids:
+    for sym in combinatorial_type(nu).full_type:
         row = [0] * len(table.subsets)
-        sac, sbd, sad, sbc = table.cross[i]
+        sac, sbd, sad, sbc = (table.position[m] for m in sym.cross_sets())
         row[sac] = row[sbd] = 1
         row[sad] = row[sbc] = -1
         rows.append(row)
@@ -266,7 +306,9 @@ def test_census_cells_are_certified_and_generic_stiefel_cells_eliminated(monkeyp
 
 def test_rank_bounds_on_hand_checked_rows():
     table = symbol_table(4, 2)
-    ab_cd, ac_bd, ad_bc = table.cross  # the one location of U(2,4)
+    # the three symbols of the one location of U(2,4)
+    ab_cd, ac_bd, ad_bc = (tuple(table.position[m] for m in sym.cross_sets())
+                           for sym in table.symbols)
     bounds = linear_module._hull_rank_bounds
     assert bounds([], table.subsets) == ([], 0)
     # one row: six coordinates, 4 of them in the support, lineality 1 + 2

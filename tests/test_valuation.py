@@ -267,8 +267,8 @@ def test_full_type_is_forced_symbols_plus_free_ones():
         M, vals = nu.matroid, nu.values
         table = symbol_table(M.n, M.r)
         direct = []
-        for i, quad in enumerate(table.cross):
-            sac, sbd, sad, sbc = (table.subsets[j] for j in quad)  # positions -> masks
+        for i, sym in enumerate(table.symbols):
+            sac, sbd, sad, sbc = sym.cross_sets()
             if {sac, sbd, sad, sbc} <= M.bases and vals[sac] + vals[sbd] == vals[sad] + vals[sbc]:
                 direct.append(i)
         direct = tuple(direct)
