@@ -1,16 +1,16 @@
 """Exact rational subspaces: symbol equation systems, dimensions, projections.
 
 `cell_dim` is the dimension count of the census and the lower bound.  It
-ranks the rows x(Sac) + x(Sbd) - x(Sad) - x(Sbc) that `valuation._hull_rows`
-reads off the valuation's integer view, bounded first on bit masks by
-`_gf2_basis`, an XOR basis keyed by highest set bit: below by the GF(2)
-rank of the rows, above by the size of their support less a parity lower
-bound on the rank of the lineality space there.  Any keying admits the same
-rows, the greedy independent prefix.  Where the bounds meet, as on every
-nu_N of the census, nothing is eliminated; otherwise a kernel of the rows
-that entered the GF(2) basis, grown until every row annihilates it,
-certifies the rank (`_certified_rank`).  `cell_dim` proves both steps and
-never calls `integer_matrix_rank`.
+ranks the rows x(Sac) + x(Sbd) - x(Sad) - x(Sbc) of the valuation's tie
+record (`valuation._ties`, shared with its type), bounded first on their
+bit masks by `_gf2_basis`, an XOR basis keyed by highest set bit: below by
+the GF(2) rank of the rows, above by the size of their support less a
+parity lower bound on the rank of the lineality space there.  Any keying
+admits the same rows, the greedy independent prefix.  Where the bounds
+meet, as on every nu_N of the census, nothing is eliminated; otherwise a
+kernel of the rows that entered the GF(2) basis, grown until every row
+annihilates it, certifies the rank (`_certified_rank`).  `cell_dim` proves
+both steps and never calls `integer_matrix_rank`.
 
 `_eliminate` is the one elimination routine.  It is fraction-free, in the
 manner of Bareiss: a pivot step replaces a row by an integer combination
@@ -159,14 +159,12 @@ def _gf2_basis(masks) -> list[int]:
     return entered
 
 
-def _hull_rank_bounds(quads, subsets) -> tuple[list[int], int]:
-    """The rows of the quads (ac, bd, ad, bc) of column positions that are
-    independent over GF(2), by position, and an upper bound on the rank
-    over Q of the rows e(ac) + e(bd) - e(ad) - e(bc); subsets[p] is the
-    r-subset mask at position p.  See `cell_dim`."""
-    if not quads:
+def _hull_rank_bounds(masks, subsets) -> tuple[list[int], int]:
+    """The positions of the rows e(ac) + e(bd) - e(ad) - e(bc), given by the
+    masks of their columns, that are independent over GF(2), and an upper
+    bound on their rank over Q; subsets[c] is the r-subset at column c."""
+    if not masks:
         return [], 0
-    masks = [1 << ac | 1 << bd | 1 << ad | 1 << bc for ac, bd, ad, bc in quads]
     support = 0
     for m in masks:
         support |= m
@@ -332,7 +330,7 @@ def cell_dim(nu: valuation.Valuation) -> int:
     L([nu]) is cut out of the basis coordinates by x(Sac) + x(Sbd) =
     x(Sad) + x(Sbc) over the symbols of [nu]; non-basis columns stay zero,
     so the dimension is the number of bases minus rank_Q(A), A the matrix
-    of the rows `valuation._hull_rows` reads off nu's ties.
+    of the rows of nu's tie record (`valuation._ties`, read once per nu).
 
     rank_Q(A) is bounded from both sides before any elimination
     (`_hull_rank_bounds`):
@@ -372,8 +370,8 @@ def cell_dim(nu: valuation.Valuation) -> int:
     """
     M = nu.matroid
     require_listable(M.n, M.r, DESK_SCALE_COORDS, "the cell dimension")
-    quads = valuation._hull_rows(nu)
-    independent, high = _hull_rank_bounds(quads, valuation.symbol_table(M.n, M.r).subsets)
+    _free, quads, masks = valuation._ties(nu)
+    independent, high = _hull_rank_bounds(masks, valuation.symbol_table(M.n, M.r).subsets)
     if len(independent) == high:
         return len(M.bases) - high
     return len(M.bases) - _certified_rank(quads, independent, len(nu.scaled))

@@ -208,10 +208,10 @@ def r_subset_masks(n: int, r: int) -> list[int]:
 
 
 def _nonbases_stable(n: int, r: int, bases: frozenset[int]) -> bool:
-    """Every r-subset outside `bases` has all r(n - r) of its Johnson
-    neighbours in `bases`: the non-bases are a stable set of J(r, n)."""
-    return all(u in bases for m in _colex_subsets(n, r) if m not in bases
-               for u in johnson_neighbors(n, m))
+    """No two r-subsets outside `bases` are one exchange apart, pair by pair:
+    the non-bases are a stable set of J(r, n)."""
+    nonbases = [m for m in _colex_subsets(n, r) if m not in bases]
+    return all((x ^ y).bit_count() != 2 for x, y in combinations(nonbases, 2))
 
 
 def _check_exchange(n: int, r: int, bases: frozenset[int]) -> bool:

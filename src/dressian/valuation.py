@@ -15,8 +15,8 @@ and stores every view; `values`, a read-only map, is derived from it once.
 Positive scaling changes neither validity, nor types, nor cell dimension,
 so the three-term check, combinatorial types, equivalence and the rows of
 `cell_dim` read only this view, in integers, location by location through
-per-(n, r) index tables (`symbol_table`); the pairing sums of a Z1(M)
-location (`_z_rows`) tie once or thrice, one symbol of the type or three.
+per-(n, r) index tables (`symbol_table`); `_ties` reads the pairing sums
+of each Z1(M) location (`_z_rows`) once per valuation, for type and hull.
 The brute-force checker reads the same view, but hands its finite entries
 to `matroid._exchange_holds`, the walk that also checks (B) on every
 `Matroid` build; it touches no location table, so it stays an independent
@@ -148,23 +148,22 @@ def all_symbols(n: int, r: int) -> list[Symbol]:
 def _z_rows(M: Matroid) -> tuple[tuple, tuple]:
     """The one split of Z(M), the symbols whose four crossing sets are
     bases, by location: the Z1(M) locations, whose six sets are all bases,
-    as (position of (ab|cd), Sab, Scd, Sac, Sbd, Sad, Sbc), and the Z0(M)
-    rows (position, Sac, Sbd, Sad, Sbc).  Elsewhere a symbol of Z(M) has an
-    own set off the bases, so its third pairing sum is infinite and the
-    three-term condition ties the two crossing sums for every valuation."""
+    as (position of (ab|cd), Sab, Scd, Sac, Sbd, Sad, Sbc, the row masks of
+    (ab|cd), (ac|bd), (ad|bc)), and the Z0(M) rows (position, Sac, Sbd, Sad,
+    Sbc).  Elsewhere a symbol of Z(M) has an own set off the bases, so its
+    third pairing sum is infinite and the other two tie for every valuation."""
     table = symbol_table(M.n, M.r)
     basis = [m in M.bases for m in table.subsets]
     z1, z0 = [], []
     for k, loc in enumerate(table.locations):
         ab, cd, ac, bd, ad, bc = loc
-        if all(basis[j] for j in loc):
-            z1.append((3 * k, *loc))
-            continue
         # (ab|cd) equates ac+bd with ad+bc, (ac|bd) ab+cd with ad+bc, and
         # (ad|bc) ab+cd with ac+bd
-        for i, quad in enumerate(((ac, bd, ad, bc), (ab, cd, ad, bc), (ab, cd, ac, bd)), 3 * k):
-            if all(basis[j] for j in quad):
-                z0.append((i, *quad))
+        quads = ((ac, bd, ad, bc), (ab, cd, ad, bc), (ab, cd, ac, bd))
+        if all(basis[j] for j in loc):
+            z1.append((3 * k, *loc, *(sum(1 << j for j in q) for q in quads)))
+        else:
+            z0 += ((i, *q) for i, q in enumerate(quads, 3 * k) if all(basis[j] for j in q))
     return tuple(z1), tuple(z0)
 
 
@@ -274,10 +273,10 @@ class Valuation(_Frozen):
 
     `scaled` is the integer view: values * `denominator` by colex rank, INF
     off the bases.  `values` is the Fraction map, derived from the view on
-    first read and kept in `_values`.
+    first read and kept in `_values`; `_tied` keeps the tie record (`_ties`).
     """
 
-    __slots__ = ("matroid", "denominator", "scaled", "_values")
+    __slots__ = ("matroid", "denominator", "scaled", "_values", "_tied")
 
     def __init__(self, matroid: Matroid, values: dict):
         self._hold(matroid, *_integer_view(matroid, values.items()))
@@ -308,10 +307,8 @@ class Valuation(_Frozen):
                 raise InvariantViolation(f"integer view is {where} {subset_key(m)}")
         if denominator != 1:
             denominator, scaled = lowest_terms(denominator, scaled)
-        object.__setattr__(self, "matroid", matroid)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "scaled", tuple(scaled))
-        object.__setattr__(self, "_values", None)
+        # every slot, in order, as copy and pickle restore them; no cache yet
+        self.__setstate__((matroid, denominator, tuple(scaled), None, None))
         if not _three_term_holds(matroid, scaled):
             raise NotAValuationError("value map violates the three-term condition")
 
@@ -411,43 +408,47 @@ class CombinatorialType(_Frozen):
         return len(self.free_ids)
 
 
-def combinatorial_type(nu: Valuation) -> CombinatorialType:
-    """The symbols of Z1(M) that nu satisfies, read off each Z1(M) location's
-    pairing sums (see `_z_rows`): the minimum is attained twice, so one tie
-    gives one symbol and three give all three.  Z0(M) needs no test."""
-    v, free = nu.scaled, []
-    for i, ab, cd, ac, bd, ad, bc in _z_rows(nu.matroid)[0]:
+def _ties(nu: Valuation) -> tuple[tuple, tuple, tuple]:
+    """nu's tie record (free ids, hull rows, their bit masks), kept in `_tied`.
+    A Z1(M) location's pairing sums tie once (one symbol of [nu] and its row
+    (Sac, Sbd, Sad, Sbc)) or thrice (three symbols, two rows: the (ad|bc)
+    row is the (ac|bd) row minus the (ab|cd) row).  Each Z0(M) row follows,
+    checked at nu; only a view altered past `_hold` fails (InvariantViolation)."""
+    if nu._tied is not None:
+        return nu._tied
+    v, free, rows, masks = nu.scaled, [], [], []
+    z1_locations, z0_rows = _z_rows(nu.matroid)
+    for i, ab, cd, ac, bd, ad, bc, m_ab, m_ac, m_ad in z1_locations:
         p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
         if p == q:
-            free += (i, i + 1, i + 2) if q == s else (i + 2,)
+            if q == s:
+                free += (i, i + 1, i + 2)
+                rows += ((ac, bd, ad, bc), (ab, cd, ad, bc))
+                masks += (m_ab, m_ac)
+            else:
+                free.append(i + 2)
+                rows.append((ab, cd, ac, bd))
+                masks.append(m_ad)
         elif q == s:
             free.append(i)
+            rows.append((ac, bd, ad, bc))
+            masks.append(m_ab)
         elif p == s:
             free.append(i + 1)
-    return CombinatorialType(nu.matroid, tuple(free))
-
-
-def _hull_rows(nu: Valuation) -> list:
-    """The rows (Sac, Sbd, Sad, Sbc) that cut out the hull of nu's cell, one
-    per symbol of [nu] as `combinatorial_type` reads them, less the (ad|bc)
-    row where all three sums tie: it is the (ac|bd) row minus the (ab|cd)
-    row.  A Z0(M) row that fails at nu, as only a view altered past `_hold`
-    can, raises InvariantViolation."""
-    v, rows = nu.scaled, []
-    z1_locations, z0_rows = _z_rows(nu.matroid)
-    for _i, ab, cd, ac, bd, ad, bc in z1_locations:
-        p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
-        if p == q:
-            rows += ((ac, bd, ad, bc), (ab, cd, ad, bc)) if q == s else ((ab, cd, ac, bd),)
-        elif q == s:
-            rows.append((ac, bd, ad, bc))
-        elif p == s:
             rows.append((ab, cd, ad, bc))
+            masks.append(m_ac)
     for _i, sac, sbd, sad, sbc in z0_rows:
         if v[sac] + v[sbd] != v[sad] + v[sbc]:
             raise InvariantViolation("valuation must lie in its own cell hull")
         rows.append((sac, sbd, sad, sbc))
-    return rows
+        masks.append(1 << sac | 1 << sbd | 1 << sad | 1 << sbc)
+    object.__setattr__(nu, "_tied", (tuple(free), tuple(rows), tuple(masks)))
+    return nu._tied
+
+
+def combinatorial_type(nu: Valuation) -> CombinatorialType:
+    """The symbols of Z1(M) that nu satisfies: the free ids of its ties (`_ties`)."""
+    return CombinatorialType(nu.matroid, _ties(nu)[0])
 
 
 def equivalent(nu: Valuation, nu2: Valuation) -> bool:

@@ -7,6 +7,8 @@ brute-force checker is the independent judge of validity.  The rank and the
 solver are compared with a Fraction rank and with substitution.
 """
 
+import copy
+import pickle
 import random
 import time
 from collections import Counter
@@ -120,7 +122,7 @@ def test_corpus_agrees_with_reference():
 
 def test_forced_symbol_corpus_agrees_with_reference():
     # valuations whose matroids have Z0(M) rows, which the type adds
-    # untested and `_hull_rows` checks at nu
+    # untested and `_ties` checks at nu
     valuations = forced_symbol_corpus()
     assert len(valuations) == 42
     assert sum(len(valuation_module._z_rows(nu.matroid)[1]) for nu in valuations) >= 100
@@ -128,21 +130,29 @@ def test_forced_symbol_corpus_agrees_with_reference():
         assert_kernels_agree(nu)
 
 
+def tie_corpus():
+    """The kernel corpus, every nu_N at (3,6) and Stiefel valuations."""
+    rnd = random.Random(89)
+    return [*corpus_valuations(),
+            *(valuation_from_matroid(N) for N in all_sparse_paving_matroids(3, 6)),
+            *(stiefel_valuation(r, n, rnd, holes)
+              for r, n in [(3, 6), (3, 7), (4, 8)] for holes in (0, 2))]
+
+
 def test_each_z1_location_ties_one_pair_sum_or_all_three():
     # the minimum of the three pairing sums is attained twice, so a Z1(M)
-    # location ties one pair or all three; `_hull_rows` gives one row or
-    # two for it, location by location, then one row per Z0(M) symbol
-    rnd = random.Random(89)
-    valuations = [*corpus_valuations(),
-                  *(valuation_from_matroid(N) for N in all_sparse_paving_matroids(3, 6)),
-                  *(stiefel_valuation(r, n, rnd, holes)
-                    for r, n in [(3, 6), (3, 7), (4, 8)] for holes in (0, 2))]
+    # location ties one pair or all three; the tie record gives one hull
+    # row or two for it, location by location, then one row per Z0(M)
+    # symbol, each with the mask of its four positions
     seen = Counter()
-    for nu in valuations:
-        v, free = nu.scaled, set(combinatorial_type(nu).free_ids)
+    for nu in tie_corpus():
+        free_ids, quads, masks = valuation_module._ties(nu)
+        v, free = nu.scaled, set(free_ids)
+        assert free_ids == combinatorial_type(nu).free_ids == tuple(sorted(free))
+        assert masks == tuple(sum(1 << p for p in quad) for quad in quads)
         z1_locations, z0_rows = valuation_module._z_rows(nu.matroid)
-        rows = iter(valuation_module._hull_rows(nu))
-        for i, ab, cd, ac, bd, ad, bc in z1_locations:
+        rows = iter(quads)
+        for i, ab, cd, ac, bd, ad, bc, *_masks in z1_locations:
             p, q, s = v[ab] + v[cd], v[ac] + v[bd], v[ad] + v[bc]
             ties = (p == q) + (q == s) + (p == s)
             assert ties in (1, 3) and len(free & {i, i + 1, i + 2}) == ties
@@ -150,9 +160,29 @@ def test_each_z1_location_ties_one_pair_sum_or_all_three():
                 assert {sac, sbd, sad, sbc} <= {ab, cd, ac, bd, ad, bc}
                 assert v[sac] + v[sbd] == v[sad] + v[sbc]
             seen[ties] += 1
-        assert [next(rows) for _ in z0_rows] == [row[1:] for row in z0_rows]
+        assert [next(rows) for _ in z0_rows] == [row[1:5] for row in z0_rows]
         assert next(rows, None) is None
     assert seen[1] > seen[3] > 0
+
+
+def test_the_tie_record_is_read_once_and_kept(monkeypatch):
+    fills = []
+    read = valuation_module._ties
+    monkeypatch.setattr(valuation_module, "_ties",
+                        lambda nu: fills.append(nu._tied is None) or read(nu))
+    record = sparse_paving_census(3, 6, with_dims=True)
+    # the type and then cell_dim ask; only the type reads the sums
+    assert (len(fills), sum(fills), record.max_cell_dim) == (542, 271, 10)
+    monkeypatch.undo()
+    for nu in tie_corpus():
+        t, d = combinatorial_type(nu), cell_dim(nu)
+        kept = nu._tied
+        assert read(nu) is kept and all(type(part) is tuple for part in kept)
+        fresh = Valuation._from_scaled(nu.matroid, nu.denominator, nu.scaled)
+        assert fresh._tied is None and read(fresh) == kept
+    for clone in (copy.copy(nu), pickle.loads(pickle.dumps(nu))):
+        assert clone._tied == kept and clone == nu and hash(clone) == hash(nu)
+        assert (combinatorial_type(clone), cell_dim(clone)) == (t, d)
 
 
 def test_all_sparse_paving_of_rank_3_on_6_agree_with_reference():
@@ -174,7 +204,7 @@ def force_certificate(monkeypatch):
     certifies its rank by the kernel of the GF(2) basis rows."""
     real = linear_module._hull_rank_bounds
     monkeypatch.setattr(linear_module, "_hull_rank_bounds",
-                        lambda quads, subsets: (real(quads, subsets)[0], len(quads) + 1))
+                        lambda masks, subsets: (real(masks, subsets)[0], len(masks) + 1))
 
 
 def spied_certificate(monkeypatch):
@@ -246,8 +276,8 @@ def spied_bounds(monkeypatch):
     seen = []
     real = linear_module._hull_rank_bounds
 
-    def spy(quads, subsets):
-        independent, high = real(quads, subsets)
+    def spy(masks, subsets):
+        independent, high = real(masks, subsets)
         seen.append((len(independent), high))
         return independent, high
 
@@ -306,8 +336,8 @@ def test_census_cells_are_certified_and_generic_stiefel_cells_eliminated(monkeyp
 
 def test_rank_bounds_on_hand_checked_rows():
     table = symbol_table(4, 2)
-    # the three symbols of the one location of U(2,4)
-    ab_cd, ac_bd, ad_bc = (tuple(table.position[m] for m in sym.cross_sets())
+    # the row masks of the three symbols of the one location of U(2,4)
+    ab_cd, ac_bd, ad_bc = (sum(1 << table.position[m] for m in sym.cross_sets())
                            for sym in table.symbols)
     bounds = linear_module._hull_rank_bounds
     assert bounds([], table.subsets) == ([], 0)
@@ -789,6 +819,29 @@ def test_two_basis_family_on_a_million_elements_lists_no_subsets(monkeypatch):
         assert is_matroid(n, 2, family) is verdict
     assert Matroid(n, 2, frozenset({0b11, 0b101})).r == 2
     assert time.perf_counter() - started < 1
+
+
+def test_pairwise_stability_matches_the_neighbour_walk():
+    # `_nonbases_stable` compares the non-bases pair by pair; the reference
+    # walks every Johnson neighbour of each.  Each census family is stable,
+    # and so is or is not the family less one more subset
+    rnd = random.Random(97)
+    seen = Counter()
+    for r, n in [(2, 5), (3, 6), (4, 6)]:
+        subsets = r_subset_masks(n, r)
+        for N in all_sparse_paving_matroids(r, n):
+            for family in (N.bases, N.bases - {rnd.choice(subsets)}):
+                verdict = ref.is_sparse_paving(n, r, family)
+                assert _nonbases_stable(n, r, family) is verdict
+                seen[verdict] += 1
+    for r, n in [(3, 7), (4, 8)]:
+        subsets = r_subset_masks(n, r)
+        for _ in range(300):
+            family = frozenset(subsets) - set(rnd.sample(subsets, rnd.randint(0, 7)))
+            verdict = ref.is_sparse_paving(n, r, family)
+            assert _nonbases_stable(n, r, family) is verdict
+            seen[verdict] += 1
+    assert seen[True] >= 500 and seen[False] >= 500
 
 
 def test_is_sparse_paving_matches_the_neighbour_test():
